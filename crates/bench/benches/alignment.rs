@@ -16,7 +16,7 @@ fn key(depth: usize, loops: usize, cnt: u64) -> ProgressKey {
         frames: (0..depth)
             .map(|d| FrameKey {
                 loops: (0..loops)
-                    .map(|l| (LoopUid::new(d as u32, l as u32), (l as u64) * 3))
+                    .map(|l| (LoopUid::new(d as u32, l as u32), (l as u64) * 3, 0))
                     .collect(),
                 cnt: cnt + d as u64,
             })

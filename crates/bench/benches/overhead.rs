@@ -24,10 +24,7 @@ fn identity_spec(w: &ldx_workloads::Workload) -> DualSpec {
             })
             .collect(),
         sinks: w.sinks.clone(),
-        trace: false,
-        record: false,
-        enforcement: false,
-        exec: ExecConfig::default(),
+        ..DualSpec::default()
     }
 }
 

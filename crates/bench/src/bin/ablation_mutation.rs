@@ -55,10 +55,7 @@ fn main() {
                     })
                     .collect(),
                 sinks: w.sinks.clone(),
-                trace: false,
-                record: false,
-                enforcement: false,
-                exec: Default::default(),
+                ..DualSpec::default()
             };
             jobs.push(BatchJob::new(
                 format!("{}/{name}", w.name),

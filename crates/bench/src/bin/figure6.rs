@@ -81,10 +81,7 @@ fn main() {
                 })
                 .collect(),
             sinks: w.sinks.clone(),
-            trace: false,
-            record: false,
-            enforcement: false,
-            exec: ExecConfig::default(),
+            ..DualSpec::default()
         };
         let same = median_duration(reps, || {
             run_dual_timed(&instrumented, &world, &identity_spec).0

@@ -10,7 +10,9 @@
 //! The experiment file describes the world (files, peers, clients) and the
 //! analysis (sources, sinks, trace/enforce flags); see [`ldx::specfile`]
 //! for the format. Without one, the program runs in an empty world with
-//! the default sink specification.
+//! the default sink specification. With `trace`, the run's event stream
+//! is recorded and printed as the alignment trace (`trace:` lines, master
+//! then slave).
 //!
 //! `--attribute` and `--strength` skip dual executions for pairs the
 //! static analysis (`ldx-sdep`) proves independent; `--no-prune` disables
@@ -20,12 +22,14 @@
 //! and Graphviz DOT (`--dot`). See `docs/ANALYSIS.md`.
 //!
 //! The `explain` subcommand runs the per-source attribution with the
-//! divergence flight recorder on and emits the causal provenance chains
-//! (mutated source → first decoupled/compared syscall → tainted
-//! resources → diverging sink, cross-referenced against the static PDG
-//! path) as deterministic JSON (`schemas/explain_schema.json`; stdout by
-//! default, or `--json`). `--explain` on the default path prints the
-//! terminal rendering after the run. See `docs/OBSERVABILITY.md`.
+//! flight recorder on and emits the causal provenance chains (mutated
+//! source → first decoupled/compared syscall → tainted resources →
+//! diverging sink, cross-referenced against the static PDG path) as
+//! deterministic JSON (`schemas/explain_schema.json`; stdout by default,
+//! or `--json`). `--explain` on the default path prints the terminal
+//! rendering after the run; with `--attribute` too, the verdicts and the
+//! chains are views of the same attribution runs. See
+//! `docs/OBSERVABILITY.md`.
 //!
 //! `--trace` writes a Chrome `trace_event` JSON of the run (open in
 //! Perfetto); `--metrics` writes the flat metrics dump. See
@@ -135,8 +139,8 @@ fn build_analysis(program_path: &str, experiment_path: Option<&str>) -> Result<A
             analysis = analysis.source(s);
         }
         analysis = analysis.sinks(experiment.spec.sinks);
-        if experiment.spec.trace {
-            analysis = analysis.traced();
+        if experiment.spec.record {
+            analysis = analysis.recorded();
         }
         if experiment.spec.enforcement {
             analysis = analysis.enforcing();
@@ -252,8 +256,18 @@ fn main() -> ExitCode {
         report.shared, report.decoupled, report.syscall_diffs, report.master_sinks
     );
 
+    // One attribution serves both flags, so every explained chain belongs
+    // to the verdict printed beside it.
+    let explain = flags.contains(&"--explain");
+    let attributions = if explain {
+        analysis.clone().recorded().attribute_sources()
+    } else if flags.contains(&"--attribute") {
+        analysis.attribute_sources()
+    } else {
+        Vec::new()
+    };
     if flags.contains(&"--attribute") {
-        for attr in analysis.attribute_sources() {
+        for attr in &attributions {
             println!(
                 "source #{} {:?}: {}",
                 attr.index,
@@ -291,8 +305,9 @@ fn main() -> ExitCode {
             s.score()
         );
     }
-    if flags.contains(&"--explain") {
-        print!("{}", analysis.explain(program_path).render_text());
+    if explain {
+        let report = analysis.explain_attributions(&attributions, program_path);
+        print!("{}", report.render_text());
     }
 
     if let Err(e) = obs::finish(&obs_args) {

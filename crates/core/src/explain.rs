@@ -1,11 +1,12 @@
-//! `ldx explain`: causal provenance reports built on the divergence
-//! flight recorder.
+//! `ldx explain`: causal provenance reports, a view of the attribution
+//! run's flight logs.
 //!
 //! [`Analysis::attribute_sources`] answers *which* sources are causal;
-//! this module reconstructs *why*: for each causal (source, sink) pair it
-//! assembles the provenance chain — the mutated source value, the first
-//! decoupled syscall, every tainted resource, and the first diverging
-//! sink with its byte-level diff — and cross-references it against the
+//! this module reconstructs *why* from the same runs: for each causal
+//! (source, sink) pair it assembles the provenance chain — the mutated
+//! source value, the first decoupled syscall, every tainted resource, and
+//! the first diverging sink with its byte-level diff — and
+//! cross-references it against the
 //! static dependence analysis: the `ldx-sdep` PDG path from the source
 //! site to the sink site, each step annotated with whether a dynamic
 //! flight-recorder event witnessed it, plus the "static-predicted but
@@ -20,8 +21,10 @@
 //! are sorted, and timing-dependent recorder facts (barrier deltas) are
 //! never serialized. The format is `schemas/explain_schema.json`.
 
-use crate::{Analysis, BatchEngine, SourceAttribution};
-use ldx_dualex::{ByteDiff, CausalityKind, Decision, FlightEvent, Mutation, SourceMatcher};
+use crate::{Analysis, SourceAttribution};
+use ldx_dualex::{
+    key_scalar, ByteDiff, CausalityKind, Decision, FlightEvent, Mutation, SourceMatcher,
+};
 use ldx_ir::IrProgram;
 use ldx_sdep::{SiteRef, StaticAnalysis};
 use std::collections::BTreeSet;
@@ -494,22 +497,25 @@ fn func_name(program: &IrProgram, func: ldx_ir::FuncId) -> String {
 fn chain_syscall(program: &IrProgram, ev: &FlightEvent) -> Option<ChainSyscall> {
     if let FlightEvent::Syscall {
         decision,
+        key,
         func,
         site,
         sys,
-        master_cnt,
-        slave_cnt,
         is_sink,
         ..
     } = ev
     {
+        // Chains cite decoupled and compared slave decisions only: the
+        // master is at the slave's key (compared) or its position is
+        // unknown and the slave's is the deterministic lower bound.
+        let cnt = key_scalar(key);
         Some(ChainSyscall {
             decision: decision.name(),
             func: func_name(program, *func),
             site: site.0,
             sys: sys.to_string(),
-            master_cnt: *master_cnt,
-            slave_cnt: *slave_cnt,
+            master_cnt: cnt,
+            slave_cnt: cnt,
             is_sink: *is_sink,
         })
     } else {
@@ -528,10 +534,10 @@ fn build_chain(
 
     let mutation = flight.slave.iter().find_map(|ev| {
         if let FlightEvent::Mutated {
+            key,
             func,
             site,
             sys,
-            cnt,
             original,
             mutated,
             ..
@@ -541,7 +547,7 @@ fn build_chain(
                 func: func_name(program, *func),
                 site: site.0,
                 sys: sys.to_string(),
-                cnt: *cnt,
+                cnt: key_scalar(key),
                 original: original.clone(),
                 mutated: mutated.clone(),
             })
@@ -646,24 +652,27 @@ fn build_chain(
 }
 
 impl Analysis {
-    /// Runs the per-source attribution with flight recording enabled and
-    /// reconstructs the provenance chain of every causal source.
-    ///
-    /// The per-source runs fan out on an auto-sized [`BatchEngine`]; use
-    /// [`Analysis::explain_with`] to control (or share) the pool.
+    /// Runs the per-source attribution with flight recording enabled (on
+    /// an auto-sized [`BatchEngine`](crate::BatchEngine)) and reconstructs
+    /// the provenance chain of every causal source:
+    /// [`Analysis::explain_attributions`] over that one attribution.
     pub fn explain(&self, program_label: &str) -> ExplainReport {
-        self.explain_with(&BatchEngine::auto(), program_label)
+        let attributions = self.clone().recorded().attribute_sources();
+        self.explain_attributions(&attributions, program_label)
     }
 
-    /// [`Analysis::explain`] on a caller-provided pool.
+    /// Builds the report from `attributions` (run with recording on) —
+    /// no execution, so every chain explains the verdict beside it.
     ///
     /// Recorder totals are summed over the *causal* runs only, so the
     /// JSON is byte-identical whether or not static pruning skipped the
     /// inert sources.
-    pub fn explain_with(&self, engine: &BatchEngine, program_label: &str) -> ExplainReport {
+    pub fn explain_attributions(
+        &self,
+        attributions: &[SourceAttribution],
+        program_label: &str,
+    ) -> ExplainReport {
         let _span = ldx_obs::span(ldx_obs::cat::BATCH, "explain");
-        let recorded = self.clone().recorded();
-        let attributions = recorded.attribute_sources_with(engine);
         let program = self.program();
         let sdep = self.static_analysis();
         let sinks = &self.spec().sinks;
@@ -677,26 +686,18 @@ impl Analysis {
                 statically_independent: !sdep.may_cause(&attr.source, sinks),
             })
             .collect();
-        let mut master_events = 0u64;
-        let mut slave_events = 0u64;
-        let mut dropped = 0u64;
-        let chains: Vec<CausalChain> = attributions
-            .iter()
-            .filter(|attr| attr.causal)
-            .filter_map(|attr| {
-                master_events += attr.report.flight.master.len() as u64;
-                slave_events += attr.report.flight.slave.len() as u64;
-                dropped += attr.report.flight.dropped();
-                build_chain(&program, &sdep, attr)
-            })
-            .collect();
+        let causal: Vec<&SourceAttribution> = attributions.iter().filter(|a| a.causal).collect();
+        let flights = || causal.iter().map(|attr| &attr.report.flight);
         ExplainReport {
             program: program_label.to_string(),
             sources,
-            chains,
-            master_events,
-            slave_events,
-            dropped,
+            chains: causal
+                .iter()
+                .filter_map(|attr| build_chain(&program, &sdep, attr))
+                .collect(),
+            master_events: flights().map(|f| f.master.len() as u64).sum(),
+            slave_events: flights().map(|f| f.slave.len() as u64).sum(),
+            dropped: flights().map(|f| f.dropped()).sum(),
         }
     }
 }

@@ -50,7 +50,7 @@ fn pruned_report() -> DualReport {
         shared: 0,
         decoupled: 0,
         master_sinks: 0,
-        trace: vec![],
+        timeouts: 0,
         flight: ldx_dualex::FlightLog::default(),
     }
 }
@@ -104,38 +104,14 @@ impl Analysis {
     pub fn attribute_sources_with(&self, engine: &BatchEngine) -> Vec<SourceAttribution> {
         let spec = self.spec();
         let sdep = self.prune_enabled().then(|| self.static_analysis());
-        let should_run: Vec<bool> = spec
-            .sources
-            .iter()
-            .map(|source| {
-                sdep.as_ref()
-                    .is_none_or(|a| a.may_cause(source, &spec.sinks))
-            })
-            .collect();
-        let pruned_count = should_run.iter().filter(|run| !**run).count();
-        if pruned_count > 0 {
-            crate::obs::counter_add("sdep.pruned_pairs", pruned_count as u64);
-        }
+        let should_run = self.prune_mask(spec.sources.iter().cloned());
         let jobs = spec
             .sources
             .iter()
             .enumerate()
             .filter(|&(index, _)| should_run[index])
             .map(|(index, source)| {
-                let single = DualSpec {
-                    sources: vec![source.clone()],
-                    sinks: spec.sinks.clone(),
-                    trace: false,
-                    record: spec.record,
-                    enforcement: false,
-                    exec: spec.exec,
-                };
-                BatchJob::new(
-                    format!("source#{index}"),
-                    self.program(),
-                    self.world_ref().clone(),
-                    single,
-                )
+                self.single_source_job(format!("source#{index}"), source.clone())
             })
             .collect();
         let mut results = engine.run(jobs).results.into_iter();
@@ -173,6 +149,38 @@ impl Analysis {
             .collect()
     }
 
+    /// Which of `sources` may reach the sinks, so their dual execution
+    /// must run: all of them unless pruning is on, in which case the skips
+    /// are counted in the `sdep.pruned_pairs` metric.
+    fn prune_mask(&self, sources: impl Iterator<Item = SourceSpec>) -> Vec<bool> {
+        let sdep = self.prune_enabled().then(|| self.static_analysis());
+        let mask: Vec<bool> = sources
+            .map(|source| {
+                sdep.as_ref()
+                    .is_none_or(|a| a.may_cause(&source, &self.spec().sinks))
+            })
+            .collect();
+        let pruned = mask.iter().filter(|run| !**run).count();
+        if pruned > 0 {
+            crate::obs::counter_add("sdep.pruned_pairs", pruned as u64);
+        }
+        mask
+    }
+
+    /// A batch job running this analysis with `source` as its only
+    /// source (never enforcing; recording as configured).
+    fn single_source_job(&self, label: String, source: SourceSpec) -> BatchJob {
+        let spec = self.spec();
+        let single = DualSpec {
+            sources: vec![source],
+            sinks: spec.sinks.clone(),
+            record: spec.record,
+            enforcement: false,
+            exec: spec.exec,
+        };
+        BatchJob::new(label, self.program(), self.world_ref().clone(), single)
+    }
+
     /// Probes the first source with a battery of distinct mutations and
     /// reports how many were observable at the sinks.
     ///
@@ -203,47 +211,17 @@ impl Analysis {
         };
         let mut battery = vec![Mutation::OffByOne, Mutation::BitFlip, Mutation::Zero];
         battery.extend(probes.iter().cloned());
-        let sdep = self.prune_enabled().then(|| self.static_analysis());
-        let should_run: Vec<bool> = battery
-            .iter()
-            .map(|mutation| {
-                sdep.as_ref().is_none_or(|a| {
-                    a.may_cause(
-                        &SourceSpec {
-                            matcher: base.matcher.clone(),
-                            mutation: mutation.clone(),
-                        },
-                        &spec.sinks,
-                    )
-                })
-            })
-            .collect();
-        let pruned_count = should_run.iter().filter(|run| !**run).count();
-        if pruned_count > 0 {
-            crate::obs::counter_add("sdep.pruned_pairs", pruned_count as u64);
-        }
+        let probe = |mutation: &Mutation| SourceSpec {
+            matcher: base.matcher.clone(),
+            mutation: mutation.clone(),
+        };
+        let should_run = self.prune_mask(battery.iter().map(probe));
         let jobs = battery
             .iter()
             .enumerate()
             .filter(|&(index, _)| should_run[index])
             .map(|(index, mutation)| {
-                let single = DualSpec {
-                    sources: vec![SourceSpec {
-                        matcher: base.matcher.clone(),
-                        mutation: mutation.clone(),
-                    }],
-                    sinks: spec.sinks.clone(),
-                    trace: false,
-                    record: spec.record,
-                    enforcement: false,
-                    exec: spec.exec,
-                };
-                BatchJob::new(
-                    format!("probe#{index}"),
-                    self.program(),
-                    self.world_ref().clone(),
-                    single,
-                )
+                self.single_source_job(format!("probe#{index}"), probe(mutation))
             })
             .collect();
         let batch = engine.run(jobs);

@@ -66,7 +66,7 @@ use std::sync::{Arc, OnceLock};
 
 pub use ldx_dualex::{
     ByteDiff, CausalityKind, CausalityRecord, Decision, DualReport, DualSpec, FlightEvent,
-    FlightLog, Mutation, ResourceId, SinkSpec, SourceMatcher, SourceSpec, TraceAction, TraceEvent,
+    FlightLog, Mutation, ResourceId, SinkSpec, SourceMatcher, SourceSpec,
 };
 pub use ldx_instrument::{instrument, InstrumentationReport};
 pub use ldx_lang::LangError as Error;
@@ -149,14 +149,8 @@ impl Analysis {
         self
     }
 
-    /// Enables alignment-trace recording.
-    pub fn traced(mut self) -> Self {
-        self.spec.trace = true;
-        self
-    }
-
-    /// Enables the divergence flight recorder (the evidence log behind
-    /// [`Analysis::explain`]).
+    /// Enables the flight recorder: the run's event stream, behind
+    /// [`DualReport::trace_lines`] and [`Analysis::explain`].
     pub fn recorded(mut self) -> Self {
         self.spec.record = true;
         self
@@ -312,7 +306,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_produces_trace() {
+    fn recorded_run_produces_trace() {
         let report = Analysis::for_source(
             r#"fn main() {
                 let s = read(open("/s", 0), 4);
@@ -323,9 +317,8 @@ mod tests {
         .world(VosConfig::new().file("/s", "data"))
         .source(SourceSpec::file("/s"))
         .sinks(SinkSpec::AllWrites)
-        .traced()
+        .recorded()
         .run();
-        assert!(!report.trace.is_empty());
         assert!(!report.trace_lines().is_empty());
     }
 }

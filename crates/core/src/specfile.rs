@@ -21,7 +21,7 @@
 //! source syscall random
 //! sink network            # outputs | network | file | writes
 //! sink site guard 0
-//! trace
+//! trace                   # record the event stream (DualSpec::record)
 //! enforce
 //! ```
 
@@ -189,7 +189,7 @@ pub fn parse_experiment(text: &str) -> Result<ExperimentFile, SpecFileError> {
                 }
                 _ => return Err(err("usage: sink <kind> | sink site <fn> <n>".into())),
             },
-            "trace" => spec.trace = true,
+            "trace" => spec.record = true,
             "enforce" => spec.enforcement = true,
             other => return Err(err(format!("unknown directive `{other}`"))),
         }
@@ -308,7 +308,7 @@ mod tests {
             Mutation::Replace("tampered".into())
         );
         assert_eq!(exp.spec.sinks, SinkSpec::NetworkOut);
-        assert!(exp.spec.trace);
+        assert!(exp.spec.record);
         assert!(!exp.spec.enforcement);
     }
 

@@ -6,19 +6,26 @@
 //! master-only entries, and decouples when no alignment can exist. Both
 //! sides synchronize at loop backedges (§5) and publish a terminal key on
 //! thread exit so the peer never blocks forever.
+//!
+//! Every protocol decision either side makes is reported once, through
+//! [`Coupling::emit`].
 
 use crate::recorder::{
-    FlightEvent, FlightLog, FlightRecorder, ResourceId, DEFAULT_FLIGHT_CAPACITY,
+    ByteDiff, Decision, FlightEvent, FlightLog, FlightRecorder, ResourceId, DEFAULT_FLIGHT_CAPACITY,
 };
-use crate::report::{CausalityRecord, Role, TraceAction, TraceEvent};
+use crate::report::{CausalityKind, CausalityRecord, Role};
 use ldx_ir::{FuncId, SiteId};
 use ldx_lang::Syscall;
-use ldx_runtime::{ProgressKey, StopSignal, ThreadKey, Value};
+use ldx_runtime::{ProgressKey, ProgressOrder, StopSignal, SyscallCtx, ThreadKey, Value};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long any coupling wait may block before giving up (safety valve;
+/// orders of magnitude above any legitimate wait in the test suite).
+pub(crate) const MAX_WAIT: Duration = Duration::from_secs(30);
 
 /// One master syscall outcome, queued for the slave.
 #[derive(Debug, Clone)]
@@ -30,7 +37,55 @@ pub(crate) struct Entry {
     pub args: Vec<Value>,
     pub outcome: Value,
     pub is_sink: bool,
-    pub consumed: bool,
+}
+
+impl Entry {
+    /// What an unmatched entry exposes: a sink is causality of `kind`,
+    /// anything else a syscall difference.
+    pub fn unmatched(&self, kind: CausalityKind) -> Diff {
+        if self.is_sink {
+            Diff::Sink(kind)
+        } else {
+            Diff::Syscall
+        }
+    }
+}
+
+/// Where a decision was made: the acting role's thread and progress key,
+/// and the syscall site (`None` only for loop-barrier waits).
+#[derive(Clone, Copy)]
+pub(crate) struct At<'a> {
+    pub thread: &'a ThreadKey,
+    pub key: &'a ProgressKey,
+    pub site: Option<(FuncId, SiteId, Syscall)>,
+}
+
+impl<'a> At<'a> {
+    /// The syscall `ctx` is issuing.
+    pub fn ctx(ctx: &'a SyscallCtx) -> Self {
+        At {
+            thread: &ctx.thread,
+            key: &ctx.key,
+            site: Some((ctx.func, ctx.site, ctx.sys)),
+        }
+    }
+
+    /// The master syscall queued as `entry` on `thread`.
+    pub fn entry(thread: &'a ThreadKey, entry: &'a Entry) -> Self {
+        At {
+            thread,
+            key: &entry.key,
+            site: Some((entry.func, entry.site, entry.sys)),
+        }
+    }
+}
+
+/// A difference between the executions that a decision exposes.
+pub(crate) enum Diff {
+    /// A non-sink syscall difference (`DualReport::syscall_diffs`).
+    Syscall,
+    /// A sink difference: strong causality.
+    Sink(CausalityKind),
 }
 
 /// Mutable pair state (one per Lx thread pair).
@@ -92,6 +147,8 @@ pub(crate) struct CouplingStats {
     pub diffs: AtomicU64,
     /// Sink instances the master executed.
     pub master_sinks: AtomicU64,
+    /// Waits released by the stop signal or `MAX_WAIT`.
+    pub timeouts: AtomicU64,
 }
 
 /// All shared state of one dual execution.
@@ -100,7 +157,6 @@ pub(crate) struct Coupling {
     pub master_exec_done: AtomicBool,
     pub slave_exec_done: AtomicBool,
     pub records: Mutex<Vec<CausalityRecord>>,
-    pub trace: Option<Mutex<Vec<TraceEvent>>>,
     pub stats: CouplingStats,
     /// Paths with diverged state (paper §7 resource tainting).
     pub tainted_paths: Mutex<HashSet<String>>,
@@ -112,15 +168,13 @@ pub(crate) struct Coupling {
 }
 
 impl Coupling {
-    /// Creates coupling state; `trace` enables alignment-trace recording,
-    /// `record` enables the flight recorder.
-    pub fn new(trace: bool, record: bool) -> Self {
+    /// Creates coupling state; `record` enables the flight recorder.
+    pub fn new(record: bool) -> Self {
         Coupling {
             pairs: Mutex::new(HashMap::new()),
             master_exec_done: AtomicBool::new(false),
             slave_exec_done: AtomicBool::new(false),
             records: Mutex::new(Vec::new()),
-            trace: trace.then(|| Mutex::new(Vec::new())),
             stats: CouplingStats::default(),
             tainted_paths: Mutex::new(HashSet::new()),
             tainted_locks: Mutex::new(HashSet::new()),
@@ -128,8 +182,84 @@ impl Coupling {
         }
     }
 
-    /// Records a flight event into `role`'s lane. The closure is only
-    /// evaluated when the recorder is on, so disabled probes cost nothing.
+    /// Reports one protocol decision: bumps its counter, fires its
+    /// `ldx-obs` instant, records the causality `diff` exposes, and
+    /// appends the event to `role`'s lane when recording. With recording
+    /// off nothing is cloned unless `diff` is a causality record.
+    pub fn emit(
+        &self,
+        role: Role,
+        decision: Decision,
+        at: At<'_>,
+        is_sink: bool,
+        diff: Option<Diff>,
+    ) {
+        let stats = &self.stats;
+        let (counter, instant) = match decision {
+            Decision::Executed => (is_sink.then_some(&stats.master_sinks), None),
+            Decision::Shared => (Some(&stats.shared), Some("aligned-reuse")),
+            // A sink that compared equal shares the outcome.
+            Decision::Compared => (
+                diff.is_none().then_some(&stats.shared),
+                Some("sink-compare"),
+            ),
+            Decision::Decoupled => (Some(&stats.decoupled), Some("decoupled")),
+            Decision::Timeout => (Some(&stats.timeouts), Some("timeout")),
+            Decision::MasterOnly | Decision::SlaveOnly => (None, None),
+        };
+        if let Some(counter) = counter {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(name) = instant {
+            ldx_obs::instant(ldx_obs::cat::SYSCALL_DECISION, name);
+        }
+        let (thread, key) = (|| at.thread.clone(), || at.key.clone());
+        let Some((func, site, sys)) = at.site.filter(|_| decision != Decision::Timeout) else {
+            return self.flight(role, || FlightEvent::Timeout {
+                thread: thread(),
+                key: key(),
+            });
+        };
+        self.flight(role, || FlightEvent::Syscall {
+            decision,
+            thread: thread(),
+            key: key(),
+            func,
+            site,
+            sys,
+            is_sink,
+        });
+        match diff {
+            Some(Diff::Syscall) => {
+                stats.diffs.fetch_add(1, Ordering::Relaxed);
+            }
+            Some(Diff::Sink(kind)) => {
+                if let CausalityKind::ArgDiff { master, slave } = &kind {
+                    self.flight(role, || FlightEvent::SinkDiff {
+                        thread: thread(),
+                        key: key(),
+                        func,
+                        site,
+                        sys,
+                        diff: ByteDiff::compute(master, slave),
+                    });
+                }
+                self.records.lock().push(CausalityRecord {
+                    kind,
+                    thread: thread(),
+                    key: key(),
+                    func,
+                    site,
+                    sys,
+                });
+            }
+            None => {}
+        }
+    }
+
+    /// Records a non-decision flight event (taint, CoW clone, barrier,
+    /// mutation) into `role`'s lane. The closure is only evaluated when
+    /// the recorder is on, so disabled probes cost nothing.
     #[inline]
     pub fn flight(&self, role: Role, event: impl FnOnce() -> FlightEvent) {
         if let Some(r) = &self.recorder {
@@ -180,38 +310,6 @@ impl Coupling {
         }
     }
 
-    /// Records a causality detection.
-    pub fn record(&self, record: CausalityRecord) {
-        self.records.lock().push(record);
-    }
-
-    /// Appends a trace event, if tracing is enabled.
-    pub fn trace_event(&self, event: TraceEvent) {
-        if let Some(t) = &self.trace {
-            t.lock().push(event);
-        }
-    }
-
-    /// Convenience trace constructor.
-    pub fn trace_syscall(
-        &self,
-        role: Role,
-        thread: &ThreadKey,
-        key: &ProgressKey,
-        sys: Option<Syscall>,
-        action: TraceAction,
-    ) {
-        if self.trace.is_some() {
-            self.trace_event(TraceEvent {
-                role,
-                thread: thread.clone(),
-                key: key.clone(),
-                sys,
-                action,
-            });
-        }
-    }
-
     /// Marks a filesystem path as tainted, recording the first divergence
     /// on each path as a flight event (in the slave lane: only the slave's
     /// decoupled execution taints).
@@ -254,68 +352,46 @@ impl Coupling {
         for (thread, pair) in ordered {
             let mut inner = pair.inner.lock();
             while let Some(entry) = inner.queue.pop_front() {
-                if entry.consumed {
-                    continue;
-                }
-                self.flight(Role::Master, || {
-                    let cnt = crate::recorder::key_scalar(&entry.key);
-                    FlightEvent::Syscall {
-                        decision: crate::recorder::Decision::MasterOnly,
-                        thread: thread.clone(),
-                        func: entry.func,
-                        site: entry.site,
-                        sys: entry.sys,
-                        master_cnt: cnt,
-                        slave_cnt: cnt,
-                        is_sink: entry.is_sink,
-                    }
-                });
-                if entry.is_sink {
-                    self.record(CausalityRecord {
-                        kind: crate::report::CausalityKind::MasterOnlySink,
-                        thread: thread.clone(),
-                        key: entry.key.clone(),
-                        func: entry.func,
-                        site: entry.site,
-                        sys: entry.sys,
-                    });
-                } else {
-                    self.stats.diffs.fetch_add(1, Ordering::Relaxed);
-                }
+                self.emit(
+                    Role::Master,
+                    Decision::MasterOnly,
+                    At::entry(thread, &entry),
+                    entry.is_sink,
+                    Some(entry.unmatched(CausalityKind::MasterOnlySink)),
+                );
             }
         }
     }
-}
 
-/// Waits on `pair` until `cond` holds, the stop signal fires, or roughly
-/// `max_wait` elapses. Returns whether the condition held.
-pub(crate) fn wait_until(
-    pair: &Pair,
-    stop: &StopSignal,
-    max_wait: Duration,
-    mut cond: impl FnMut(&PairInner) -> bool,
-) -> bool {
-    let start = std::time::Instant::now();
-    let mut inner = pair.inner.lock();
-    loop {
-        if cond(&inner) {
-            return true;
+    /// Blocks the master until the slave reaches `at.key` (or finishes);
+    /// a release by the stop signal or `MAX_WAIT` instead is emitted as a
+    /// [`Decision::Timeout`] at `at`.
+    pub fn await_slave(&self, pair: &Pair, stop: &StopSignal, at: At<'_>) {
+        let reached = |inner: &PairInner| {
+            inner.slave_done
+                || inner.slave_ready.as_ref().is_some_and(|ready| {
+                    !matches!(ready.cmp_progress(at.key), ProgressOrder::Behind)
+                })
+        };
+        let start = Instant::now();
+        let mut inner = pair.inner.lock();
+        while !reached(&inner) {
+            if stop.should_stop() || start.elapsed() > MAX_WAIT {
+                self.emit(Role::Master, Decision::Timeout, at, false, None);
+                return;
+            }
+            pair.cv.wait_for(&mut inner, Duration::from_millis(2));
         }
-        if stop.should_stop() || start.elapsed() > max_wait {
-            return cond(&inner);
-        }
-        pair.cv.wait_for(&mut inner, Duration::from_millis(2));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldx_runtime::ProgressOrder;
 
     #[test]
     fn pair_publish_and_finish() {
-        let c = Coupling::new(false, false);
+        let c = Coupling::new(false);
         let t = ThreadKey::root();
         let p = c.pair(&t);
         p.publish(Role::Master, ProgressKey::start());
@@ -328,7 +404,7 @@ mod tests {
 
     #[test]
     fn pair_created_after_execution_end_is_released() {
-        let c = Coupling::new(false, false);
+        let c = Coupling::new(false);
         c.finish_execution(Role::Master);
         let p = c.pair(&ThreadKey::root().child(3));
         assert!(p.inner.lock().master_done);
@@ -336,7 +412,7 @@ mod tests {
 
     #[test]
     fn finish_execution_releases_existing_pairs() {
-        let c = Coupling::new(false, false);
+        let c = Coupling::new(false);
         let p = c.pair(&ThreadKey::root());
         assert!(!p.inner.lock().master_done);
         c.finish_execution(Role::Master);
@@ -345,44 +421,55 @@ mod tests {
 
     #[test]
     fn taint_normalizes_paths() {
-        let c = Coupling::new(false, false);
+        let c = Coupling::new(false);
         c.taint_path("/a//b/");
         assert!(c.path_tainted("a/b"));
         assert!(!c.path_tainted("/a"));
     }
 
     #[test]
-    fn wait_until_releases_on_stop() {
-        let c = Coupling::new(false, false);
-        let p = c.pair(&ThreadKey::root());
+    fn await_slave_releases_on_stop_as_a_timeout() {
+        let c = Coupling::new(true);
+        let t = ThreadKey::root();
+        let p = c.pair(&t);
         let stop = StopSignal::new();
         stop.request_exit(0);
-        let held = wait_until(&p, &stop, Duration::from_secs(5), |i| i.master_done);
-        assert!(!held);
+        let key = ProgressKey::start();
+        let at = At {
+            thread: &t,
+            key: &key,
+            site: None,
+        };
+        c.await_slave(&p, &stop, at);
+        assert_eq!(c.stats.timeouts.load(Ordering::Relaxed), 1);
+        let log = c.take_flight_log();
+        assert!(matches!(log.master[..], [FlightEvent::Timeout { .. }]));
     }
 
     #[test]
-    fn wait_until_observes_condition() {
-        let c = Arc::new(Coupling::new(false, false));
-        let p = c.pair(&ThreadKey::root());
+    fn await_slave_observes_the_slave() {
+        let c = Arc::new(Coupling::new(false));
+        let t = ThreadKey::root();
+        let p = c.pair(&t);
         let p2 = Arc::clone(&p);
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
-            p2.publish(Role::Master, ProgressKey::top());
+            p2.publish(Role::Slave, ProgressKey::top());
         });
-        let stop = StopSignal::new();
-        let held = wait_until(&p, &stop, Duration::from_secs(5), |i| {
-            i.master_ready
-                .as_ref()
-                .is_some_and(|k| k.cmp_progress(&ProgressKey::start()) == ProgressOrder::Ahead)
-        });
-        assert!(held);
+        let key = ProgressKey::start();
+        let at = At {
+            thread: &t,
+            key: &key,
+            site: None,
+        };
+        c.await_slave(&p, &StopSignal::new(), at);
+        assert_eq!(c.stats.timeouts.load(Ordering::Relaxed), 0);
         h.join().unwrap();
     }
 
     #[test]
     fn reconcile_counts_master_only_entries() {
-        let c = Coupling::new(false, false);
+        let c = Coupling::new(false);
         let t = ThreadKey::root();
         let p = c.pair(&t);
         {
@@ -395,7 +482,6 @@ mod tests {
                 args: vec![],
                 outcome: Value::Int(0),
                 is_sink: false,
-                consumed: false,
             });
             inner.queue.push_back(Entry {
                 key: ProgressKey::start(),
@@ -405,7 +491,6 @@ mod tests {
                 args: vec![],
                 outcome: Value::Int(0),
                 is_sink: true,
-                consumed: false,
             });
         }
         c.reconcile();

@@ -45,7 +45,7 @@ pub fn dual_execute(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSpec
 }
 
 fn dual_execute_inner(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSpec) -> DualReport {
-    let coupling = Arc::new(Coupling::new(spec.trace, spec.record));
+    let coupling = Arc::new(Coupling::new(spec.record));
     let master_vos = Arc::new(Vos::new(config));
 
     let sinks = ResolvedSinks::resolve(spec, &program);
@@ -109,7 +109,7 @@ fn dual_execute_inner(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSp
     // normal exit, different exit codes) indicate causality too — this is
     // how exploit-induced crashes surface in attack detection.
     if let Some((m, s)) = end_diff(&master_result, &slave_result) {
-        coupling.record(CausalityRecord {
+        coupling.records.lock().push(CausalityRecord {
             kind: CausalityKind::EndDiff {
                 master: m,
                 slave: s,
@@ -127,47 +127,36 @@ fn dual_execute_inner(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSp
     // engine), so logs can never interleave across jobs.
     let flight = coupling.take_flight_log();
 
-    // Mirror the coupling counters into the process-wide registry (one
-    // relaxed load each; the registry sums across batch jobs).
-    if ldx_obs::metrics_enabled() {
-        ldx_obs::counter_add("dualex.runs", 1);
-        ldx_obs::counter_add(
-            "dualex.shared",
-            coupling.stats.shared.load(Ordering::Relaxed),
-        );
-        ldx_obs::counter_add(
-            "dualex.decoupled",
-            coupling.stats.decoupled.load(Ordering::Relaxed),
-        );
-        ldx_obs::counter_add(
-            "dualex.syscall_diffs",
-            coupling.stats.diffs.load(Ordering::Relaxed),
-        );
-        ldx_obs::counter_add(
-            "dualex.master_sinks",
-            coupling.stats.master_sinks.load(Ordering::Relaxed),
-        );
-        ldx_obs::counter_add("recorder.events", flight.events());
-        ldx_obs::counter_add("recorder.dropped", flight.dropped());
-    }
-
-    let causality = coupling.records.lock().clone();
-    let trace = coupling
-        .trace
-        .as_ref()
-        .map(|t| t.lock().clone())
-        .unwrap_or_default();
-    DualReport {
-        causality,
+    let stats = &coupling.stats;
+    let report = DualReport {
+        causality: std::mem::take(&mut *coupling.records.lock()),
         master: master_result,
         slave: slave_result,
-        syscall_diffs: coupling.stats.diffs.load(Ordering::Relaxed),
-        shared: coupling.stats.shared.load(Ordering::Relaxed),
-        decoupled: coupling.stats.decoupled.load(Ordering::Relaxed),
-        master_sinks: coupling.stats.master_sinks.load(Ordering::Relaxed),
-        trace,
+        syscall_diffs: stats.diffs.load(Ordering::Relaxed),
+        shared: stats.shared.load(Ordering::Relaxed),
+        decoupled: stats.decoupled.load(Ordering::Relaxed),
+        master_sinks: stats.master_sinks.load(Ordering::Relaxed),
+        timeouts: stats.timeouts.load(Ordering::Relaxed),
         flight,
+    };
+
+    // Mirror the coupling counters into the process-wide registry (the
+    // registry sums across batch jobs).
+    if ldx_obs::metrics_enabled() {
+        for (name, value) in [
+            ("dualex.runs", 1),
+            ("dualex.shared", report.shared),
+            ("dualex.decoupled", report.decoupled),
+            ("dualex.syscall_diffs", report.syscall_diffs),
+            ("dualex.master_sinks", report.master_sinks),
+            ("dualex.timeouts", report.timeouts),
+            ("recorder.events", report.flight.events()),
+            ("recorder.dropped", report.flight.dropped()),
+        ] {
+            ldx_obs::counter_add(name, value);
+        }
     }
+    report
 }
 
 fn end_diff(

@@ -9,6 +9,8 @@
 //! for every descriptor the slave program holds, what it refers to and how
 //! far it has consumed it.
 
+use ldx_lang::Syscall;
+use ldx_runtime::Value;
 use std::collections::HashMap;
 
 /// What a descriptor refers to.
@@ -43,53 +45,43 @@ pub(crate) struct SlaveFdMap {
 }
 
 impl SlaveFdMap {
-    /// Records a successful `open`.
-    pub fn on_open(&mut self, fd: i64, path: &str, flags: i64) {
-        if fd >= 0 {
-            self.map.insert(
-                fd,
-                FdInfo {
-                    resource: Resource::File {
-                        path: path.to_string(),
-                        flags,
-                    },
-                    pos: 0,
-                    overlay_fd: None,
-                },
-            );
+    /// The resource a successful `open`, `connect` or `accept` with
+    /// `args` creates (an accepted client is the next in accept order).
+    pub fn created(&self, sys: Syscall, args: &[Value]) -> Option<Resource> {
+        match (sys, args.first()) {
+            (Syscall::Open, Some(Value::Str(path))) => Some(Resource::File {
+                path: path.to_string(),
+                flags: args.get(1).and_then(|f| f.as_int().ok()).unwrap_or(0),
+            }),
+            (Syscall::Connect, Some(Value::Str(host))) => Some(Resource::Peer {
+                host: host.to_string(),
+            }),
+            (Syscall::Accept, Some(Value::Int(port))) => Some(Resource::Client {
+                port: *port,
+                index: self.accept_count,
+            }),
+            _ => None,
         }
     }
 
-    /// Records a successful `connect`.
-    pub fn on_connect(&mut self, fd: i64, host: &str) {
-        if fd >= 0 {
-            self.map.insert(
-                fd,
-                FdInfo {
-                    resource: Resource::Peer {
-                        host: host.to_string(),
-                    },
-                    pos: 0,
-                    overlay_fd: None,
-                },
-            );
+    /// Records descriptor `fd` for `resource` unless the call failed;
+    /// `overlay` when the overlay itself issued it.
+    pub fn on_new(&mut self, fd: i64, resource: Resource, overlay: bool) {
+        if fd < 0 {
+            return;
         }
-    }
-
-    /// Records a successful `accept`.
-    pub fn on_accept(&mut self, fd: i64, port: i64) {
-        if fd >= 0 {
-            let index = self.accept_count;
+        if matches!(resource, Resource::Client { .. }) {
             self.accept_count += 1;
-            self.map.insert(
-                fd,
-                FdInfo {
-                    resource: Resource::Client { port, index },
-                    pos: 0,
-                    overlay_fd: None,
-                },
-            );
         }
+        let overlay_fd = overlay.then_some(fd);
+        self.map.insert(
+            fd,
+            FdInfo {
+                resource,
+                pos: 0,
+                overlay_fd,
+            },
+        );
     }
 
     /// Records consumed characters on `fd` (read/recv results).
@@ -126,10 +118,21 @@ impl SlaveFdMap {
 mod tests {
     use super::*;
 
+    fn open(m: &mut SlaveFdMap, fd: i64, path: &str) {
+        let args = [Value::str(path), Value::Int(0)];
+        let resource = m.created(Syscall::Open, &args).unwrap();
+        m.on_new(fd, resource, false);
+    }
+
+    fn accept(m: &mut SlaveFdMap, fd: i64) {
+        let resource = m.created(Syscall::Accept, &[Value::Int(80)]).unwrap();
+        m.on_new(fd, resource, false);
+    }
+
     #[test]
     fn tracks_open_read_seek_close() {
         let mut m = SlaveFdMap::default();
-        m.on_open(3, "/f", 0);
+        open(&mut m, 3, "/f");
         m.on_read(3, 5);
         assert_eq!(m.get(3).unwrap().pos, 5);
         m.on_seek(3, 1);
@@ -148,15 +151,15 @@ mod tests {
     #[test]
     fn failed_opens_not_tracked() {
         let mut m = SlaveFdMap::default();
-        m.on_open(-1, "/missing", 0);
+        open(&mut m, -1, "/missing");
         assert!(m.get(-1).is_none());
     }
 
     #[test]
     fn accept_indices_increment() {
         let mut m = SlaveFdMap::default();
-        m.on_accept(3, 80);
-        m.on_accept(4, 80);
+        accept(&mut m, 3);
+        accept(&mut m, 4);
         let Resource::Client { index, .. } = m.get(4).unwrap().resource else {
             panic!()
         };

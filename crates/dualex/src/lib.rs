@@ -66,7 +66,7 @@ pub use recorder::{
     key_scalar, ByteDiff, Decision, FlightEvent, FlightLog, ResourceId, DEFAULT_FLIGHT_CAPACITY,
     EXCERPT_BYTES,
 };
-pub use report::{CausalityKind, CausalityRecord, DualReport, Role, TraceAction, TraceEvent};
+pub use report::{CausalityKind, CausalityRecord, DualReport, Role};
 pub use spec::{DualSpec, SinkSpec, SourceMatcher, SourceSpec};
 
 #[cfg(test)]
@@ -149,7 +149,7 @@ mod tests {
             matcher: SourceMatcher::FileRead("/employee".into()),
             mutation: Mutation::Replace("MANAGER 9000    SALES   ".into()),
         })
-        .traced();
+        .recorded();
         let report = dual_execute(employee_program(), &employee_world(), &spec);
         assert!(report.master.is_ok() && report.slave.is_ok());
         assert!(report.leaked(), "leak must be detected");
@@ -165,7 +165,7 @@ mod tests {
             report.syscall_diffs > 0,
             "branch divergence causes syscall diffs"
         );
-        assert!(!report.trace.is_empty());
+        assert!(!report.trace_lines().is_empty());
     }
 
     #[test]

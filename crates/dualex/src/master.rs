@@ -9,23 +9,17 @@
 //! reaches — which detects exactly the same causality set without the
 //! master-side stall (deviation documented in DESIGN.md).
 
-use crate::couple::{wait_until, Coupling, Entry};
+use crate::couple::{At, Coupling, Entry};
 use crate::recorder::{key_scalar, Decision, FlightEvent};
-use crate::report::{Role, TraceAction};
+use crate::report::Role;
 use crate::resolved::ResolvedSinks;
 use ldx_lang::Syscall;
 use ldx_runtime::{
-    from_sys_ret, to_sys_args, LockTable, ProgressKey, ProgressOrder, StopSignal, SysOutcome,
-    SyscallCtx, SyscallHooks, ThreadKey, Trap, Value,
+    from_sys_ret, to_sys_args, LockTable, ProgressKey, StopSignal, SysOutcome, SyscallCtx,
+    SyscallHooks, ThreadKey, Trap, Value,
 };
 use ldx_vos::Vos;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// How long any coupling wait may block before giving up (safety valve;
-/// orders of magnitude above any legitimate wait in the test suite).
-pub(crate) const MAX_WAIT: Duration = Duration::from_secs(30);
 
 /// Master-side hooks.
 pub(crate) struct MasterHooks {
@@ -50,37 +44,17 @@ impl MasterHooks {
             args: args.to_vec(),
             outcome,
             is_sink,
-            consumed: false,
         });
         inner.master_ready = Some(ctx.key.clone());
         drop(inner);
         pair.cv.notify_all();
-        if is_sink {
-            self.coupling
-                .stats
-                .master_sinks
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        self.coupling.trace_syscall(
+        self.coupling.emit(
             Role::Master,
-            &ctx.thread,
-            &ctx.key,
-            Some(ctx.sys),
-            TraceAction::Executed,
+            Decision::Executed,
+            At::ctx(ctx),
+            is_sink,
+            None,
         );
-        self.coupling.flight(Role::Master, || {
-            let cnt = key_scalar(&ctx.key);
-            FlightEvent::Syscall {
-                decision: Decision::Executed,
-                thread: ctx.thread.clone(),
-                func: ctx.func,
-                site: ctx.site,
-                sys: ctx.sys,
-                master_cnt: cnt,
-                slave_cnt: cnt,
-                is_sink,
-            }
-        });
     }
 }
 
@@ -123,12 +97,7 @@ impl SyscallHooks for MasterHooks {
                     // arriving slave would decouple spuriously otherwise).
                     let pair = self.coupling.pair(&ctx.thread);
                     let _s = ldx_obs::span(ldx_obs::cat::BARRIER_WAIT, "sink-wait");
-                    wait_until(&pair, &ctx.stop, MAX_WAIT, |inner| {
-                        inner.slave_done
-                            || inner.slave_ready.as_ref().is_some_and(|ready| {
-                                !matches!(ready.cmp_progress(&ctx.key), ProgressOrder::Behind)
-                            })
-                    });
+                    self.coupling.await_slave(&pair, &ctx.stop, At::ctx(ctx));
                 }
                 let sys_args = to_sys_args(args)?;
                 let outcome = from_sys_ret(self.vos.syscall(sys, &sys_args)?);
@@ -142,7 +111,7 @@ impl SyscallHooks for MasterHooks {
         &self,
         thread: &ThreadKey,
         key: &ProgressKey,
-        _stop: &StopSignal,
+        stop: &StopSignal,
     ) -> Result<(), Trap> {
         // Detection mode (default): publishing the barrier progress is
         // sufficient for alignment — the slave's per-syscall wait provides
@@ -151,10 +120,7 @@ impl SyscallHooks for MasterHooks {
         // iteration barrier.
         let pair = self.coupling.pair(thread);
         pair.publish(Role::Master, key.clone());
-        self.coupling
-            .trace_syscall(Role::Master, thread, key, None, TraceAction::Barrier);
         self.coupling.flight(Role::Master, || {
-            let cnt = key_scalar(key);
             let peer = pair
                 .inner
                 .lock()
@@ -164,18 +130,18 @@ impl SyscallHooks for MasterHooks {
                 .unwrap_or(0);
             FlightEvent::Barrier {
                 thread: thread.clone(),
-                cnt,
-                delta: peer.saturating_sub(cnt),
+                key: key.clone(),
+                delta: peer.saturating_sub(key_scalar(key)),
             }
         });
         if self.enforcement {
             let _s = ldx_obs::span(ldx_obs::cat::BARRIER_WAIT, "loop-barrier");
-            wait_until(&pair, _stop, MAX_WAIT, |inner| {
-                inner.slave_done
-                    || inner.slave_ready.as_ref().is_some_and(|ready| {
-                        !matches!(ready.cmp_progress(key), ProgressOrder::Behind)
-                    })
-            });
+            let at = At {
+                thread,
+                key,
+                site: None,
+            };
+            self.coupling.await_slave(&pair, stop, at);
         }
         Ok(())
     }

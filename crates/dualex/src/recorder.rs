@@ -1,13 +1,16 @@
-//! The divergence flight recorder: a bounded, per-run structured event
-//! log of every alignment-relevant fact the engine observes.
+//! The divergence flight recorder: the one event stream of a dual run.
 //!
-//! The causality report says *that* a (source, sink) pair is causal; the
-//! flight recorder keeps the evidence trail of *why*: each syscall
-//! interposition decision with the master and slave progress-counter
-//! values, every resource-taint / copy-on-write clone with the resource
-//! id, every barrier release with the counter delta seen at release, the
-//! source mutations applied, and at diverging sinks a bounded byte-level
-//! diff of the payloads.
+//! Every protocol decision the engine makes goes through a single
+//! emission point (`Coupling::emit`), which bumps the coupling counters,
+//! fires the `ldx-obs` instant, pushes the causality record, and — when
+//! recording is on — appends a [`FlightEvent`] here. The causality report
+//! says *that* a (source, sink) pair is causal; the flight log keeps the
+//! evidence trail of *why*: each syscall decision with the acting role's
+//! progress key, every resource-taint / copy-on-write clone with the
+//! resource id, every barrier release with the counter delta seen at
+//! release, the source mutations applied, safety-valve timeouts, and at
+//! diverging sinks a bounded byte-level diff of the payloads. The figure
+//! traces (`DualReport::trace_lines`) and `ldx explain` are views of it.
 //!
 //! # Determinism
 //!
@@ -45,14 +48,14 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 1 << 14;
 pub const EXCERPT_BYTES: usize = 48;
 
 /// Collapses a progress key to a scalar (sum of frame counters and loop
-/// epochs): the coarse "progress counter value" reported in events.
+/// epochs): the coarse "progress counter value" `ldx explain` reports.
 pub fn key_scalar(key: &ProgressKey) -> u64 {
     key.frames
         .iter()
         .map(|f| {
             f.loops
                 .iter()
-                .fold(f.cnt, |acc, &(_, epoch)| acc.saturating_add(epoch))
+                .fold(f.cnt, |acc, &(_, epoch, _)| acc.saturating_add(epoch))
         })
         .fold(0u64, u64::saturating_add)
 }
@@ -72,6 +75,9 @@ pub enum Decision {
     MasterOnly,
     /// A slave-only sink (the master is provably past this key).
     SlaveOnly,
+    /// A coupling wait released by the stop signal or the `MAX_WAIT`
+    /// safety valve instead of by the peer's progress.
+    Timeout,
 }
 
 impl Decision {
@@ -84,6 +90,7 @@ impl Decision {
             Decision::Compared => "compared",
             Decision::MasterOnly => "master-only",
             Decision::SlaveOnly => "slave-only",
+            Decision::Timeout => "timeout",
         }
     }
 }
@@ -174,32 +181,35 @@ pub fn excerpt(s: &str) -> String {
 }
 
 /// One flight-recorder event. The role is implied by the lane the event
-/// sits in (see [`FlightLog`]).
+/// sits in (see [`FlightLog`]); `key` is always that role's progress key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlightEvent {
-    /// A syscall interposition decision, with both progress-counter
-    /// values at the point alignment was resolved. For slave decisions
-    /// against an aligned entry, `master_cnt` is the entry's counter;
-    /// when the slave decouples because the master is provably past,
-    /// both carry the slave's counter (a lower bound on the master's).
+    /// A syscall interposition decision. Master-only entries carry the
+    /// master's key (the entry's); every other slave decision carries the
+    /// slave's.
     Syscall {
         /// What was decided.
         decision: Decision,
         /// The Lx thread (pair).
         thread: ThreadKey,
+        /// Progress key at the decision.
+        key: ProgressKey,
         /// Function containing the site.
         func: FuncId,
         /// The static site.
         site: SiteId,
         /// The syscall.
         sys: Syscall,
-        /// Master progress-counter scalar at resolution.
-        master_cnt: u64,
-        /// Slave progress-counter scalar at resolution (equals
-        /// `master_cnt` for master-lane `Executed` events).
-        slave_cnt: u64,
         /// Whether the site is a sink under the spec.
         is_sink: bool,
+    },
+    /// A coupling wait released by the stop signal or `MAX_WAIT` (see
+    /// [`Decision::Timeout`]); the lane's next event names what it guarded.
+    Timeout {
+        /// The waiting thread.
+        thread: ThreadKey,
+        /// Progress key of the wait.
+        key: ProgressKey,
     },
     /// A resource entered the tainted set (first divergence on it).
     Taint {
@@ -218,8 +228,8 @@ pub enum FlightEvent {
     Barrier {
         /// The releasing thread.
         thread: ThreadKey,
-        /// This role's progress-counter scalar at release.
-        cnt: u64,
+        /// Progress key at the barrier.
+        key: ProgressKey,
         /// How far the peer's published counter was past ours at release
         /// (0 when unknown or behind). Timing-dependent; forensic only.
         delta: u64,
@@ -228,14 +238,14 @@ pub enum FlightEvent {
     Mutated {
         /// The thread that consumed the source.
         thread: ThreadKey,
+        /// Progress key at the mutation.
+        key: ProgressKey,
         /// Function containing the source site.
         func: FuncId,
         /// The source site.
         site: SiteId,
         /// The source syscall.
         sys: Syscall,
-        /// Progress-counter scalar at the mutation.
-        cnt: u64,
         /// Bounded excerpt of the original outcome.
         original: String,
         /// Bounded excerpt of the mutated outcome.
@@ -245,14 +255,14 @@ pub enum FlightEvent {
     SinkDiff {
         /// The thread that reached the sink.
         thread: ThreadKey,
+        /// Progress key at the sink.
+        key: ProgressKey,
         /// Function containing the sink site.
         func: FuncId,
         /// The sink site.
         site: SiteId,
         /// The sink syscall.
         sys: Syscall,
-        /// Progress-counter scalar at the sink.
-        cnt: u64,
         /// The bounded payload diff.
         diff: ByteDiff,
     },
@@ -266,18 +276,6 @@ impl FlightEvent {
             | FlightEvent::Mutated { func, site, .. }
             | FlightEvent::SinkDiff { func, site, .. } => Some((*func, *site)),
             _ => None,
-        }
-    }
-
-    /// Stable lowercase kind name (used by the JSON export).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            FlightEvent::Syscall { decision, .. } => decision.name(),
-            FlightEvent::Taint { .. } => "taint",
-            FlightEvent::CowClone { .. } => "cow-clone",
-            FlightEvent::Barrier { .. } => "barrier",
-            FlightEvent::Mutated { .. } => "mutated",
-            FlightEvent::SinkDiff { .. } => "sink-diff",
         }
     }
 }
@@ -388,8 +386,8 @@ mod tests {
     fn ev(n: u64) -> FlightEvent {
         FlightEvent::Barrier {
             thread: ThreadKey::root(),
-            cnt: n,
-            delta: 0,
+            key: ProgressKey::start(),
+            delta: n,
         }
     }
 
@@ -444,7 +442,6 @@ mod tests {
 
     #[test]
     fn key_scalar_sums_frames_and_loops() {
-        use ldx_runtime::ProgressKey;
         let k = ProgressKey::start();
         let base = key_scalar(&k);
         let mut k2 = k.clone();

@@ -1,6 +1,6 @@
 //! Causality reports and dual-execution outcome types.
 
-use crate::recorder::FlightLog;
+use crate::recorder::{Decision, FlightEvent, FlightLog};
 use ldx_ir::{FuncId, SiteId};
 use ldx_lang::Syscall;
 use ldx_runtime::{ProgressKey, RunOutcome, ThreadKey, Trap};
@@ -74,21 +74,6 @@ impl fmt::Display for CausalityRecord {
     }
 }
 
-/// One line of the alignment trace (reproduces paper Figures 3 and 5).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Which execution acted.
-    pub role: Role,
-    /// The thread.
-    pub thread: ThreadKey,
-    /// Progress key.
-    pub key: ProgressKey,
-    /// Syscall (None for barriers).
-    pub sys: Option<Syscall>,
-    /// What happened.
-    pub action: TraceAction,
-}
-
 /// Master or slave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
@@ -104,40 +89,6 @@ impl fmt::Display for Role {
             Role::Master => write!(f, "M"),
             Role::Slave => write!(f, "S"),
         }
-    }
-}
-
-/// What a trace event records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceAction {
-    /// Master executed and recorded the outcome.
-    Executed,
-    /// Slave copied the master's aligned outcome.
-    Copied,
-    /// Slave executed decoupled (no alignment).
-    Decoupled,
-    /// Slave copied an aligned *source* outcome and mutated it.
-    Mutated,
-    /// Sink compared equal.
-    SinkMatch,
-    /// Sink difference (causality).
-    SinkDiff,
-    /// Loop-backedge barrier crossed.
-    Barrier,
-}
-
-impl fmt::Display for TraceAction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            TraceAction::Executed => "exec",
-            TraceAction::Copied => "copy",
-            TraceAction::Decoupled => "decoupled",
-            TraceAction::Mutated => "copy+mutate",
-            TraceAction::SinkMatch => "sink=",
-            TraceAction::SinkDiff => "sink!",
-            TraceAction::Barrier => "barrier",
-        };
-        write!(f, "{s}")
     }
 }
 
@@ -159,9 +110,10 @@ pub struct DualReport {
     pub decoupled: u64,
     /// Total sink *instances* the master encountered.
     pub master_sinks: u64,
-    /// The alignment trace, when requested.
-    pub trace: Vec<TraceEvent>,
-    /// The divergence flight log, when `DualSpec::record` was set (empty
+    /// Coupling waits released by the stop signal or the `MAX_WAIT` safety
+    /// valve rather than by the peer (0 on a healthy run).
+    pub timeouts: u64,
+    /// The run's event stream, when `DualSpec::record` was set (empty
     /// otherwise).
     pub flight: FlightLog,
 }
@@ -190,16 +142,44 @@ impl DualReport {
             .len()
     }
 
-    /// Renders the trace like the paper's figures.
+    /// Renders the flight log like the paper's alignment figures (3 and
+    /// 5), one `role thread cnt=key syscall action` line per event: the
+    /// master lane, then the slave lane (per-role order is the only
+    /// deterministic one). Taint and CoW events carry no key and are left
+    /// out; the log is empty unless `DualSpec::record` was set.
     pub fn trace_lines(&self) -> Vec<String> {
-        self.trace
-            .iter()
-            .map(|e| {
-                let sys = e
-                    .sys
-                    .map(|s| s.to_string())
-                    .unwrap_or_else(|| "-".to_string());
-                format!("{} {} cnt={} {} {}", e.role, e.thread, e.key, sys, e.action)
+        [Role::Master, Role::Slave]
+            .into_iter()
+            .flat_map(|role| self.flight.lane(role).iter().map(move |ev| (role, ev)))
+            .filter_map(|(role, ev)| {
+                let (thread, key, sys, action) = match ev {
+                    FlightEvent::Syscall {
+                        decision,
+                        thread,
+                        key,
+                        sys,
+                        ..
+                    } => {
+                        let action = match decision {
+                            Decision::Executed => "exec",
+                            Decision::Shared => "copy",
+                            Decision::Compared => "compare",
+                            other => other.name(),
+                        };
+                        (thread, key, Some(*sys), action)
+                    }
+                    FlightEvent::Timeout { thread, key } => (thread, key, None, "timeout"),
+                    FlightEvent::Barrier { thread, key, .. } => (thread, key, None, "barrier"),
+                    FlightEvent::Mutated {
+                        thread, key, sys, ..
+                    } => (thread, key, Some(*sys), "copy+mutate"),
+                    FlightEvent::SinkDiff {
+                        thread, key, sys, ..
+                    } => (thread, key, Some(*sys), "sink!"),
+                    FlightEvent::Taint { .. } | FlightEvent::CowClone { .. } => return None,
+                };
+                let sys = sys.map_or_else(|| "-".to_string(), |s| s.to_string());
+                Some(format!("{role} {thread} cnt={key} {sys} {action}"))
             })
             .collect()
     }
@@ -229,7 +209,7 @@ mod tests {
             shared: 0,
             decoupled: 0,
             master_sinks: 0,
-            trace: vec![],
+            timeouts: 0,
             flight: FlightLog::default(),
         }
     }
@@ -276,17 +256,22 @@ mod tests {
     #[test]
     fn trace_lines_render() {
         let mut r = empty_report();
-        r.trace.push(TraceEvent {
-            role: Role::Slave,
+        let shared = |decision| FlightEvent::Syscall {
+            decision,
             thread: ThreadKey::root(),
             key: ProgressKey::start(),
-            sys: Some(Syscall::Read),
-            action: TraceAction::Copied,
-        });
+            func: FuncId(0),
+            site: SiteId(0),
+            sys: Syscall::Read,
+            is_sink: false,
+        };
+        r.flight.slave.push(shared(Decision::Shared));
+        r.flight.master.push(shared(Decision::Executed));
         let lines = r.trace_lines();
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].starts_with("S t0"));
-        assert!(lines[0].contains("read"));
-        assert!(lines[0].contains("copy"));
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].starts_with("M t0"), "master lane first");
+        assert!(lines[0].ends_with("read exec"));
+        assert!(lines[1].starts_with("S t0"));
+        assert!(lines[1].ends_with("read copy"));
     }
 }

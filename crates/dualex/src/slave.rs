@@ -17,11 +17,11 @@
 //! Source-matched input outcomes are mutated (this is where the
 //! counterfactual perturbation enters the slave).
 
-use crate::couple::Coupling;
+use crate::couple::{At, Coupling, Diff, Entry, MAX_WAIT};
 use crate::fdmap::{FdInfo, Resource, SlaveFdMap};
 use crate::mutation::Mutation;
-use crate::recorder::{excerpt, key_scalar, ByteDiff, Decision, FlightEvent, ResourceId};
-use crate::report::{CausalityKind, CausalityRecord, Role, TraceAction};
+use crate::recorder::{excerpt, key_scalar, Decision, FlightEvent, ResourceId};
+use crate::report::{CausalityKind, Role};
 use crate::resolved::{ResolvedMatcher, ResolvedSinks, ResolvedSources};
 use ldx_lang::Syscall;
 use ldx_runtime::{
@@ -31,11 +31,8 @@ use ldx_runtime::{
 use ldx_vos::{SlaveVos, SysArg, SysRet};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use crate::master::MAX_WAIT;
 
 /// Slave-side hooks.
 pub(crate) struct SlaveHooks {
@@ -58,11 +55,15 @@ fn master_delta(master: Option<&ProgressKey>, slave: &ProgressKey) -> u64 {
     }
 }
 
-/// Result of the alignment check.
+/// Result of the alignment check. Every decision but the final
+/// share-or-decouple one has already been emitted.
 enum Align {
-    /// Aligned: use the master's outcome.
-    Shared(Value),
-    /// No alignment (any sink records were already emitted).
+    /// Aligned with this master entry (same key, site and arguments).
+    Aligned(Entry),
+    /// The same site with different arguments: a non-sink syscall
+    /// difference (a sink's was recorded as causality).
+    Mismatched,
+    /// No alignment.
     Decoupled,
 }
 
@@ -71,47 +72,63 @@ impl SlaveHooks {
         self.decoupled_threads.lock().contains(t)
     }
 
-    fn record_sink(&self, ctx: &SyscallCtx, kind: CausalityKind) {
-        self.coupling.record(CausalityRecord {
-            kind,
-            thread: ctx.thread.clone(),
-            key: ctx.key.clone(),
-            func: ctx.func,
-            site: ctx.site,
-            sys: ctx.sys,
-        });
+    fn emit(&self, decision: Decision, ctx: &SyscallCtx, is_sink: bool, diff: Option<Diff>) {
+        self.coupling
+            .emit(Role::Slave, decision, At::ctx(ctx), is_sink, diff);
+    }
+
+    /// A sink only the slave reaches: causality.
+    fn slave_only_sink(&self, ctx: &SyscallCtx) {
+        self.emit(
+            Decision::SlaveOnly,
+            ctx,
+            true,
+            Some(Diff::Sink(CausalityKind::SlaveOnlySink)),
+        );
+    }
+
+    /// Skips a master entry the slave has no counterpart for. Every event
+    /// the slave witnesses lands in the slave lane, so each lane has a
+    /// single writer while both executions run concurrently.
+    fn master_only(&self, ctx: &SyscallCtx, entry: &Entry, kind: CausalityKind) {
+        self.coupling.emit(
+            Role::Slave,
+            Decision::MasterOnly,
+            At::entry(&ctx.thread, entry),
+            entry.is_sink,
+            Some(entry.unmatched(kind)),
+        );
+    }
+
+    /// Copies an aligned outcome (an aligned sink compared equal).
+    fn share(&self, ctx: &SyscallCtx, is_sink: bool) {
+        let decision = if is_sink {
+            Decision::Compared
+        } else {
+            Decision::Shared
+        };
+        self.emit(decision, ctx, is_sink, None);
+    }
+
+    /// Aligns a control syscall (lock, spawn, join, exit, setjmp/longjmp),
+    /// which the slave always performs itself; returns whether it aligned.
+    fn align_control(&self, ctx: &SyscallCtx, args: &[Value], is_sink: bool) -> bool {
+        match self.align(ctx, args, is_sink) {
+            Align::Aligned(_) => {
+                self.share(ctx, is_sink);
+                true
+            }
+            Align::Mismatched => {
+                self.emit(Decision::MasterOnly, ctx, false, Some(Diff::Syscall));
+                false
+            }
+            Align::Decoupled => false,
+        }
     }
 
     fn render_args(args: &[Value]) -> String {
         let parts: Vec<String> = args.iter().map(Value::stringify).collect();
         parts.join(", ")
-    }
-
-    /// Records a slave-lane syscall-decision flight event. All events the
-    /// slave witnesses — including master-only entries it skips — land in
-    /// the slave lane so each lane has a single writer while both
-    /// executions run concurrently.
-    #[allow(clippy::too_many_arguments)]
-    fn flight_decision(
-        &self,
-        decision: Decision,
-        ctx: &SyscallCtx,
-        func: ldx_ir::FuncId,
-        site: ldx_ir::SiteId,
-        sys: Syscall,
-        master_cnt: u64,
-        is_sink: bool,
-    ) {
-        self.coupling.flight(Role::Slave, || FlightEvent::Syscall {
-            decision,
-            thread: ctx.thread.clone(),
-            func,
-            site,
-            sys,
-            master_cnt,
-            slave_cnt: key_scalar(&ctx.key),
-            is_sink,
-        });
     }
 
     /// The alignment state machine, instrumented. When observability is
@@ -161,179 +178,44 @@ impl SlaveHooks {
         let start = Instant::now();
         let mut inner = pair.inner.lock();
         loop {
-            while inner.queue.front().is_some_and(|e| e.consumed) {
-                inner.queue.pop_front();
-            }
             if let Some(front) = inner.queue.front() {
-                match front.key.cmp_progress(&ctx.key) {
-                    ProgressOrder::Behind => {
-                        // A master-only syscall the slave will never issue.
-                        let e = inner.queue.pop_front().expect("front exists");
-                        self.flight_decision(
-                            Decision::MasterOnly,
-                            ctx,
-                            e.func,
-                            e.site,
-                            e.sys,
-                            key_scalar(&e.key),
-                            e.is_sink,
-                        );
-                        if e.is_sink {
-                            self.coupling.record(CausalityRecord {
-                                kind: CausalityKind::MasterOnlySink,
-                                thread: ctx.thread.clone(),
-                                key: e.key,
-                                func: e.func,
-                                site: e.site,
-                                sys: e.sys,
-                            });
-                        } else {
-                            self.coupling.stats.diffs.fetch_add(1, Ordering::Relaxed);
-                        }
+                let order = front.key.cmp_progress(&ctx.key);
+                let same_site = front.site == ctx.site && front.sys == ctx.sys;
+                if matches!(order, ProgressOrder::Ahead | ProgressOrder::Divergent) {
+                    // The master is already past this key: no alignment
+                    // will ever exist (Alg. 2 case 1).
+                    if is_sink {
+                        self.slave_only_sink(ctx);
                     }
-                    ProgressOrder::Equal => {
-                        if front.site == ctx.site && front.sys == ctx.sys {
-                            if front.args == args {
-                                let e = inner.queue.pop_front().expect("front exists");
-                                self.flight_decision(
-                                    if is_sink {
-                                        Decision::Compared
-                                    } else {
-                                        Decision::Shared
-                                    },
-                                    ctx,
-                                    ctx.func,
-                                    ctx.site,
-                                    ctx.sys,
-                                    key_scalar(&e.key),
-                                    is_sink,
-                                );
-                                self.coupling.stats.shared.fetch_add(1, Ordering::Relaxed);
-                                ldx_obs::instant(
-                                    ldx_obs::cat::SYSCALL_DECISION,
-                                    if is_sink {
-                                        "sink-compare"
-                                    } else {
-                                        "aligned-reuse"
-                                    },
-                                );
-                                if is_sink {
-                                    self.coupling.trace_syscall(
-                                        Role::Slave,
-                                        &ctx.thread,
-                                        &ctx.key,
-                                        Some(ctx.sys),
-                                        TraceAction::SinkMatch,
-                                    );
-                                }
-                                return Align::Shared(e.outcome);
-                            }
-                            // Same site, different arguments (Alg. 2 case 3).
-                            let e = inner.queue.pop_front().expect("front exists");
-                            if is_sink {
-                                ldx_obs::instant(ldx_obs::cat::SYSCALL_DECISION, "sink-compare");
-                                self.flight_decision(
-                                    Decision::Compared,
-                                    ctx,
-                                    ctx.func,
-                                    ctx.site,
-                                    ctx.sys,
-                                    key_scalar(&e.key),
-                                    true,
-                                );
-                                self.coupling.flight(Role::Slave, || FlightEvent::SinkDiff {
-                                    thread: ctx.thread.clone(),
-                                    func: ctx.func,
-                                    site: ctx.site,
-                                    sys: ctx.sys,
-                                    cnt: key_scalar(&ctx.key),
-                                    diff: ByteDiff::compute(
-                                        &Self::render_args(&e.args),
-                                        &Self::render_args(args),
-                                    ),
-                                });
-                                self.record_sink(
-                                    ctx,
-                                    CausalityKind::ArgDiff {
-                                        master: Self::render_args(&e.args),
-                                        slave: Self::render_args(args),
-                                    },
-                                );
-                                self.coupling.trace_syscall(
-                                    Role::Slave,
-                                    &ctx.thread,
-                                    &ctx.key,
-                                    Some(ctx.sys),
-                                    TraceAction::SinkDiff,
-                                );
-                            } else {
-                                self.coupling.stats.diffs.fetch_add(1, Ordering::Relaxed);
-                            }
-                            return Align::Decoupled;
-                        }
-                        // Same key, different site (Alg. 2 case 2).
-                        let e = inner.queue.pop_front().expect("front exists");
-                        self.flight_decision(
-                            Decision::MasterOnly,
-                            ctx,
-                            e.func,
-                            e.site,
-                            e.sys,
-                            key_scalar(&e.key),
-                            e.is_sink,
-                        );
-                        if e.is_sink {
-                            self.coupling.record(CausalityRecord {
-                                kind: CausalityKind::PathDiffAtSink,
-                                thread: ctx.thread.clone(),
-                                key: e.key,
-                                func: e.func,
-                                site: e.site,
-                                sys: e.sys,
-                            });
-                        } else {
-                            self.coupling.stats.diffs.fetch_add(1, Ordering::Relaxed);
-                        }
-                        if is_sink {
-                            self.flight_decision(
-                                Decision::SlaveOnly,
-                                ctx,
-                                ctx.func,
-                                ctx.site,
-                                ctx.sys,
-                                key_scalar(&ctx.key),
-                                true,
-                            );
-                            self.record_sink(ctx, CausalityKind::SlaveOnlySink);
-                        }
-                        return Align::Decoupled;
-                    }
-                    ProgressOrder::Ahead | ProgressOrder::Divergent => {
-                        // The master is already past this key: no alignment
-                        // will ever exist (Alg. 2 case 1).
-                        if is_sink {
-                            self.flight_decision(
-                                Decision::SlaveOnly,
-                                ctx,
-                                ctx.func,
-                                ctx.site,
-                                ctx.sys,
-                                key_scalar(&ctx.key),
-                                true,
-                            );
-                            self.record_sink(ctx, CausalityKind::SlaveOnlySink);
-                            self.coupling.trace_syscall(
-                                Role::Slave,
-                                &ctx.thread,
-                                &ctx.key,
-                                Some(ctx.sys),
-                                TraceAction::SinkDiff,
-                            );
-                        }
-                        return Align::Decoupled;
-                    }
+                    return Align::Decoupled;
                 }
-                continue;
+                let e = inner.queue.pop_front().expect("front exists");
+                if order == ProgressOrder::Behind {
+                    // A master-only syscall the slave will never issue.
+                    self.master_only(ctx, &e, CausalityKind::MasterOnlySink);
+                    continue;
+                }
+                if !same_site {
+                    // Same key, different site (Alg. 2 case 2).
+                    self.master_only(ctx, &e, CausalityKind::PathDiffAtSink);
+                    if is_sink {
+                        self.slave_only_sink(ctx);
+                    }
+                    return Align::Decoupled;
+                }
+                if e.args == args {
+                    return Align::Aligned(e);
+                }
+                // Same site, different arguments (Alg. 2 case 3).
+                if !is_sink {
+                    return Align::Mismatched;
+                }
+                let diff = CausalityKind::ArgDiff {
+                    master: Self::render_args(&e.args),
+                    slave: Self::render_args(args),
+                };
+                self.emit(Decision::Compared, ctx, true, Some(Diff::Sink(diff)));
+                return Align::Decoupled;
             }
             // Queue empty: decide by the master's published progress.
             let master_past = inner.master_done
@@ -343,20 +225,12 @@ impl SlaveHooks {
                     .is_some_and(|r| !matches!(r.cmp_progress(&ctx.key), ProgressOrder::Behind));
             if master_past {
                 if is_sink {
-                    self.flight_decision(
-                        Decision::SlaveOnly,
-                        ctx,
-                        ctx.func,
-                        ctx.site,
-                        ctx.sys,
-                        key_scalar(&ctx.key),
-                        true,
-                    );
-                    self.record_sink(ctx, CausalityKind::SlaveOnlySink);
+                    self.slave_only_sink(ctx);
                 }
                 return Align::Decoupled;
             }
             if ctx.stop.should_stop() || start.elapsed() > MAX_WAIT {
+                self.emit(Decision::Timeout, ctx, is_sink, None);
                 return Align::Decoupled;
             }
             *waits += 1;
@@ -448,27 +322,25 @@ impl SlaveHooks {
         if let Some(ofd) = info.overlay_fd {
             return Some(ofd);
         }
+        let cow_clone = |resource| {
+            let pos = info.pos as u64;
+            self.coupling
+                .flight(Role::Slave, || FlightEvent::CowClone { resource, pos });
+        };
+        // A descriptor the overlay hands out, if the call succeeded.
+        let overlay_fd = |sys, args: &[SysArg]| match self.overlay.syscall(sys, args) {
+            Ok(SysRet::Int(ofd)) if ofd >= 0 => Some(ofd),
+            _ => None,
+        };
         let ofd = match &info.resource {
             Resource::File { path, flags } => {
                 self.coupling.taint_path(path);
-                self.coupling.flight(Role::Slave, || FlightEvent::CowClone {
-                    resource: ResourceId::Path(ldx_vos::normalize_path(path).join("/")),
-                    pos: info.pos as u64,
-                });
+                cow_clone(ResourceId::Path(ldx_vos::normalize_path(path).join("/")));
                 let mode = if *flags == 0 { 0 } else { 2 };
-                let SysRet::Int(ofd) = self
-                    .overlay
-                    .syscall(
-                        Syscall::Open,
-                        &[SysArg::Str(path.clone()), SysArg::Int(mode)],
-                    )
-                    .ok()?
-                else {
-                    return None;
-                };
-                if ofd < 0 {
-                    return None;
-                }
+                let ofd = overlay_fd(
+                    Syscall::Open,
+                    &[SysArg::Str(path.clone()), SysArg::Int(mode)],
+                )?;
                 if *flags == 0 && info.pos > 0 {
                     let _ = self.overlay.syscall(
                         Syscall::Seek,
@@ -478,44 +350,19 @@ impl SlaveHooks {
                 ofd
             }
             Resource::Peer { host } => {
-                self.coupling.flight(Role::Slave, || FlightEvent::CowClone {
-                    resource: ResourceId::Peer(host.clone()),
-                    pos: info.pos as u64,
-                });
-                let SysRet::Int(ofd) = self
-                    .overlay
-                    .syscall(Syscall::Connect, &[SysArg::Str(host.clone())])
-                    .ok()?
-                else {
-                    return None;
-                };
-                if ofd < 0 {
-                    return None;
-                }
-                ofd
+                cow_clone(ResourceId::Peer(host.clone()));
+                overlay_fd(Syscall::Connect, &[SysArg::Str(host.clone())])?
             }
             Resource::Client { port, index } => {
-                self.coupling.flight(Role::Slave, || FlightEvent::CowClone {
-                    resource: ResourceId::Client(*port),
-                    pos: info.pos as u64,
-                });
+                cow_clone(ResourceId::Client(*port));
                 // Replay accepts up to this client's index, then skip the
                 // characters already consumed while coupled.
-                let mut ofd = -1;
+                let mut ofd = None;
                 while fdmap.overlay_accepts <= *index {
-                    let SysRet::Int(got) = self
-                        .overlay
-                        .syscall(Syscall::Accept, &[SysArg::Int(*port)])
-                        .ok()?
-                    else {
-                        return None;
-                    };
+                    ofd = overlay_fd(Syscall::Accept, &[SysArg::Int(*port)]);
                     fdmap.overlay_accepts += 1;
-                    ofd = got;
                 }
-                if ofd < 0 {
-                    return None;
-                }
+                let ofd = ofd?;
                 if info.pos > 0 {
                     let _ = self.overlay.syscall(
                         Syscall::Recv,
@@ -531,72 +378,43 @@ impl SlaveHooks {
         Some(ofd)
     }
 
-    /// Executes a syscall against the private overlay world.
-    fn exec_decoupled(&self, ctx: &SyscallCtx, args: &[Value]) -> Result<Value, Trap> {
-        self.coupling
-            .stats
-            .decoupled
-            .fetch_add(1, Ordering::Relaxed);
-        ldx_obs::instant(ldx_obs::cat::SYSCALL_DECISION, "decoupled");
-        self.coupling.trace_syscall(
-            Role::Slave,
-            &ctx.thread,
-            &ctx.key,
-            Some(ctx.sys),
-            TraceAction::Decoupled,
-        );
-        self.flight_decision(
+    /// Executes a syscall against the private overlay world; `diff` when
+    /// it replaces a mismatched master syscall.
+    fn exec_decoupled(
+        &self,
+        ctx: &SyscallCtx,
+        args: &[Value],
+        is_sink: bool,
+        diff: bool,
+    ) -> Result<Value, Trap> {
+        self.emit(
             Decision::Decoupled,
             ctx,
-            ctx.func,
-            ctx.site,
-            ctx.sys,
-            // The master's position is unknown here; the slave's own
-            // counter is the deterministic lower bound.
-            key_scalar(&ctx.key),
-            self.sinks.is_sink(ctx.func, ctx.site, ctx.sys, args),
+            is_sink,
+            diff.then_some(Diff::Syscall),
         );
         let mut fdmap = self.fdmap.lock();
         let sys = ctx.sys;
         match sys {
-            Syscall::Open => {
-                let path = args[0].as_str()?.to_string();
-                let flags = args[1].as_int()?;
-                self.coupling.taint_path(&path);
-                let ret = self.overlay.syscall(sys, &to_sys_args(args)?)?;
-                if let SysRet::Int(fd) = &ret {
-                    fdmap.on_open(*fd, &path, flags);
-                    if let Some(info) = fdmap.get_mut(*fd) {
-                        info.overlay_fd = Some(*fd);
+            Syscall::Open | Syscall::Connect | Syscall::Accept => {
+                let sys_args = to_sys_args(args)?;
+                if sys == Syscall::Open {
+                    self.coupling.taint_path(args[0].as_str()?);
+                }
+                if sys == Syscall::Accept {
+                    // Catch up the overlay backlog to the coupled position.
+                    while fdmap.overlay_accepts < fdmap.accept_count {
+                        let _ = self.overlay.syscall(sys, &sys_args);
+                        fdmap.overlay_accepts += 1;
                     }
                 }
-                Ok(from_sys_ret(ret))
-            }
-            Syscall::Connect => {
-                let host = args[0].as_str()?.to_string();
-                let ret = self.overlay.syscall(sys, &to_sys_args(args)?)?;
-                if let SysRet::Int(fd) = &ret {
-                    fdmap.on_connect(*fd, &host);
-                    if let Some(info) = fdmap.get_mut(*fd) {
-                        info.overlay_fd = Some(*fd);
-                    }
-                }
-                Ok(from_sys_ret(ret))
-            }
-            Syscall::Accept => {
-                let port = args[0].as_int()?;
-                // Catch up the overlay backlog to the coupled position.
-                while fdmap.overlay_accepts < fdmap.accept_count {
-                    let _ = self.overlay.syscall(sys, &to_sys_args(args)?);
+                let resource = fdmap.created(sys, args);
+                let ret = self.overlay.syscall(sys, &sys_args)?;
+                if sys == Syscall::Accept {
                     fdmap.overlay_accepts += 1;
                 }
-                let ret = self.overlay.syscall(sys, &to_sys_args(args)?)?;
-                fdmap.overlay_accepts += 1;
-                if let SysRet::Int(fd) = &ret {
-                    fdmap.on_accept(*fd, port);
-                    if let Some(info) = fdmap.get_mut(*fd) {
-                        info.overlay_fd = Some(*fd);
-                    }
+                if let (Some(resource), SysRet::Int(fd)) = (resource, &ret) {
+                    fdmap.on_new(*fd, resource, true);
                 }
                 Ok(from_sys_ret(ret))
             }
@@ -687,17 +505,12 @@ impl SyscallHooks for SlaveHooks {
             Syscall::Lock => {
                 let id = args[0].as_int()?;
                 let tainted = self.coupling.tainted_locks.lock().contains(&id);
-                if !tainted && !self.thread_decoupled(&ctx.thread) {
+                if tainted || self.thread_decoupled(&ctx.thread) {
+                    self.emit(Decision::Decoupled, ctx, false, None);
+                } else if !self.align_control(ctx, args, false) {
                     // Share the master's grant order: wait for the aligned
                     // lock entry before acquiring our own lock (paper §7).
-                    if matches!(self.align(ctx, args, false), Align::Decoupled) {
-                        self.coupling.taint_lock(id);
-                    }
-                } else {
-                    self.coupling
-                        .stats
-                        .decoupled
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.coupling.taint_lock(id);
                 }
                 self.locks.lock(id, &ctx.thread, &ctx.stop);
                 Ok(SysOutcome::Value(Value::Int(0)))
@@ -707,7 +520,7 @@ impl SyscallHooks for SlaveHooks {
                 let tainted = self.coupling.tainted_locks.lock().contains(&id);
                 if !tainted
                     && !self.thread_decoupled(&ctx.thread)
-                    && matches!(self.align(ctx, args, false), Align::Decoupled)
+                    && !self.align_control(ctx, args, false)
                 {
                     self.coupling.taint_lock(id);
                 }
@@ -723,12 +536,7 @@ impl SyscallHooks for SlaveHooks {
                     i
                 };
                 let child = ctx.thread.child(index);
-                let decoupled = if self.thread_decoupled(&ctx.thread) {
-                    true
-                } else {
-                    matches!(self.align(ctx, args, false), Align::Decoupled)
-                };
-                if decoupled {
+                if self.thread_decoupled(&ctx.thread) || !self.align_control(ctx, args, false) {
                     // The spawned thread is unique to the slave: it runs
                     // fully decoupled (paper §7).
                     self.decoupled_threads.lock().insert(child);
@@ -738,9 +546,9 @@ impl SyscallHooks for SlaveHooks {
             Syscall::Join | Syscall::Exit | Syscall::Setjmp | Syscall::Longjmp => {
                 let is_sink = ctx.sys == Syscall::Longjmp;
                 if !self.thread_decoupled(&ctx.thread) {
-                    let _ = self.align(ctx, args, is_sink);
+                    self.align_control(ctx, args, is_sink);
                 } else if is_sink {
-                    self.record_sink(ctx, CausalityKind::SlaveOnlySink);
+                    self.slave_only_sink(ctx);
                 }
                 Ok(SysOutcome::DoLocal)
             }
@@ -748,29 +556,24 @@ impl SyscallHooks for SlaveHooks {
                 let is_sink = self.sinks.is_sink(ctx.func, ctx.site, sys, args);
                 let alignment = if self.thread_decoupled(&ctx.thread) {
                     if is_sink {
-                        self.record_sink(ctx, CausalityKind::SlaveOnlySink);
+                        self.slave_only_sink(ctx);
                     }
                     Align::Decoupled
                 } else {
                     self.align(ctx, args, is_sink)
                 };
-                let tainted = self.touches_tainted(sys, args);
                 let mut outcome = match alignment {
-                    Align::Shared(v) if !tainted => {
+                    Align::Aligned(Entry { outcome: v, .. })
+                        if !self.touches_tainted(sys, args) =>
+                    {
+                        self.share(ctx, is_sink);
                         // Observe shared outcomes so the descriptor shadow
                         // stays accurate.
                         let mut fdmap = self.fdmap.lock();
+                        if let (Some(resource), Value::Int(fd)) = (fdmap.created(sys, args), &v) {
+                            fdmap.on_new(*fd, resource, false);
+                        }
                         match (sys, args.first(), &v) {
-                            (Syscall::Open, Some(Value::Str(p)), Value::Int(fd)) => {
-                                let flags = args[1].as_int().unwrap_or(0);
-                                fdmap.on_open(*fd, p, flags);
-                            }
-                            (Syscall::Connect, Some(Value::Str(h)), Value::Int(fd)) => {
-                                fdmap.on_connect(*fd, h);
-                            }
-                            (Syscall::Accept, Some(Value::Int(port)), Value::Int(fd)) => {
-                                fdmap.on_accept(*fd, *port);
-                            }
                             (
                                 Syscall::Read | Syscall::Recv,
                                 Some(Value::Int(fd)),
@@ -797,37 +600,26 @@ impl SyscallHooks for SlaveHooks {
                             _ => {}
                         }
                         drop(fdmap);
-                        self.coupling.trace_syscall(
-                            Role::Slave,
-                            &ctx.thread,
-                            &ctx.key,
-                            Some(sys),
-                            TraceAction::Copied,
-                        );
                         v
                     }
-                    // Aligned but on a tainted resource: consume the entry
-                    // (done in align) yet execute privately (paper §7:
-                    // "future syscalls on the resource cannot be coupled").
-                    Align::Shared(_) => self.exec_decoupled(ctx, args)?,
-                    Align::Decoupled => self.exec_decoupled(ctx, args)?,
+                    // Aligned but on a tainted resource: the entry is
+                    // consumed, yet the syscall executes privately (paper
+                    // §7: "future syscalls on the resource cannot be
+                    // coupled"), and that is its one decision.
+                    Align::Aligned(_) | Align::Decoupled => {
+                        self.exec_decoupled(ctx, args, is_sink, false)?
+                    }
+                    Align::Mismatched => self.exec_decoupled(ctx, args, is_sink, true)?,
                 };
                 if let Some(mutation) = self.source_mutation(ctx, args) {
                     let mutated = mutation.apply(&outcome);
                     if mutated != outcome {
-                        self.coupling.trace_syscall(
-                            Role::Slave,
-                            &ctx.thread,
-                            &ctx.key,
-                            Some(sys),
-                            TraceAction::Mutated,
-                        );
                         self.coupling.flight(Role::Slave, || FlightEvent::Mutated {
                             thread: ctx.thread.clone(),
+                            key: ctx.key.clone(),
                             func: ctx.func,
                             site: ctx.site,
                             sys,
-                            cnt: key_scalar(&ctx.key),
                             original: excerpt(&outcome.stringify()),
                             mutated: excerpt(&mutated.stringify()),
                         });
@@ -854,21 +646,98 @@ impl SyscallHooks for SlaveHooks {
         let _s = ldx_obs::span(ldx_obs::cat::BARRIER_WAIT, "loop-barrier");
         let pair = self.coupling.pair(thread);
         pair.publish(Role::Slave, key.clone());
-        self.coupling
-            .trace_syscall(Role::Slave, thread, key, None, TraceAction::Barrier);
-        self.coupling.flight(Role::Slave, || {
-            let cnt = key_scalar(key);
-            let delta = master_delta(pair.inner.lock().master_ready.as_ref(), key);
-            FlightEvent::Barrier {
-                thread: thread.clone(),
-                cnt,
-                delta,
-            }
+        self.coupling.flight(Role::Slave, || FlightEvent::Barrier {
+            thread: thread.clone(),
+            key: key.clone(),
+            delta: master_delta(pair.inner.lock().master_ready.as_ref(), key),
         });
         Ok(())
     }
 
     fn thread_finished(&self, thread: &ThreadKey) {
         self.coupling.pair(thread).finish(Role::Slave);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::DualSpec;
+    use ldx_runtime::{FrameKey, LoopUid};
+    use ldx_vos::{Vos, VosConfig};
+    use std::sync::atomic::Ordering;
+
+    /// Aligns one slave `read` at `key` against a master whose only
+    /// progress is `master_ready`, with the stop signal already fired:
+    /// returns the decision and the number of timeouts counted.
+    fn align_with_stop(master_ready: Option<ProgressKey>, key: ProgressKey) -> (Align, u64) {
+        let program = ldx_ir::lower(&ldx_lang::compile("fn main() { }").unwrap());
+        let config = VosConfig::new();
+        let coupling = Arc::new(Coupling::new(true));
+        let hooks = SlaveHooks {
+            coupling: Arc::clone(&coupling),
+            overlay: SlaveVos::new(Arc::new(Vos::new(&config)), &config),
+            locks: LockTable::new(),
+            sinks: ResolvedSinks::resolve(&DualSpec::default(), &program),
+            sources: ResolvedSources::default(),
+            fdmap: Mutex::new(Default::default()),
+            decoupled_threads: Mutex::new(HashSet::new()),
+            spawn_counts: Mutex::new(HashMap::new()),
+        };
+        if let Some(ready) = master_ready {
+            coupling
+                .pair(&ThreadKey::root())
+                .publish(Role::Master, ready);
+        }
+        let stop = StopSignal::new();
+        stop.request_exit(0);
+        let ctx = SyscallCtx {
+            thread: ThreadKey::root(),
+            key,
+            func: program.main(),
+            site: ldx_ir::SiteId(0),
+            sys: Syscall::Read,
+            stop,
+        };
+        let aligned = hooks.align_inner(&ctx, &[Value::Int(3), Value::Int(1)], false, &mut 0);
+        let timeouts = coupling.stats.timeouts.load(Ordering::Relaxed);
+        let log = coupling.take_flight_log();
+        assert_eq!(
+            timeouts > 0,
+            matches!(log.slave[..], [FlightEvent::Timeout { .. }])
+        );
+        (aligned, timeouts)
+    }
+
+    fn in_loop(epoch: u64, entry_cnt: u64, cnt: u64) -> ProgressKey {
+        ProgressKey {
+            frames: vec![FrameKey {
+                loops: vec![(LoopUid(1), epoch, entry_cnt)],
+                cnt,
+            }],
+        }
+    }
+
+    #[test]
+    fn align_releases_on_stop_as_a_timeout() {
+        // The master has neither queued nor published anything and is not
+        // done, so only the stop signal can release the wait.
+        let (aligned, timeouts) = align_with_stop(None, ProgressKey::start());
+        assert!(matches!(aligned, Align::Decoupled));
+        assert_eq!(timeouts, 1);
+    }
+
+    #[test]
+    fn a_master_in_an_earlier_loop_instance_is_waited_for() {
+        // A helper's loop runs twice in one frame. The master's last
+        // barrier is in the first instance (epoch 4); the slave is in the
+        // second (epoch 0). The master is behind, not past: the slave waits
+        // (here until the stop fires) instead of decoupling.
+        let (aligned, timeouts) = align_with_stop(Some(in_loop(4, 10, 14)), in_loop(0, 15, 16));
+        assert!(matches!(aligned, Align::Decoupled));
+        assert_eq!(timeouts, 1);
+        // Once the master's barrier is past the slave, it decouples at once.
+        let (_, timeouts) = align_with_stop(Some(in_loop(1, 15, 16)), in_loop(0, 15, 16));
+        assert_eq!(timeouts, 0);
     }
 }

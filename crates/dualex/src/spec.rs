@@ -102,11 +102,10 @@ pub struct DualSpec {
     pub sources: Vec<SourceSpec>,
     /// Sinks to compare.
     pub sinks: SinkSpec,
-    /// Record a per-syscall alignment trace (paper Figures 3 and 5).
-    pub trace: bool,
-    /// Record the divergence flight log (every interposition decision,
+    /// Record the run's event stream (every interposition decision,
     /// taint/CoW event, barrier release, and byte-level sink diff) on the
-    /// report for `ldx explain`-style forensics.
+    /// report: the alignment trace of paper Figures 3 and 5 and the
+    /// evidence behind `ldx explain`.
     pub record: bool,
     /// Enforcement mode: the master blocks at sinks and loop barriers
     /// until the slave catches up, like the paper's original protocol
@@ -123,7 +122,6 @@ impl Default for DualSpec {
         DualSpec {
             sources: Vec::new(),
             sinks: SinkSpec::Outputs,
-            trace: false,
             record: false,
             enforcement: false,
             exec: ExecConfig::default(),
@@ -152,13 +150,7 @@ impl DualSpec {
         self
     }
 
-    /// Enables trace recording (builder style).
-    pub fn traced(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
-    /// Enables the divergence flight recorder (builder style).
+    /// Enables the flight recorder (builder style).
     pub fn recorded(mut self) -> Self {
         self.record = true;
         self
@@ -191,11 +183,11 @@ mod tests {
         let spec = DualSpec::with_source(SourceSpec::file("/secret"))
             .source(SourceSpec::net("upstream").with_mutation(Mutation::Zero))
             .sinks(SinkSpec::NetworkOut)
-            .traced();
+            .recorded();
         assert_eq!(spec.sources.len(), 2);
         assert_eq!(spec.sources[1].mutation, Mutation::Zero);
         assert_eq!(spec.sinks, SinkSpec::NetworkOut);
-        assert!(spec.trace);
+        assert!(spec.record);
     }
 
     #[test]
@@ -203,12 +195,6 @@ mod tests {
         let spec = DualSpec::default();
         assert!(spec.sources.is_empty());
         assert_eq!(spec.sinks, SinkSpec::Outputs);
-        assert!(!spec.trace);
         assert!(!spec.record);
-    }
-
-    #[test]
-    fn recorded_builder_sets_flag() {
-        assert!(DualSpec::default().recorded().record);
     }
 }

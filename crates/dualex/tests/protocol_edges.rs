@@ -14,17 +14,7 @@ fn build(src: &str) -> Arc<ldx_ir::IrProgram> {
 }
 
 fn spec_file(path: &str, mutation: Mutation, sinks: SinkSpec) -> DualSpec {
-    DualSpec {
-        sources: vec![SourceSpec {
-            matcher: SourceMatcher::FileRead(path.into()),
-            mutation,
-        }],
-        sinks,
-        trace: false,
-        record: false,
-        enforcement: false,
-        exec: Default::default(),
-    }
+    DualSpec::with_source(SourceSpec::file(path).with_mutation(mutation)).sinks(sinks)
 }
 
 #[test]
@@ -165,17 +155,11 @@ fn renamed_file_is_tainted_and_decoupled() {
         .file("/mode", "keep")
         .file("/data/log", "original-content")
         .peer("out", PeerBehavior::Echo);
-    let spec = DualSpec {
-        sources: vec![SourceSpec {
-            matcher: SourceMatcher::FileRead("/mode".into()),
-            mutation: Mutation::Replace("rotate".into()),
-        }],
-        sinks: SinkSpec::NetworkOut,
-        trace: false,
-        record: false,
-        enforcement: false,
-        exec: Default::default(),
-    };
+    let spec = spec_file(
+        "/mode",
+        Mutation::Replace("rotate".into()),
+        SinkSpec::NetworkOut,
+    );
     let report = dual_execute(program, &world, &spec);
     assert!(report.master.is_ok() && report.slave.is_ok());
     // Master sends the original, slave sends "fresh": causality.
@@ -213,21 +197,27 @@ fn slave_only_threads_run_decoupled() {
     let world = VosConfig::new()
         .file("/in", "5")
         .peer("out", PeerBehavior::Echo);
-    let report = dual_execute(
-        program,
-        &world,
-        &spec_file("/in", Mutation::OffByOne, SinkSpec::NetworkOut),
-    );
+    let mut spec = spec_file("/in", Mutation::OffByOne, SinkSpec::NetworkOut);
+    spec.record = true;
+    let report = dual_execute(program, &world, &spec);
     assert!(report.master.is_ok(), "{:?}", report.master);
     assert!(report.slave.is_ok(), "{:?}", report.slave);
-    assert!(
-        report
-            .causality
-            .iter()
-            .any(|c| matches!(c.kind, CausalityKind::SlaveOnlySink)),
-        "the slave-only worker's send is causality: {:?}",
-        report.causality
-    );
+    let record = report
+        .causality
+        .iter()
+        .find(|c| matches!(c.kind, CausalityKind::SlaveOnlySink))
+        .unwrap_or_else(|| {
+            panic!(
+                "the slave-only worker's send is causality: {:?}",
+                report.causality
+            )
+        });
+    // The decision behind the record is in the event stream too.
+    assert!(report.flight.slave.iter().any(|e| matches!(
+        e,
+        ldx_dualex::FlightEvent::Syscall { decision: ldx_dualex::Decision::SlaveOnly, thread, func, site, .. }
+            if *thread == record.thread && (*func, *site) == (record.func, record.site)
+    )));
 }
 
 #[test]
@@ -326,17 +316,11 @@ fn sources_on_entropy_syscalls() {
         }"#,
     );
     let world = VosConfig::new().peer("out", PeerBehavior::Echo);
-    let spec = DualSpec {
-        sources: vec![SourceSpec {
-            matcher: SourceMatcher::SyscallKind(ldx_lang::Syscall::Random),
-            mutation: Mutation::OffByOne,
-        }],
-        sinks: SinkSpec::NetworkOut,
-        trace: false,
-        record: false,
-        enforcement: false,
-        exec: Default::default(),
-    };
+    let spec = DualSpec::with_source(SourceSpec {
+        matcher: SourceMatcher::SyscallKind(ldx_lang::Syscall::Random),
+        mutation: Mutation::OffByOne,
+    })
+    .sinks(SinkSpec::NetworkOut);
     let report = dual_execute(program, &world, &spec);
     assert!(report.leaked(), "entropy flows to the sink");
 }
@@ -402,17 +386,11 @@ fn decoupled_peer_recv_reconstructs_connection() {
             PeerBehavior::Script(vec!["first!".into(), "second".into()]),
         )
         .peer("out", PeerBehavior::Echo);
-    let spec = DualSpec {
-        sources: vec![SourceSpec {
-            matcher: SourceMatcher::FileRead("/secret".into()),
-            mutation: Mutation::Replace("more".into()),
-        }],
-        sinks: SinkSpec::NetworkOut,
-        trace: false,
-        record: false,
-        enforcement: false,
-        exec: Default::default(),
-    };
+    let spec = spec_file(
+        "/secret",
+        Mutation::Replace("more".into()),
+        SinkSpec::NetworkOut,
+    );
     let report = dual_execute(program, &world, &spec);
     assert!(report.master.is_ok() && report.slave.is_ok());
     let arg_diff = report.causality.iter().find_map(|c| match &c.kind {
@@ -451,17 +429,11 @@ fn decoupled_accept_replays_backlog_position() {
         .file("/secret", "modest")
         .listen(80, vec!["alpha".into(), "beta".into()])
         .peer("out", PeerBehavior::Echo);
-    let spec = DualSpec {
-        sources: vec![SourceSpec {
-            matcher: SourceMatcher::FileRead("/secret".into()),
-            mutation: Mutation::Replace("greedy".into()),
-        }],
-        sinks: SinkSpec::NetworkOut,
-        trace: false,
-        record: false,
-        enforcement: false,
-        exec: Default::default(),
-    };
+    let spec = spec_file(
+        "/secret",
+        Mutation::Replace("greedy".into()),
+        SinkSpec::NetworkOut,
+    );
     let report = dual_execute(program, &world, &spec);
     assert!(report.master.is_ok() && report.slave.is_ok());
     let arg_diff = report.causality.iter().find_map(|c| match &c.kind {
@@ -504,17 +476,11 @@ fn decoupled_descriptor_never_collides_with_held_master_descriptor() {
         .file("/secret", "off")
         .dir("/scratch")
         .peer("out", PeerBehavior::Echo);
-    let spec = DualSpec {
-        sources: vec![SourceSpec {
-            matcher: SourceMatcher::FileRead("/secret".into()),
-            mutation: Mutation::Replace("log".into()),
-        }],
-        sinks: SinkSpec::NetworkOut,
-        trace: false,
-        record: false,
-        enforcement: false,
-        exec: Default::default(),
-    };
+    let spec = spec_file(
+        "/secret",
+        Mutation::Replace("log".into()),
+        SinkSpec::NetworkOut,
+    );
     let report = dual_execute(program, &world, &spec);
     assert!(report.master.is_ok() && report.slave.is_ok());
     let arg_diff = report.causality.iter().find_map(|c| match &c.kind {
@@ -526,4 +492,33 @@ fn decoupled_descriptor_never_collides_with_held_master_descriptor() {
     // With colliding descriptors the slave's `tail` read would return the
     // scratch file's content; the disjoint overlay fd range prevents it.
     assert!(s.contains("AAAAaaaa+logged"), "slave: {s}");
+}
+
+#[test]
+fn aligned_syscalls_on_tainted_resources_count_once() {
+    // The slave (s == "B") rewrites /log before both executions reopen
+    // it: the reopen aligns with the master's, but /log is tainted, so
+    // the slave executes it privately — decoupled, not also shared.
+    let program = build(
+        r#"fn main() {
+            let s = read(open("/s", 0), 1);
+            if (s == "B") {
+                let fd = open("/log", 1);
+                write(fd, "x");
+                close(fd);
+            }
+            let g = open("/log", 0);
+            let d = read(g, 4);
+            write(1, "done" + d);
+        }"#,
+    );
+    let world = VosConfig::new().file("/s", "A").file("/log", "old");
+    let report = dual_execute(
+        program,
+        &world,
+        &spec_file("/s", Mutation::OffByOne, SinkSpec::AllWrites),
+    );
+    let slave = report.slave.as_ref().expect("slave runs");
+    assert_eq!((report.shared, report.decoupled), (2, 6));
+    assert_eq!(report.shared + report.decoupled, slave.stats.syscalls);
 }

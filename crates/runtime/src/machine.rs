@@ -151,7 +151,7 @@ struct Activation {
     /// Whether this activation opened a fresh counter frame.
     fresh: bool,
     /// Instrumented loops currently active in this activation.
-    loops: Vec<(LoopUid, u64)>,
+    loops: Vec<(LoopUid, u64, u64)>,
     /// Unique instance id (setjmp validity check).
     gen: u64,
 }
@@ -163,7 +163,7 @@ struct JmpBuf {
     idx: usize,
     dst: LocalId,
     counter_frames: Vec<u64>,
-    loops_snapshot: Vec<Vec<(LoopUid, u64)>>,
+    loops_snapshot: Vec<Vec<(LoopUid, u64, u64)>>,
 }
 
 struct Machine {
@@ -452,11 +452,12 @@ impl Machine {
             }
             Instr::LoopEnter { loop_id } => {
                 let uid = LoopUid::new(func.0, loop_id.0);
+                let entry_cnt = *self.cnt();
                 self.activations
                     .last_mut()
                     .expect("active frame")
                     .loops
-                    .push((uid, 0));
+                    .push((uid, 0, entry_cnt));
             }
             Instr::LoopBackedge { loop_id, sub } => {
                 let key = self.current_key();
@@ -480,7 +481,7 @@ impl Machine {
                     .loops
                     .iter_mut()
                     .rev()
-                    .find(|(l, _)| *l == uid)
+                    .find(|(l, _, _)| *l == uid)
                     .expect("backedge of an entered loop");
                 entry.1 += 1;
                 let cnt = self.cnt();
@@ -493,7 +494,7 @@ impl Machine {
                 let pos = act
                     .loops
                     .iter()
-                    .rposition(|(l, _)| *l == uid)
+                    .rposition(|(l, _, _)| *l == uid)
                     .expect("exit of an entered loop");
                 act.loops.truncate(pos);
                 *self.cnt() += add;

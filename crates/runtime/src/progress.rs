@@ -11,7 +11,9 @@
 //!   stack of scalars;
 //! * **loop iteration epochs** — the backedge barrier aligns iteration `i`
 //!   of the master with iteration `i` of the slave (paper §5), so within an
-//!   instrumented loop the iteration number is part of "where we are";
+//!   instrumented loop the iteration number is part of "where we are"; the
+//!   counter at loop entry tells two instances of one loop apart (a helper
+//!   whose loop runs twice within one counter frame);
 //! * the position `(function, site)` — the "PC" — which is *not* part of
 //!   the key but is compared separately when matching syscalls.
 //!
@@ -37,9 +39,10 @@ impl LoopUid {
 /// Progress within one fresh counter frame.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct FrameKey {
-    /// Active instrumented loops (outermost first) with their iteration
-    /// epochs.
-    pub loops: Vec<(LoopUid, u64)>,
+    /// Active instrumented loops (outermost first): the loop, its
+    /// iteration epoch, and the frame counter when this instance of the
+    /// loop was entered.
+    pub loops: Vec<(LoopUid, u64, u64)>,
     /// The frame's scalar counter.
     pub cnt: u64,
 }
@@ -113,9 +116,13 @@ fn cmp_frames(a: &FrameKey, b: &FrameKey) -> ProgressOrder {
     let mut i = 0;
     loop {
         match (a.loops.get(i), b.loops.get(i)) {
-            (Some((la, ea)), Some((lb, eb))) => {
+            (Some((la, ea, ba)), Some((lb, eb, bb))) => {
                 if la == lb {
-                    match ea.cmp(eb) {
+                    // A later instance of the loop was entered at a
+                    // strictly larger counter (the +1 exit strengthening),
+                    // whatever its epoch; within one instance, epochs
+                    // decide.
+                    match ba.cmp(bb).then(ea.cmp(eb)) {
                         std::cmp::Ordering::Less => return ProgressOrder::Behind,
                         std::cmp::Ordering::Greater => return ProgressOrder::Ahead,
                         std::cmp::Ordering::Equal => i += 1,
@@ -154,7 +161,7 @@ fn cmp_frames(a: &FrameKey, b: &FrameKey) -> ProgressOrder {
                         } else {
                             (b, false)
                         };
-                        let entered = longer.loops[i..].iter().any(|&(_, e)| e > 0);
+                        let entered = longer.loops[i..].iter().any(|&(_, e, _)| e > 0);
                         if !entered {
                             ProgressOrder::Equal
                         } else if longer_is_a {
@@ -175,7 +182,7 @@ impl fmt::Display for ProgressKey {
             if i > 0 {
                 write!(f, "/")?;
             }
-            for (lid, epoch) in &frame.loops {
+            for (lid, epoch, _) in &frame.loops {
                 write!(f, "L{:x}#{}:", lid.0, epoch)?;
             }
             if frame.cnt == u64::MAX {
@@ -218,7 +225,7 @@ mod tests {
         assert_eq!(top.cmp_progress(&ProgressKey::top()), ProgressOrder::Equal);
         let deep = key(vec![
             FrameKey {
-                loops: vec![(lp(1), 9)],
+                loops: vec![(lp(1), 9, 0)],
                 cnt: 3,
             },
             FrameKey {
@@ -233,11 +240,11 @@ mod tests {
     fn loop_epochs_dominate_scalars() {
         // Same loop, later iteration but smaller scalar: still ahead.
         let early = key(vec![FrameKey {
-            loops: vec![(lp(1), 1)],
+            loops: vec![(lp(1), 1, 0)],
             cnt: 9,
         }]);
         let later = key(vec![FrameKey {
-            loops: vec![(lp(1), 4)],
+            loops: vec![(lp(1), 4, 0)],
             cnt: 2,
         }]);
         assert_eq!(later.cmp_progress(&early), ProgressOrder::Ahead);
@@ -245,13 +252,29 @@ mod tests {
     }
 
     #[test]
+    fn a_later_instance_of_a_loop_is_ahead_of_an_earlier_one() {
+        // A helper's loop run twice in one frame: the first instance's last
+        // iteration is behind the second instance's first one.
+        let first = key(vec![FrameKey {
+            loops: vec![(lp(1), 4, 10)],
+            cnt: 14,
+        }]);
+        let second = key(vec![FrameKey {
+            loops: vec![(lp(1), 0, 15)],
+            cnt: 16,
+        }]);
+        assert_eq!(first.cmp_progress(&second), ProgressOrder::Behind);
+        assert_eq!(second.cmp_progress(&first), ProgressOrder::Ahead);
+    }
+
+    #[test]
     fn same_loop_same_epoch_compares_scalars() {
         let a = key(vec![FrameKey {
-            loops: vec![(lp(1), 2)],
+            loops: vec![(lp(1), 2, 0)],
             cnt: 3,
         }]);
         let b = key(vec![FrameKey {
-            loops: vec![(lp(1), 2)],
+            loops: vec![(lp(1), 2, 0)],
             cnt: 5,
         }]);
         assert_eq!(a.cmp_progress(&b), ProgressOrder::Behind);
@@ -260,17 +283,17 @@ mod tests {
     #[test]
     fn different_loops_with_equal_scalars_diverge() {
         let a = key(vec![FrameKey {
-            loops: vec![(lp(1), 0)],
+            loops: vec![(lp(1), 0, 0)],
             cnt: 3,
         }]);
         let b = key(vec![FrameKey {
-            loops: vec![(lp(2), 0)],
+            loops: vec![(lp(2), 0, 0)],
             cnt: 3,
         }]);
         assert_eq!(a.cmp_progress(&b), ProgressOrder::Divergent);
         // Unequal scalars still order them.
         let c = key(vec![FrameKey {
-            loops: vec![(lp(2), 0)],
+            loops: vec![(lp(2), 0, 0)],
             cnt: 9,
         }]);
         assert_eq!(a.cmp_progress(&c), ProgressOrder::Behind);
@@ -280,7 +303,7 @@ mod tests {
     fn in_loop_vs_outside_loop() {
         // Outside at a larger scalar (post-exit, +1 strictness): ahead.
         let inside = key(vec![FrameKey {
-            loops: vec![(lp(1), 7)],
+            loops: vec![(lp(1), 7, 0)],
             cnt: 3,
         }]);
         let past = flat(4);
@@ -290,7 +313,7 @@ mod tests {
         // Equal scalars, epoch 0: both effectively at the loop entry.
         let at_entry = flat(3);
         let just_entered = key(vec![FrameKey {
-            loops: vec![(lp(1), 0)],
+            loops: vec![(lp(1), 0, 0)],
             cnt: 3,
         }]);
         assert_eq!(just_entered.cmp_progress(&at_entry), ProgressOrder::Equal);
@@ -336,11 +359,11 @@ mod tests {
     #[test]
     fn nested_loop_epochs_compare_outer_first() {
         let a = key(vec![FrameKey {
-            loops: vec![(lp(1), 3), (lp(2), 9)],
+            loops: vec![(lp(1), 3, 0), (lp(2), 9, 0)],
             cnt: 2,
         }]);
         let b = key(vec![FrameKey {
-            loops: vec![(lp(1), 4), (lp(2), 0)],
+            loops: vec![(lp(1), 4, 0), (lp(2), 0, 0)],
             cnt: 2,
         }]);
         assert_eq!(a.cmp_progress(&b), ProgressOrder::Behind);
@@ -350,7 +373,7 @@ mod tests {
     fn display_is_readable() {
         let k = key(vec![
             FrameKey {
-                loops: vec![(lp(0x100000001), 2)],
+                loops: vec![(lp(0x100000001), 2, 0)],
                 cnt: 4,
             },
             FrameKey {
@@ -377,12 +400,9 @@ mod tests {
         use proptest::prelude::*;
 
         fn arb_frame() -> impl Strategy<Value = FrameKey> {
-            (proptest::collection::vec((0u64..4, 0u64..4), 0..3), 0u64..8).prop_map(
-                |(loops, cnt)| FrameKey {
-                    loops: loops.into_iter().map(|(l, e)| (LoopUid(l), e)).collect(),
-                    cnt,
-                },
-            )
+            let arb_loop = (0u64..4, 0u64..4, 0u64..3).prop_map(|(l, e, b)| (LoopUid(l), e, b));
+            (proptest::collection::vec(arb_loop, 0..3), 0u64..8)
+                .prop_map(|(loops, cnt)| FrameKey { loops, cnt })
         }
 
         fn arb_key() -> impl Strategy<Value = ProgressKey> {

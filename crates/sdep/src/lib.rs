@@ -432,7 +432,7 @@ mod tests {
             shared: 0,
             decoupled: 0,
             master_sinks: 0,
-            trace: vec![],
+            timeouts: 0,
             flight: ldx_dualex::FlightLog::default(),
         };
         assert!(analysis

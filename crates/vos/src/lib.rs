@@ -6,7 +6,8 @@
 //!
 //! * a **virtual filesystem** with directories, file descriptors, and the
 //!   rename/unlink/mkdir operations the paper's resource-tainting rules
-//!   (§7) are defined over;
+//!   (§7) are defined over (unlike Unix, a closed descriptor number is
+//!   never handed out again within one world);
 //! * **scripted network peers** standing in for remote hosts (servers the
 //!   program connects to) and scripted *clients* for programs that accept
 //!   connections;

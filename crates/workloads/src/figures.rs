@@ -5,7 +5,7 @@
 //! * Figure 2/3: the employee/raise running example;
 //! * Figure 4/5: the nested-loop alignment example.
 
-use ldx_dualex::{DualSpec, Mutation, SinkSpec, SourceMatcher, SourceSpec};
+use ldx_dualex::{DualSpec, Mutation, SinkSpec, SourceSpec};
 use ldx_vos::{PeerBehavior, VosConfig};
 
 /// One figure case: a program, its world, its spec, and what LDX and the
@@ -35,17 +35,8 @@ fn world(secret: &str) -> VosConfig {
 }
 
 fn spec_with(mutation: Mutation) -> DualSpec {
-    DualSpec {
-        sources: vec![SourceSpec {
-            matcher: SourceMatcher::FileRead("/secret".into()),
-            mutation,
-        }],
-        sinks: SinkSpec::NetworkOut,
-        trace: false,
-        record: false,
-        enforcement: false,
-        exec: Default::default(),
-    }
+    DualSpec::with_source(SourceSpec::file("/secret").with_mutation(mutation))
+        .sinks(SinkSpec::NetworkOut)
 }
 
 /// The four panels of Figure 1.
@@ -168,17 +159,11 @@ pub fn figure2_employee() -> FigureCase {
             .file("/contracts/staff", "3   ")
             .file("/contracts/manager", "7   ")
             .peer("hr.example", PeerBehavior::Echo),
-        spec: DualSpec {
-            sources: vec![SourceSpec {
-                matcher: SourceMatcher::FileRead("/employee".into()),
-                mutation: Mutation::Replace("MANAGER".into()),
-            }],
-            sinks: SinkSpec::NetworkOut,
-            trace: true,
-            record: false,
-            enforcement: false,
-            exec: Default::default(),
-        },
+        spec: DualSpec::with_source(
+            SourceSpec::file("/employee").with_mutation(Mutation::Replace("MANAGER".into())),
+        )
+        .sinks(SinkSpec::NetworkOut)
+        .recorded(),
         ldx_reports: true,
         data_taint_reports: false,
         control_taint_reports: true,
@@ -212,17 +197,11 @@ pub fn figure4_loops() -> FigureCase {
             .file("/in-header", "1 2")
             .file("/in-data", "10203040506070")
             .peer("out", PeerBehavior::Echo),
-        spec: DualSpec {
-            sources: vec![SourceSpec {
-                matcher: SourceMatcher::FileRead("/in-header".into()),
-                mutation: Mutation::Replace("2 1".into()),
-            }],
-            sinks: SinkSpec::NetworkOut,
-            trace: true,
-            record: false,
-            enforcement: false,
-            exec: Default::default(),
-        },
+        spec: DualSpec::with_source(
+            SourceSpec::file("/in-header").with_mutation(Mutation::Replace("2 1".into())),
+        )
+        .sinks(SinkSpec::NetworkOut)
+        .recorded(),
         ldx_reports: true,
         data_taint_reports: true,
         control_taint_reports: true,

@@ -124,10 +124,7 @@ impl Workload {
         DualSpec {
             sources: self.sources.clone(),
             sinks: self.sinks.clone(),
-            trace: false,
-            record: false,
-            enforcement: false,
-            exec: Default::default(),
+            ..DualSpec::default()
         }
     }
 
@@ -136,10 +133,7 @@ impl Workload {
         self.benign_sources.as_ref().map(|sources| DualSpec {
             sources: sources.clone(),
             sinks: self.sinks.clone(),
-            trace: false,
-            record: false,
-            enforcement: false,
-            exec: Default::default(),
+            ..DualSpec::default()
         })
     }
 }

@@ -33,7 +33,7 @@ fn main() -> Result<(), ldx::Error> {
             .peer("api.example", PeerBehavior::Echo),
     )
     .source(SourceSpec::file("/etc/token"))
-    .traced();
+    .recorded();
 
     println!("instrumentation:");
     println!("{}", analysis.instrumentation_report());

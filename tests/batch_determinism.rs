@@ -80,8 +80,8 @@ fn flight_logs_never_interleave_across_batch_jobs() {
     fn stable(lane: &[FlightEvent]) -> Vec<String> {
         lane.iter()
             .map(|ev| match ev {
-                FlightEvent::Barrier { thread, cnt, .. } => {
-                    format!("Barrier {{ thread: {thread:?}, cnt: {cnt} }}")
+                FlightEvent::Barrier { thread, key, .. } => {
+                    format!("Barrier {{ thread: {thread:?}, key: {key} }}")
                 }
                 other => format!("{other:?}"),
             })

@@ -2,12 +2,26 @@
 //! natively without trapping, report exactly the causality its spec
 //! promises under the leaking mutation, stay silent under the benign
 //! mutation, and stay silent under the identity mutation (invariant I5).
+//! No run may lean on a safety valve (`MAX_WAIT`, the stop signal).
 
-use ldx_dualex::{dual_execute, DualSpec, Mutation, SourceSpec};
+use ldx_dualex::{
+    dual_execute, CausalityKind, DualReport, DualSpec, FlightEvent, Mutation, SourceSpec,
+};
 use ldx_runtime::{run_program, ExecConfig, NativeHooks};
 use ldx_vos::Vos;
 use ldx_workloads::{corpus, Suite, Workload};
+use std::collections::HashSet;
 use std::sync::Arc;
+
+fn run(w: &Workload, spec: &DualSpec) -> DualReport {
+    let report = dual_execute(w.program(), &w.world, spec);
+    assert_eq!(
+        report.timeouts, 0,
+        "`{}`: a coupling wait timed out",
+        w.name
+    );
+    report
+}
 
 fn native_runs_clean(w: &Workload) {
     let program = w.program();
@@ -51,12 +65,9 @@ fn identity_mutation_never_reports() {
                 })
                 .collect(),
             sinks: w.sinks.clone(),
-            trace: false,
-            record: false,
-            enforcement: false,
-            exec: ExecConfig::default(),
+            ..DualSpec::default()
         };
-        let report = dual_execute(w.program(), &w.world, &spec);
+        let report = run(&w, &spec);
         assert!(
             report.master.is_ok(),
             "`{}` master: {:?}",
@@ -86,7 +97,7 @@ fn identity_mutation_never_reports() {
 #[test]
 fn leaking_mutations_are_detected() {
     for w in corpus() {
-        let report = dual_execute(w.program(), &w.world, &w.dual_spec());
+        let report = run(&w, &w.dual_spec());
         assert!(
             report.master.is_ok(),
             "`{}` master: {:?}",
@@ -119,7 +130,7 @@ fn benign_mutations_stay_quiet_with_syscall_differences_tolerated() {
         let Some(spec) = w.benign_spec() else {
             continue;
         };
-        let report = dual_execute(w.program(), &w.world, &spec);
+        let report = run(&w, &spec);
         assert!(
             report.master.is_ok() && report.slave.is_ok(),
             "`{}` failed: {:?} / {:?}",
@@ -142,12 +153,40 @@ fn case_studies_detect_their_leaks() {
         ldx_workloads::preprocessor_case_study(),
         ldx_workloads::showip_case_study(),
     ] {
-        let report = dual_execute(w.program(), &w.world, &w.dual_spec());
+        let report = run(&w, &w.dual_spec());
         assert!(
             report.leaked(),
             "case study `{}` must report: {:?}",
             w.name,
             report.causality
         );
+    }
+}
+
+/// Every causality record is reported with its decision: with recording
+/// on, each record but the whole-execution `EndDiff` sits at the site of
+/// an event in one of the two lanes.
+#[test]
+fn every_causality_record_has_its_event() {
+    for w in corpus() {
+        let mut spec = w.dual_spec();
+        spec.record = true;
+        let report = run(&w, &spec);
+        let sites: HashSet<_> = report
+            .flight
+            .master
+            .iter()
+            .chain(&report.flight.slave)
+            .filter_map(FlightEvent::site)
+            .collect();
+        for record in &report.causality {
+            if !matches!(record.kind, CausalityKind::EndDiff { .. }) {
+                assert!(
+                    sites.contains(&(record.func, record.site)),
+                    "`{}`: no event for {record}",
+                    w.name
+                );
+            }
+        }
     }
 }

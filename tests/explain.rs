@@ -7,14 +7,18 @@
 //!   the same analysis, and across `--no-prune` — the flight recorder and
 //!   the chain builder may only serialize schedule-independent facts.
 //! * **Truthfulness.** Every chain is grounded in both engines: its sink
-//!   is a causality record the dynamic report actually contains, and its
-//!   static path walks sites the `ldx-sdep` PDG actually holds, with a
+//!   is a causality record of the very run it explains, and its static
+//!   path walks sites the `ldx-sdep` PDG actually holds, with a
 //!   reachability witness between its endpoints.
+//!
+//! Concurrent-suite runs depend on the OS schedule (Table 4's subject):
+//! there a leak may be observed without the mutation ever applying, and
+//! the completeness check names that case instead of skipping the suite.
 
 use ldx::sdep::StaticAnalysis;
-use ldx::{Analysis, ExplainReport};
+use ldx::{Analysis, ExplainReport, FlightEvent, SourceAttribution};
 use ldx_ir::IrProgram;
-use ldx_workloads::{corpus, Workload};
+use ldx_workloads::{corpus, Suite, Workload};
 
 fn workload_analysis(w: &Workload) -> Analysis {
     let mut analysis = Analysis::for_source(&w.source)
@@ -31,6 +35,24 @@ fn explain(w: &Workload) -> ExplainReport {
     workload_analysis(w).explain(w.name)
 }
 
+/// An expected leak outside the concurrent suite, whose reports are
+/// schedule-independent.
+fn deterministic_leak(w: &Workload) -> bool {
+    w.expect_leak && w.suite != Suite::Concurrent
+}
+
+/// A causal run whose slave never saw the perturbed source: the
+/// difference came from the schedule, which only threads can do.
+fn schedule_induced(w: &Workload, attr: &SourceAttribution) -> bool {
+    w.suite == Suite::Concurrent
+        && !attr
+            .report
+            .flight
+            .slave
+            .iter()
+            .any(|e| matches!(e, FlightEvent::Mutated { .. }))
+}
+
 /// Maps a chain step's function name back to the program's `FuncId`.
 fn func_id(program: &IrProgram, name: &str) -> ldx_ir::FuncId {
     program
@@ -43,9 +65,7 @@ fn explain_is_byte_identical_across_runs_and_pruning() {
     // Concurrent-suite workloads carry Lx-level races inside a single
     // dual execution (Table 4's subject); like the batch-determinism
     // equality checks, byte-identity is only promised outside that suite.
-    let deterministic = corpus()
-        .into_iter()
-        .filter(|w| w.expect_leak && w.suite != ldx_workloads::Suite::Concurrent);
+    let deterministic = corpus().into_iter().filter(deterministic_leak);
     for w in deterministic.collect::<Vec<_>>().iter() {
         let a = explain(w).to_json();
         let b = explain(w).to_json();
@@ -59,20 +79,26 @@ fn explain_is_byte_identical_across_runs_and_pruning() {
     }
 }
 
-/// Every chain's sink is a record the dynamic causality report contains:
-/// same source, same function, same site, same syscall, same kind of
-/// divergence. The chain is a *view* of the dual execution, not a second
-/// opinion.
+/// Every chain's sink is a record of the run it explains: same source,
+/// same function, same site, same syscall. The chain is a *view* of the
+/// attribution's dual execution, not a second opinion.
 #[test]
 fn chain_sinks_appear_in_the_dynamic_causality_report() {
     for w in &corpus() {
         let analysis = workload_analysis(w);
-        let report = analysis.explain(w.name);
+        let attrs = analysis.clone().recorded().attribute_sources();
+        let report = analysis.explain_attributions(&attrs, w.name);
+        let causal = attrs.iter().filter(|a| a.causal).count();
+        assert_eq!(
+            report.chains.len(),
+            causal,
+            "`{}`: one chain per causal source",
+            w.name
+        );
         if w.expect_leak {
             assert!(report.any_causal(), "workload `{}` must leak", w.name);
             assert!(!report.chains.is_empty(), "workload `{}`: no chain", w.name);
         }
-        let attrs = analysis.attribute_sources();
         let program = w.program();
         for chain in &report.chains {
             let attr = attrs
@@ -135,16 +161,19 @@ fn chain_static_paths_are_inside_the_pdg() {
     }
 }
 
-/// A chain must always carry the recorder-observed mutation and a named
-/// sink syscall; the corpus has no workload whose leak bypasses either.
+/// A chain carries the recorder-observed mutation — unless its leak was
+/// schedule-induced — and a named sink syscall.
 #[test]
 fn corpus_chains_are_complete() {
     for w in corpus().iter().filter(|w| w.expect_leak) {
-        let report = explain(w);
+        let analysis = workload_analysis(w);
+        let attrs = analysis.clone().recorded().attribute_sources();
+        let report = analysis.explain_attributions(&attrs, w.name);
         assert!(report.master_events + report.slave_events > 0, "{}", w.name);
         for chain in &report.chains {
+            let attr = &attrs[chain.source_index];
             assert!(
-                chain.mutation.is_some(),
+                chain.mutation.is_some() || schedule_induced(w, attr),
                 "workload `{}`: chain without the recorded mutation",
                 w.name
             );

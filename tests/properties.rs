@@ -39,13 +39,11 @@ fn spec(mutation: Mutation) -> DualSpec {
             mutation,
         }],
         sinks: SinkSpec::FileOut,
-        trace: false,
-        record: false,
-        enforcement: false,
         exec: ExecConfig {
             max_steps: 5_000_000,
             ..ExecConfig::default()
         },
+        ..DualSpec::default()
     }
 }
 

@@ -93,13 +93,11 @@ proptest! {
                 mutation: Mutation::OffByOne,
             }],
             sinks: SinkSpec::FileOut,
-            trace: false,
-            record: false,
-            enforcement: false,
             exec: ExecConfig {
                 max_steps: 5_000_000,
                 ..ExecConfig::default()
             },
+            ..DualSpec::default()
         };
         let report = dual_execute(std::sync::Arc::clone(&program), &world(&input.to_string()), &spec);
         prop_assert!(

@@ -32,13 +32,11 @@ fn large_generated_programs_instrument_and_dual_execute() {
                 mutation: Mutation::OffByOne,
             }],
             sinks: SinkSpec::FileOut,
-            trace: false,
-            record: false,
-            enforcement: false,
             exec: ExecConfig {
                 max_steps: 20_000_000,
                 ..ExecConfig::default()
             },
+            ..DualSpec::default()
         };
         let report = dual_execute(Arc::clone(&program), &world, &spec);
         assert!(report.master.is_ok(), "seed {seed}: {:?}", report.master);
@@ -107,17 +105,7 @@ fn deeply_nested_loop_tower_aligns() {
     let world = VosConfig::new()
         .file("/in", "3")
         .peer("out", ldx_vos::PeerBehavior::Echo);
-    let spec = DualSpec {
-        sources: vec![SourceSpec {
-            matcher: SourceMatcher::FileRead("/in".into()),
-            mutation: Mutation::OffByOne,
-        }],
-        sinks: SinkSpec::NetworkOut,
-        trace: false,
-        record: false,
-        enforcement: false,
-        exec: ExecConfig::default(),
-    };
+    let spec = DualSpec::with_source(SourceSpec::file("/in")).sinks(SinkSpec::NetworkOut);
     let report = dual_execute(program, &world, &spec);
     assert!(report.master.is_ok(), "{:?}", report.master);
     assert!(report.slave.is_ok(), "{:?}", report.slave);
