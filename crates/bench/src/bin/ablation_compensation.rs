@@ -16,13 +16,9 @@
 
 use ldx::{BatchEngine, BatchJob, InstrumentCache};
 
-use ldx_bench::{finish_summary, BenchSummary};
-
 fn main() {
-    let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
+    let (_args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
     ldx::obs::init(&obs_args);
-    let (_args, mut summary) = BenchSummary::from_args("ablation_compensation", args);
-    let phase_start = std::time::Instant::now();
     println!(
         "{:<12} {:>12} {:>12} {:>14} {:>14}",
         "program", "false+instr", "false-naive", "shared+instr", "shared-naive"
@@ -82,8 +78,6 @@ fn main() {
          counter loses alignment after any path difference, producing \
          spurious sink mismatches and fewer shared outcomes."
     );
-    summary.phase("run", phase_start.elapsed());
-    finish_summary(&summary);
     if let Err(e) = ldx::obs::finish(&obs_args) {
         eprintln!("could not write observability output: {e}");
     }

@@ -15,13 +15,9 @@
 use ldx::{BatchEngine, BatchJob, InstrumentCache};
 use ldx_dualex::{DualSpec, Mutation, SourceSpec};
 
-use ldx_bench::{finish_summary, BenchSummary};
-
 fn main() {
-    let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
+    let (_args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
     ldx::obs::init(&obs_args);
-    let (_args, mut summary) = BenchSummary::from_args("ablation_mutation", args);
-    let phase_start = std::time::Instant::now();
     let strategies = [
         ("off-by-one", Mutation::OffByOne),
         ("bit-flip", Mutation::BitFlip),
@@ -97,8 +93,6 @@ fn main() {
          matters (strong causality), not that off-by-one dominates \
          pointwise."
     );
-    summary.phase("run", phase_start.elapsed());
-    finish_summary(&summary);
     if let Err(e) = ldx::obs::finish(&obs_args) {
         eprintln!("could not write observability output: {e}");
     }

@@ -37,13 +37,9 @@ fn verdicts(attrs: &[SourceAttribution]) -> String {
         .collect()
 }
 
-use ldx_bench::{finish_summary, BenchSummary};
-
 fn main() -> ExitCode {
-    let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
+    let (_args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
     ldx::obs::init(&obs_args);
-    let (_args, mut summary) = BenchSummary::from_args("ablation_prune", args);
-    let phase_start = std::time::Instant::now();
     println!(
         "{:<12} {:>7} {:>7} {:>9} {:>9} {:>9} {:>9} {:>6}",
         "program", "sources", "pruned", "runs-on", "runs-off", "ms-on", "ms-off", "same"
@@ -110,8 +106,6 @@ fn main() -> ExitCode {
         "\ntotal: pruned {total_pruned} of {total_runs_off} source runs \
          ({total_runs_on} dual executions with pruning, {total_runs_off} without)"
     );
-    summary.phase("run", phase_start.elapsed());
-    finish_summary(&summary);
     if let Err(e) = ldx::obs::finish(&obs_args) {
         eprintln!("could not write observability output: {e}");
     }

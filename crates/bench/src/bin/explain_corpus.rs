@@ -9,17 +9,15 @@
 //! truthfulness invariants: a workload expected to leak must produce at
 //! least one chain, and every chain must name a sink.
 //!
-//! Run: `cargo run -p ldx-bench --release --bin explain_corpus [--out <dir>] [--summary]`
+//! Run: `cargo run -p ldx-bench --release --bin explain_corpus [--out <dir>]`
 
 use ldx::Analysis;
-use ldx_bench::{finish_summary, BenchSummary};
 use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
     ldx::obs::init(&obs_args);
-    let (args, mut summary) = BenchSummary::from_args("explain_corpus", args);
     let mut out_dir = "explain_out".to_string();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -31,7 +29,7 @@ fn main() -> ExitCode {
             }
             other => {
                 eprintln!("unknown argument {other}");
-                eprintln!("usage: explain_corpus [--out <dir>] [--summary]");
+                eprintln!("usage: explain_corpus [--out <dir>]");
                 return ExitCode::from(2);
             }
         }
@@ -41,7 +39,6 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let phase_start = std::time::Instant::now();
     let mut failures = 0usize;
     let mut chains = 0usize;
     let corpus = ldx_workloads::corpus();
@@ -72,11 +69,9 @@ fn main() -> ExitCode {
             failures += 1;
         }
     }
-    summary.phase("explain-corpus", phase_start.elapsed());
     println!(
         "explained {total} workloads -> {out_dir}/ ({chains} causal chains, {failures} failures)"
     );
-    finish_summary(&summary);
     if let Err(e) = ldx::obs::finish(&obs_args) {
         eprintln!("could not write observability output: {e}");
         return ExitCode::from(2);

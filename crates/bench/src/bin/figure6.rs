@@ -23,20 +23,15 @@
 //! small, the taint trackers cost integer factors, and EI-DualEx is far
 //! beyond both.
 //!
-//! After the overhead table (whose timing cells deliberately run on a
-//! **sequential** pool so medians are not distorted by co-running cells),
-//! the binary runs the whole mutated corpus twice — on a 1-worker pool
-//! and on the auto-sized work-stealing pool — and writes the measured
-//! per-program wall times and the corpus speedup to `batch_metrics.json`.
+//! The timing cells deliberately run on a **sequential** pool so medians
+//! are not distorted by co-running cells. Cross-commit performance
+//! comparisons belong to the `ldxperf` benchmark (see `ldxperf/README.md`).
 //!
-//! Run: `cargo run -p ldx-bench --release --bin figure6 [reps] [--summary] [--trace t.json] [--metrics m.json]`
+//! Run: `cargo run -p ldx-bench --release --bin figure6 [reps] [--trace t.json] [--metrics m.json]`
 
-use ldx::{BatchEngine, BatchJob, InstrumentCache};
+use ldx::{BatchEngine, InstrumentCache};
 use ldx_baselines::ei_dual_execute;
-use ldx_bench::{
-    finish_summary, geomean, json_f64, json_str, mean, median_duration, perf_workloads,
-    run_dual_timed, run_native_timed, BenchSummary,
-};
+use ldx_bench::{geomean, mean, median_duration, perf_workloads, run_dual_timed, run_native_timed};
 use ldx_dualex::{DualSpec, Mutation, SourceSpec};
 use ldx_runtime::ExecConfig;
 use ldx_taint::{taint_execute, TaintPolicy};
@@ -45,7 +40,6 @@ use std::time::Duration;
 fn main() {
     let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
     ldx::obs::init(&obs_args);
-    let (args, mut summary) = BenchSummary::from_args("figure6", args);
     let reps: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(5);
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -64,7 +58,6 @@ fn main() {
     // Timing cells must not co-run (they would steal each other's cycles
     // and distort the medians), so the table uses the batch API on an
     // explicit one-worker pool.
-    let phase_start = std::time::Instant::now();
     let cells = BatchEngine::sequential().map_ordered(perf_workloads(), |(w, world)| {
         let plain = cache.uninstrumented(&w.source).expect("workload compiles");
         let instrumented = cache.program(&w.source).expect("workload compiles");
@@ -115,16 +108,15 @@ fn main() {
             start.elapsed()
         });
 
-        (w, world, native, same, mutated, libdft, taintgrind, ei)
+        (w, native, same, mutated, libdft, taintgrind, ei)
     });
-    summary.phase("overhead-table", phase_start.elapsed());
 
     let mut same_ratios = Vec::new();
     let mut mutated_ratios = Vec::new();
     let mut taint_ratios = Vec::new();
     let mut ei_ratios = Vec::new();
 
-    for (w, _, native, same, mutated, libdft, taintgrind, ei) in &cells {
+    for (w, native, same, mutated, libdft, taintgrind, ei) in &cells {
         let ratio = |d: &Duration| d.as_secs_f64() / native.as_secs_f64().max(1e-9);
         // The compute baseline for a dual execution: two executions' work
         // (one core each in the paper's setup).
@@ -164,94 +156,7 @@ fn main() {
         mean(&ei_ratios)
     );
 
-    // ---- Batch scaling experiment: the whole mutated corpus, 1 worker
-    // vs the auto-sized work-stealing pool. -----------------------------
-    let make_jobs = || {
-        cells
-            .iter()
-            .map(|(w, world, ..)| {
-                let mut spec = w.dual_spec();
-                spec.exec = ExecConfig::default();
-                BatchJob::new(
-                    w.name,
-                    cache.program(&w.source).expect("cached"),
-                    world.clone(),
-                    spec,
-                )
-            })
-            .collect::<Vec<_>>()
-    };
-    let sequential = summary.timed("batch-sequential", || {
-        BatchEngine::sequential().run(make_jobs())
-    });
-    let parallel = summary.timed("batch-parallel", || BatchEngine::auto().run(make_jobs()));
-    let speedup = sequential.wall.as_secs_f64() / parallel.wall.as_secs_f64().max(1e-9);
-    println!(
-        "\nbatch corpus run: 1 worker {:?} vs {} worker(s) {:?} -> {:.2}x speedup \
-         (utilization {:.0}%)",
-        sequential.wall,
-        parallel.workers,
-        parallel.wall,
-        speedup,
-        parallel.utilization() * 100.0
-    );
-
-    // Determinism sanity: the parallel schedule must not change verdicts.
-    for (s, p) in sequential.results.iter().zip(&parallel.results) {
-        assert_eq!(s.report.leaked(), p.report.leaked(), "{}", s.label);
-        assert_eq!(
-            s.report.causality.len(),
-            p.report.causality.len(),
-            "{}",
-            s.label
-        );
-    }
-
-    let path = write_metrics(cpus, &sequential, &parallel, speedup);
-    println!("machine-readable metrics: {path}");
-    finish_summary(&summary);
     if let Err(e) = ldx::obs::finish(&obs_args) {
         eprintln!("could not write observability output: {e}");
     }
-}
-
-/// Emits `batch_metrics.json` (hand-rolled writer; no serde in the hot
-/// path) and returns the path.
-fn write_metrics(
-    cpus: usize,
-    sequential: &ldx::BatchReport,
-    parallel: &ldx::BatchReport,
-    speedup: f64,
-) -> String {
-    let mut programs = String::new();
-    for (s, p) in sequential.results.iter().zip(&parallel.results) {
-        if !programs.is_empty() {
-            programs.push(',');
-        }
-        programs.push_str(&format!(
-            "\n    {{\"program\": {}, \"sequential_wall_s\": {}, \"parallel_wall_s\": {}, \
-             \"queue_latency_s\": {}, \"worker\": {}, \"leaked\": {}}}",
-            json_str(&s.label),
-            json_f64(s.wall.as_secs_f64()),
-            json_f64(p.wall.as_secs_f64()),
-            json_f64(p.queue_latency.as_secs_f64()),
-            p.worker,
-            p.report.leaked(),
-        ));
-    }
-    let json = format!(
-        "{{\n  \"host_cpus\": {cpus},\n  \"workers\": {},\n  \
-         \"sequential_wall_s\": {},\n  \"parallel_wall_s\": {},\n  \
-         \"speedup\": {},\n  \"utilization\": {},\n  \"programs\": [{programs}\n  ]\n}}\n",
-        parallel.workers,
-        json_f64(sequential.wall.as_secs_f64()),
-        json_f64(parallel.wall.as_secs_f64()),
-        json_f64(speedup),
-        json_f64(parallel.utilization()),
-    );
-    let path = "batch_metrics.json";
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("could not write {path}: {e}");
-    }
-    path.to_string()
 }

@@ -15,12 +15,11 @@
 //! Run: `cargo run -p ldx-bench --bin table1 [--trace t.json] [--metrics m.json]`
 
 use ldx::{BatchEngine, InstrumentCache};
-use ldx_bench::{finish_summary, run_native_timed, BenchSummary};
+use ldx_bench::run_native_timed;
 
 fn main() {
-    let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
+    let (_args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
     ldx::obs::init(&obs_args);
-    let (_args, mut summary) = BenchSummary::from_args("table1", args);
     // The barrier columns need hot-path timing regardless of the flags.
     ldx::obs::enable_profiling();
     println!(
@@ -45,7 +44,6 @@ fn main() {
     );
     let engine = BatchEngine::auto();
     let cache = InstrumentCache::new();
-    let phase_start = std::time::Instant::now();
     let rows = engine.map_ordered(ldx_workloads::corpus(), |w| {
         let compiled = cache.instrumented(&w.source).expect("workload compiles");
         let report = compiled.instrumented.report().clone();
@@ -87,7 +85,6 @@ fn main() {
         );
         (line, orig, added)
     });
-    summary.phase("rows", phase_start.elapsed());
 
     let mut total_orig = 0usize;
     let mut total_added = 0usize;
@@ -101,7 +98,6 @@ fn main() {
         "\naverage instrumented fraction: {:.2}% (paper reports 3.44% for its suite)",
         frac * 100.0
     );
-    finish_summary(&summary);
     if let Err(e) = ldx::obs::finish(&obs_args) {
         eprintln!("could not write observability output: {e}");
     }

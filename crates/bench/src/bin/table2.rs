@@ -29,13 +29,9 @@ fn verdict(leak: bool) -> &'static str {
     }
 }
 
-use ldx_bench::{finish_summary, BenchSummary};
-
 fn main() {
-    let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
+    let (_args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
     ldx::obs::init(&obs_args);
-    let (_args, mut summary) = BenchSummary::from_args("table2", args);
-    let phase_start = std::time::Instant::now();
     println!(
         "{:<10} {:>6} {:>6} {:>9} {:>9} {:>12} {:>8}",
         "program", "ldx-1", "ldx-2", "tightlip1", "tightlip2", "sys-diffs", "diff%"
@@ -106,8 +102,6 @@ fn main() {
          while TightLip reports O for both inputs whenever the mutation \
          perturbs the syscall stream (paper §8.2)."
     );
-    summary.phase("run", phase_start.elapsed());
-    finish_summary(&summary);
     if let Err(e) = ldx::obs::finish(&obs_args) {
         eprintln!("could not write observability output: {e}");
     }

@@ -39,13 +39,9 @@ struct Row {
     dft: bool,
 }
 
-use ldx_bench::{finish_summary, BenchSummary};
-
 fn main() {
-    let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
+    let (_args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
     ldx::obs::init(&obs_args);
-    let (_args, mut summary) = BenchSummary::from_args("table3", args);
-    let phase_start = std::time::Instant::now();
     println!(
         "{:<12} {:>5} {:>5} {:>5} | {:>9} {:>11} {:>8} {:>12}",
         "program", "ldx", "tg", "dft", "ldx-sinks", "tg-sinks", "dft-sinks", "total-sinks"
@@ -114,8 +110,6 @@ fn main() {
         dft_cases as f64 * 100.0 / ldx_cases.max(1) as f64,
     );
     println!("paper: TAINTGRIND 31.47%, LIBDFT 20% of LDX's detected cases.");
-    summary.phase("run", phase_start.elapsed());
-    finish_summary(&summary);
     if let Err(e) = ldx::obs::finish(&obs_args) {
         eprintln!("could not write observability output: {e}");
     }

@@ -15,14 +15,12 @@
 //! Run: `cargo run -p ldx-bench --bin table4 [runs]`
 
 use ldx::{BatchEngine, BatchJob, InstrumentCache};
-use ldx_bench::{finish_summary, mean, stddev, BenchSummary};
+use ldx_bench::{mean, stddev};
 use ldx_workloads::{by_suite, Suite};
 
 fn main() {
     let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
     ldx::obs::init(&obs_args);
-    let (args, mut summary) = BenchSummary::from_args("table4", args);
-    let phase_start = std::time::Instant::now();
     let runs: usize = args
         .first()
         .and_then(|s| s.parse().ok())
@@ -80,8 +78,6 @@ fn main() {
          tainted-sink σ near 0 except where a racy statistic feeds the sink \
          (mtget/mtenc, mirroring the paper's axel/x264)."
     );
-    summary.phase("run", phase_start.elapsed());
-    finish_summary(&summary);
     if let Err(e) = ldx::obs::finish(&obs_args) {
         eprintln!("could not write observability output: {e}");
     }

@@ -11,9 +11,12 @@
 //! | `figure6`               | Figure 6 — normalized overhead of LDX |
 //! | `ablation_mutation`     | §8.3 input-mutation strategy study |
 //! | `ablation_compensation` | DESIGN.md ablation: counters without compensation |
+//! | `ablation_prune`        | `ldx-sdep` pruning on/off: same verdicts, fewer runs |
+//! | `explain_corpus`        | `ldx explain` provenance reports over the corpus |
 //!
-//! The Criterion benches in `benches/` measure the same quantities under a
-//! statistics harness.
+//! These binaries print the paper's tables and figures. Comparing
+//! performance across commits is the job of the `ldxperf` benchmark
+//! (`ldxperf/README.md`), which measures parent and change on one host.
 
 use ldx_dualex::{dual_execute, DualReport, DualSpec};
 use ldx_ir::IrProgram;
@@ -24,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Times one closure invocation.
-pub fn time_it<T>(f: impl FnOnce() -> T) -> (Duration, T) {
+fn time_it<T>(f: impl FnOnce() -> T) -> (Duration, T) {
     let start = Instant::now();
     let out = f();
     (start.elapsed(), out)
@@ -192,164 +195,6 @@ pub fn perf_workloads() -> Vec<(Workload, VosConfig)> {
         .collect()
 }
 
-/// Escapes and quotes a string for the hand-rolled JSON writers (the
-/// harness emits machine-readable metrics without pulling a serializer
-/// into the measurement binaries).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats a float as a JSON number (`null` for non-finite values, which
-/// JSON cannot represent).
-pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// A machine-readable run summary every bench binary can emit
-/// (`--summary [path]`, default `BENCH_<name>.json`): total wall-clock,
-/// per-phase nanoseconds, and the final metrics-counter snapshot.
-/// Validated by `scripts/check_bench_summary.py`, which also flags
-/// wall-clock regressions against `scripts/bench_baseline.json`.
-pub struct BenchSummary {
-    name: &'static str,
-    started: Instant,
-    phases: Vec<(String, Duration)>,
-    out: Option<String>,
-}
-
-impl BenchSummary {
-    /// Strips `--summary [path]` from `args` and builds the summary.
-    /// Without the flag, the summary is disabled and [`BenchSummary::finish`]
-    /// writes nothing; with a bare `--summary`, the output path defaults
-    /// to `BENCH_<name>.json` in the working directory.
-    pub fn from_args(name: &'static str, args: Vec<String>) -> (Vec<String>, BenchSummary) {
-        let mut rest = Vec::with_capacity(args.len());
-        let mut out = None;
-        let mut it = args.into_iter().peekable();
-        while let Some(arg) = it.next() {
-            if arg == "--summary" {
-                out = Some(match it.peek() {
-                    Some(next) if !next.starts_with("--") && next.ends_with(".json") => {
-                        it.next().expect("peeked")
-                    }
-                    _ => format!("BENCH_{name}.json"),
-                });
-            } else {
-                rest.push(arg);
-            }
-        }
-        (
-            rest,
-            BenchSummary {
-                name,
-                started: Instant::now(),
-                phases: Vec::new(),
-                out,
-            },
-        )
-    }
-
-    /// A summary that always writes to `path` (for tests).
-    pub fn to_path(name: &'static str, path: impl Into<String>) -> BenchSummary {
-        BenchSummary {
-            name,
-            started: Instant::now(),
-            phases: Vec::new(),
-            out: Some(path.into()),
-        }
-    }
-
-    /// Whether `--summary` was requested.
-    pub fn enabled(&self) -> bool {
-        self.out.is_some()
-    }
-
-    /// Records a completed phase's duration.
-    pub fn phase(&mut self, label: impl Into<String>, dur: Duration) {
-        self.phases.push((label.into(), dur));
-    }
-
-    /// Times `f` and records it as a phase.
-    pub fn timed<T>(&mut self, label: impl Into<String>, f: impl FnOnce() -> T) -> T {
-        let (dur, out) = time_it(f);
-        self.phase(label, dur);
-        out
-    }
-
-    /// The summary as JSON (`schemas/bench_summary_schema.json`).
-    pub fn to_json(&self) -> String {
-        let mut phases = String::new();
-        for (label, dur) in &self.phases {
-            if !phases.is_empty() {
-                phases.push(',');
-            }
-            phases.push_str(&format!(
-                "\n    {{\"name\": {}, \"ns\": {}}}",
-                json_str(label),
-                dur.as_nanos()
-            ));
-        }
-        let mut counters = String::new();
-        for c in &ldx::obs::metrics_snapshot().counters {
-            if !counters.is_empty() {
-                counters.push(',');
-            }
-            counters.push_str(&format!("\n    {}: {}", json_str(c.name), c.value));
-        }
-        format!(
-            "{{\n  \"schema\": \"ldx-bench-summary-v1\",\n  \"name\": {},\n  \
-             \"wall_ns\": {},\n  \"phases\": [{phases}\n  ],\n  \
-             \"counters\": {{{counters}\n  }}\n}}\n",
-            json_str(self.name),
-            self.started.elapsed().as_nanos()
-        )
-    }
-
-    /// Writes the summary when `--summary` was requested; returns the
-    /// path written, if any.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the output file cannot be written.
-    pub fn finish(&self) -> std::io::Result<Option<&str>> {
-        match &self.out {
-            Some(path) => {
-                std::fs::write(path, self.to_json())?;
-                Ok(Some(path))
-            }
-            None => Ok(None),
-        }
-    }
-}
-
-/// Writes the summary if requested and logs the outcome — the shared
-/// tail of every bench binary's `main`.
-pub fn finish_summary(summary: &BenchSummary) {
-    match summary.finish() {
-        Ok(Some(path)) => println!("bench summary: {path}"),
-        Ok(None) => {}
-        Err(e) => eprintln!("could not write bench summary: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,44 +231,5 @@ mod tests {
     fn median_duration_is_stable() {
         let d = median_duration(3, || Duration::from_millis(1));
         assert_eq!(d, Duration::from_millis(1));
-    }
-
-    #[test]
-    fn summary_arg_parsing() {
-        let v = |args: &[&str]| args.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let (rest, s) = BenchSummary::from_args("t", v(&["5", "--summary", "out.json"]));
-        assert_eq!(rest, v(&["5"]));
-        assert!(s.enabled());
-        let (rest, s) = BenchSummary::from_args("t", v(&["--summary", "3"]));
-        assert_eq!(rest, v(&["3"]), "non-path operand stays an argument");
-        assert!(s.enabled());
-        let (_, s) = BenchSummary::from_args("t", v(&["5"]));
-        assert!(!s.enabled());
-        assert!(s.finish().expect("disabled writes nothing").is_none());
-    }
-
-    #[test]
-    fn summary_json_has_phases_and_counters() {
-        let (_, mut s) = BenchSummary::from_args("demo", vec!["--summary".to_string()]);
-        let out: u32 = s.timed("warm", || 7);
-        assert_eq!(out, 7);
-        s.phase("measure", Duration::from_nanos(1234));
-        let json = s.to_json();
-        assert!(json.contains("\"schema\": \"ldx-bench-summary-v1\""));
-        assert!(json.contains("\"name\": \"demo\""));
-        assert!(json.contains("\"wall_ns\": "));
-        assert!(json.contains("{\"name\": \"warm\", \"ns\": "));
-        assert!(json.contains("{\"name\": \"measure\", \"ns\": 1234}"));
-        assert!(json.contains("\"counters\": {"));
-    }
-
-    #[test]
-    fn json_helpers_escape_and_format() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-        assert_eq!(json_f64(1.5), "1.500000");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
     }
 }

@@ -34,11 +34,29 @@
 //! `--trace` writes a Chrome `trace_event` JSON of the run (open in
 //! Perfetto); `--metrics` writes the flat metrics dump. See
 //! `docs/OBSERVABILITY.md`.
+//!
+//! Exit codes: 0 no causality, 1 causality detected, 2 usage or input
+//! error, 3 a coupling wait of the run or of an attribution run behind
+//! `--attribute`/`--explain`/`explain` was released by the safety valve
+//! (`MAX_WAIT` or the stop signal) instead of by its peer.
 
 use ldx::obs;
 use ldx::specfile::parse_experiment;
-use ldx::Analysis;
+use ldx::{Analysis, DualReport};
 use std::process::ExitCode;
+
+/// The error for coupling waits the safety valve released instead of the
+/// peer, summed over every dual run behind a verdict; `None` when every
+/// wait was released by its peer.
+fn valve_error<'a>(reports: impl IntoIterator<Item = &'a DualReport>) -> Option<String> {
+    let released: u64 = reports.into_iter().map(|r| r.timeouts).sum();
+    (released > 0).then(|| {
+        format!(
+            "error: {released} coupling wait(s) released by the safety valve; \
+             the verdict may be incomplete"
+        )
+    })
+}
 
 /// `ldx analyze <program.lx> [--json <path>] [--dot <path>]`: static
 /// analysis only, no execution.
@@ -181,7 +199,8 @@ fn run_explain(args: &[String], obs_args: &obs::ObsArgs) -> ExitCode {
     if no_prune {
         analysis = analysis.no_prune();
     }
-    let report = analysis.explain(program_path);
+    let attributions = analysis.clone().recorded().attribute_sources();
+    let report = analysis.explain_attributions(&attributions, program_path);
     eprint!("{}", report.render_text());
     let json = report.to_json();
     match json_path {
@@ -196,6 +215,10 @@ fn run_explain(args: &[String], obs_args: &obs::ObsArgs) -> ExitCode {
     if let Err(e) = obs::finish(obs_args) {
         eprintln!("cannot write observability output: {e}");
         return ExitCode::from(2);
+    }
+    if let Some(err) = valve_error(attributions.iter().map(|a| &a.report)) {
+        eprintln!("{err}");
+        return ExitCode::from(3);
     }
     ExitCode::from(u8::from(report.any_causal()))
 }
@@ -320,9 +343,46 @@ fn main() -> ExitCode {
         for c in &report.causality {
             println!("  {c}");
         }
-        ExitCode::from(1)
     } else {
         println!("no causality between the configured sources and sinks");
-        ExitCode::SUCCESS
+    }
+    let runs = std::iter::once(&report).chain(attributions.iter().map(|a| &a.report));
+    if let Some(err) = valve_error(runs) {
+        eprintln!("{err}");
+        return ExitCode::from(3);
+    }
+    ExitCode::from(u8::from(report.leaked()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ldx::{FlightLog, Trap};
+
+    fn report(timeouts: u64) -> DualReport {
+        DualReport {
+            causality: vec![],
+            master: Err(Trap::DivisionByZero),
+            slave: Err(Trap::DivisionByZero),
+            syscall_diffs: 0,
+            shared: 0,
+            decoupled: 0,
+            master_sinks: 0,
+            timeouts,
+            flight: FlightLog::default(),
+        }
+    }
+
+    #[test]
+    fn valve_releases_are_an_error() {
+        assert_eq!(valve_error([&report(0), &report(0)]), None);
+        assert_eq!(valve_error([]), None);
+        assert_eq!(
+            valve_error([&report(0), &report(2), &report(1)]).as_deref(),
+            Some(
+                "error: 3 coupling wait(s) released by the safety valve; \
+                 the verdict may be incomplete"
+            )
+        );
     }
 }

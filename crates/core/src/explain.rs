@@ -26,6 +26,7 @@ use ldx_dualex::{
     key_scalar, ByteDiff, CausalityKind, Decision, FlightEvent, Mutation, SourceMatcher,
 };
 use ldx_ir::IrProgram;
+use ldx_obs::json_string;
 use ldx_sdep::{SiteRef, StaticAnalysis};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -199,34 +200,14 @@ pub struct ExplainReport {
     pub dropped: u64,
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn syscall_json(ev: &ChainSyscall) -> String {
     format!(
         "{{\"decision\": {}, \"func\": {}, \"site\": {}, \"sys\": {}, \
          \"master_cnt\": {}, \"slave_cnt\": {}, \"is_sink\": {}}}",
-        json_str(ev.decision),
-        json_str(&ev.func),
+        json_string(ev.decision),
+        json_string(&ev.func),
         ev.site,
-        json_str(&ev.sys),
+        json_string(&ev.sys),
         ev.master_cnt,
         ev.slave_cnt,
         ev.is_sink
@@ -242,8 +223,8 @@ fn diff_json(d: &ByteDiff) -> String {
          \"master_hunk\": {}, \"slave_hunk\": {}}}",
         d.master_len,
         d.slave_len,
-        json_str(&d.master_hunk),
-        json_str(&d.slave_hunk)
+        json_string(&d.master_hunk),
+        json_string(&d.slave_hunk)
     )
 }
 
@@ -257,7 +238,7 @@ impl ExplainReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"schema\": \"ldx-explain-v1\",");
-        let _ = writeln!(out, "  \"program\": {},", json_str(&self.program));
+        let _ = writeln!(out, "  \"program\": {},", json_string(&self.program));
         out.push_str("  \"sources\": [");
         for (i, s) in self.sources.iter().enumerate() {
             if i > 0 {
@@ -268,8 +249,8 @@ impl ExplainReport {
                 "\n    {{\"index\": {}, \"matcher\": {}, \"mutation\": {}, \
                  \"causal\": {}, \"statically_independent\": {}}}",
                 s.index,
-                json_str(&s.matcher),
-                json_str(s.mutation),
+                json_string(&s.matcher),
+                json_string(s.mutation),
                 s.causal,
                 s.statically_independent
             );
@@ -281,19 +262,19 @@ impl ExplainReport {
             }
             out.push_str("\n    {\n");
             let _ = writeln!(out, "      \"source_index\": {},", c.source_index);
-            let _ = writeln!(out, "      \"source\": {},", json_str(&c.source));
+            let _ = writeln!(out, "      \"source\": {},", json_string(&c.source));
             match &c.mutation {
                 Some(m) => {
                     let _ = writeln!(
                         out,
                         "      \"mutation\": {{\"func\": {}, \"site\": {}, \"sys\": {}, \
                          \"cnt\": {}, \"original\": {}, \"mutated\": {}}},",
-                        json_str(&m.func),
+                        json_string(&m.func),
                         m.site,
-                        json_str(&m.sys),
+                        json_string(&m.sys),
                         m.cnt,
-                        json_str(&m.original),
-                        json_str(&m.mutated)
+                        json_string(&m.original),
+                        json_string(&m.mutated)
                     );
                 }
                 None => out.push_str("      \"mutation\": null,\n"),
@@ -316,14 +297,14 @@ impl ExplainReport {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&json_str(r));
+                out.push_str(&json_string(r));
             }
             out.push_str("],\n      \"cow_clones\": [");
             for (j, (r, pos)) in c.cow_clones.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "{{\"resource\": {}, \"pos\": {pos}}}", json_str(r));
+                let _ = write!(out, "{{\"resource\": {}, \"pos\": {pos}}}", json_string(r));
             }
             out.push_str("],\n");
             let diff = c
@@ -335,10 +316,10 @@ impl ExplainReport {
                 out,
                 "      \"sink\": {{\"func\": {}, \"site\": {}, \"sys\": {}, \
                  \"kind\": {}, \"diff\": {diff}}},",
-                json_str(&c.sink.func),
+                json_string(&c.sink.func),
                 c.sink.site,
-                json_str(&c.sink.sys),
-                json_str(c.sink.kind)
+                json_string(&c.sink.sys),
+                json_string(c.sink.kind)
             );
             out.push_str("      \"static_path\": [");
             for (j, s) in c.static_path.iter().enumerate() {
@@ -348,7 +329,7 @@ impl ExplainReport {
                 let _ = write!(
                     out,
                     "{{\"func\": {}, \"site\": {}, \"witnessed\": {}}}",
-                    json_str(&s.func),
+                    json_string(&s.func),
                     s.site,
                     s.witnessed
                 );
@@ -361,7 +342,7 @@ impl ExplainReport {
                 let _ = write!(
                     out,
                     "{{\"func\": {}, \"site\": {}}}",
-                    json_str(&s.func),
+                    json_string(&s.func),
                     s.site
                 );
             }

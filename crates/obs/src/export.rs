@@ -9,8 +9,10 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-/// Escapes `s` into a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
+/// Escapes `s` into a JSON string literal (with quotes). The one escaper
+/// behind every hand-rolled JSON writer in the workspace (obs exports,
+/// `ldx analyze`, `ldx explain`).
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

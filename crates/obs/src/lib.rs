@@ -45,7 +45,8 @@ mod stall;
 mod trace;
 
 pub use export::{
-    chrome_trace_json, counters_json_line, metrics_json, write_chrome_trace, write_metrics,
+    chrome_trace_json, counters_json_line, json_string, metrics_json, write_chrome_trace,
+    write_metrics,
 };
 pub use metrics::{
     counter_add, counter_max, counter_value, ensure_counters, histogram_record, metrics_snapshot,

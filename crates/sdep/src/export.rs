@@ -2,34 +2,14 @@
 //!
 //! The JSON shape is validated in CI against `schemas/sdep_schema.json`
 //! (by `scripts/check_sdep_output.py`); keep the two in sync. Like the
-//! bench and obs emitters, the writer is hand-rolled — the analysis crate
-//! stays serializer-free.
+//! obs emitters, the writer is hand-rolled on `ldx_obs::json_string` —
+//! the analysis crate stays serializer-free.
 
 use crate::graph::Node;
 use crate::reach::StaticAnalysis;
 use ldx_ir::IrProgram;
+use ldx_obs::json_string;
 use std::fmt::Write as _;
-
-/// Escapes and quotes a string as a JSON literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Renders the full analysis as a JSON document.
 ///
@@ -39,7 +19,7 @@ pub fn analysis_to_json(program: &IrProgram, analysis: &StaticAnalysis, name: &s
     let pdg = analysis.pdg();
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"program\": {},", json_str(name));
+    let _ = writeln!(out, "  \"program\": {},", json_string(name));
     let _ = writeln!(out, "  \"functions\": {},", program.iter_funcs().count());
     let _ = writeln!(out, "  \"nodes\": {},", pdg.nodes().len());
     let _ = writeln!(out, "  \"edges\": {},", pdg.edge_count());
@@ -55,20 +35,20 @@ pub fn analysis_to_json(program: &IrProgram, analysis: &StaticAnalysis, name: &s
             .effects
             .reads
             .iter()
-            .map(|c| json_str(&c.to_string()))
+            .map(|c| json_string(&c.to_string()))
             .collect();
         let writes: Vec<String> = info
             .effects
             .writes
             .iter()
-            .map(|c| json_str(&c.to_string()))
+            .map(|c| json_string(&c.to_string()))
             .collect();
         let _ = write!(
             out,
             "    {{\"func\": {}, \"site\": {}, \"sys\": {}, \"reads\": [{}], \"writes\": [{}]}}",
-            json_str(&func_name),
+            json_string(&func_name),
             info.site.index(),
-            json_str(&info.sys.to_string()),
+            json_string(&info.sys.to_string()),
             reads.join(", "),
             writes.join(", ")
         );
@@ -88,7 +68,7 @@ pub fn analysis_to_json(program: &IrProgram, analysis: &StaticAnalysis, name: &s
             .map(|&(f, s)| {
                 format!(
                     "{{\"func\": {}, \"site\": {}}}",
-                    json_str(&program.func(f).name),
+                    json_string(&program.func(f).name),
                     s.index()
                 )
             })
@@ -96,7 +76,7 @@ pub fn analysis_to_json(program: &IrProgram, analysis: &StaticAnalysis, name: &s
         let _ = write!(
             out,
             "    {{\"func\": {}, \"site\": {}, \"affects_end\": {}, \"touches_anything\": {}, \"sinks\": [{}]}}",
-            json_str(&func_name),
+            json_string(&func_name),
             site.index(),
             reach.affects_end,
             reach.touches_anything,
@@ -119,7 +99,7 @@ pub fn pdg_to_dot(program: &IrProgram, analysis: &StaticAnalysis) -> String {
 
     for (fid, func) in program.iter_funcs() {
         let _ = writeln!(out, "  subgraph cluster_{} {{", fid.index());
-        let _ = writeln!(out, "    label={};", json_str(&func.name));
+        let _ = writeln!(out, "    label={};", json_string(&func.name));
         for (i, node) in pdg.nodes().iter().enumerate() {
             let (nf, label, shape) = match node {
                 Node::Ins { func, block, idx } => {
@@ -146,7 +126,7 @@ pub fn pdg_to_dot(program: &IrProgram, analysis: &StaticAnalysis) -> String {
                 out,
                 "    {} [label={}, shape={}];",
                 node_name(i as u32),
-                json_str(&label),
+                json_string(&label),
                 shape
             );
         }
@@ -165,7 +145,7 @@ pub fn pdg_to_dot(program: &IrProgram, analysis: &StaticAnalysis) -> String {
             out,
             "  {} [label={}, shape=octagon];",
             node_name(i as u32),
-            json_str(&label)
+            json_string(&label)
         );
     }
     for (i, _) in pdg.nodes().iter().enumerate() {

@@ -5,7 +5,8 @@
 //! Each property runs for [`ProptestConfig::cases`] iterations with a
 //! deterministic per-test RNG (seeded from the test's name), so failures
 //! reproduce exactly. There is no shrinking: a failing case panics with
-//! the assertion message directly.
+//! its test name, case index and sampled inputs, then the assertion
+//! message.
 
 use std::ops::Range;
 
@@ -172,7 +173,22 @@ macro_rules! prop_assert_ne {
     ($a:expr, $b:expr, $($fmt:tt)*) => { assert_ne!($a, $b, $($fmt)*) };
 }
 
+/// Re-panics a failed case with the test's name, the case index and the
+/// sampled inputs, followed by the original assertion message.
+#[doc(hidden)]
+pub fn fail_case(test: &str, case: u32, inputs: &str, payload: Box<dyn std::any::Any + Send>) -> ! {
+    let cause = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    panic!("{test} failed at case {case} with {inputs}: {cause}")
+}
+
 /// Defines `#[test]` functions that run a body over sampled inputs.
+///
+/// A failing case panics with the test's name, the case index and every
+/// sampled `arg = value`, so it can be replayed by hand.
 ///
 /// Supports the subset of the original grammar the workspace uses: an
 /// optional `#![proptest_config(expr)]` header followed by test
@@ -199,10 +215,15 @@ macro_rules! __proptest_impl {
         $(#[$meta])*
         fn $name() {
             let __config: $crate::ProptestConfig = $cfg;
-            let mut __rng = $crate::TestRng::for_test(concat!(module_path!(), "::", stringify!($name)));
+            let __test = concat!(module_path!(), "::", stringify!($name));
+            let mut __rng = $crate::TestRng::for_test(__test);
             for __case in 0..__config.cases {
                 $(let $arg = $crate::Strategy::sample(&($strat), &mut __rng);)+
-                $body
+                let __inputs = [$(format!("{} = {:?}", stringify!($arg), $arg)),+].join(", ");
+                let __outcome = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(|| $body));
+                if let Err(__payload) = __outcome {
+                    $crate::fail_case(__test, __case, &__inputs, __payload);
+                }
             }
         }
         $crate::__proptest_impl! { ($cfg) $($rest)* }
@@ -235,6 +256,22 @@ mod tests {
         fn prop_map_applies(y in (0i64..10).prop_map(|v| v * 2)) {
             prop_assert_eq!(y % 2, 0);
             prop_assert!((0..20).contains(&y));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
+
+        #[test]
+        #[should_panic(
+            expected = "proptest::tests::failing_case_names_its_inputs failed at case 0 \
+                        with x = 3, pair = (5, [7]): x is too small"
+        )]
+        fn failing_case_names_its_inputs(
+            x in 3u64..4,
+            pair in (5u64..6, crate::collection::vec(7u64..8, 1..2))
+        ) {
+            prop_assert!(x > 100, "x is too small");
         }
     }
 

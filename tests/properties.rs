@@ -71,6 +71,7 @@ proptest! {
         prop_assert!(!report.leaked(), "seed {seed}: {:?}", report.causality);
         prop_assert_eq!(report.syscall_diffs, 0);
         prop_assert_eq!(report.decoupled, 0);
+        prop_assert_eq!(report.timeouts, 0, "a coupling wait timed out");
     }
 
     #[test]
@@ -85,6 +86,7 @@ proptest! {
         // flips; divergence shows up as tolerated syscall differences.
         prop_assert!(report.master.is_ok(), "seed {seed}: {:?}", report.master);
         prop_assert!(report.slave.is_ok(), "seed {seed}: {:?}", report.slave);
+        prop_assert_eq!(report.timeouts, 0, "a coupling wait timed out");
     }
 }
 
