@@ -50,8 +50,8 @@ const INDEX_CAP: usize = 1 << 20;
 struct Rendezvous {
     /// Per-thread pending master syscall: (index digest, sys, args).
     master_event: Option<(Vec<u64>, Syscall, Vec<Value>)>,
-    master_done: bool,
-    slave_done: bool,
+    master_finished: bool,
+    slave_finished: bool,
     diverged: bool,
     aligned: u64,
     sink_diff: bool,
@@ -67,8 +67,8 @@ struct Monitor {
     /// per-instruction communication that makes DualEx three orders of
     /// magnitude slower than LDX's counters.
     intake: Mutex<MonitorIntake>,
-    master_done: std::sync::atomic::AtomicBool,
-    slave_done: std::sync::atomic::AtomicBool,
+    master_finished: std::sync::atomic::AtomicBool,
+    slave_finished: std::sync::atomic::AtomicBool,
 }
 
 #[derive(Default)]
@@ -92,25 +92,27 @@ impl Monitor {
 
     fn peer_flags(&self) -> (bool, bool) {
         (
-            self.master_done.load(std::sync::atomic::Ordering::Relaxed),
-            self.slave_done.load(std::sync::atomic::Ordering::Relaxed),
+            self.master_finished
+                .load(std::sync::atomic::Ordering::Relaxed),
+            self.slave_finished
+                .load(std::sync::atomic::Ordering::Relaxed),
         )
     }
 
     fn finish(&self, master: bool) {
         if master {
-            self.master_done
+            self.master_finished
                 .store(true, std::sync::atomic::Ordering::Relaxed);
         } else {
-            self.slave_done
+            self.slave_finished
                 .store(true, std::sync::atomic::Ordering::Relaxed);
         }
         for cell in self.cells.lock().values() {
             let mut r = cell.0.lock();
             if master {
-                r.master_done = true;
+                r.master_finished = true;
             } else {
-                r.slave_done = true;
+                r.slave_finished = true;
             }
             cell.1.notify_all();
         }
@@ -213,7 +215,7 @@ impl SyscallHooks for EiHooks {
             if !r.diverged {
                 r.master_event = Some((digest, ctx.sys, args.to_vec()));
                 cv.notify_all();
-                while r.master_event.is_some() && !r.slave_done && !r.diverged {
+                while r.master_event.is_some() && !r.slave_finished && !r.diverged {
                     if ctx.stop.should_stop() {
                         break;
                     }
@@ -225,7 +227,7 @@ impl SyscallHooks for EiHooks {
             let mut r = lock.lock();
             if !r.diverged {
                 let deadline = std::time::Instant::now() + Duration::from_secs(30);
-                while r.master_event.is_none() && !r.master_done && !r.diverged {
+                while r.master_event.is_none() && !r.master_finished && !r.diverged {
                     if ctx.stop.should_stop() || std::time::Instant::now() > deadline {
                         break;
                     }
@@ -255,9 +257,9 @@ impl SyscallHooks for EiHooks {
         let cell = self.monitor.cell(thread);
         let mut r = cell.0.lock();
         if self.is_master {
-            r.master_done = true;
+            r.master_finished = true;
         } else {
-            r.slave_done = true;
+            r.slave_finished = true;
         }
         cell.1.notify_all();
     }
@@ -274,8 +276,8 @@ pub fn ei_dual_execute(
     let monitor = Arc::new(Monitor {
         cells: Mutex::new(HashMap::new()),
         intake: Mutex::new(MonitorIntake::default()),
-        master_done: std::sync::atomic::AtomicBool::new(false),
-        slave_done: std::sync::atomic::AtomicBool::new(false),
+        master_finished: std::sync::atomic::AtomicBool::new(false),
+        slave_finished: std::sync::atomic::AtomicBool::new(false),
     });
     let mutated = mutate_config(config, sources);
 

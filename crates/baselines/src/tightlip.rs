@@ -140,7 +140,7 @@ fn events_match(a: &SyscallEvent, b: &SyscallEvent) -> bool {
 
 fn is_sink(sinks: &SinkSpec, e: &SyscallEvent) -> bool {
     match sinks {
-        SinkSpec::Outputs | SinkSpec::AllWrites => e.sys.is_output(),
+        SinkSpec::Outputs => e.sys.is_output(),
         SinkSpec::NetworkOut => e.sys == ldx_lang::Syscall::Send,
         SinkSpec::FileOut => {
             e.sys == ldx_lang::Syscall::Write

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! The experiment file describes the world (files, peers, clients) and the
-//! analysis (sources, sinks, trace/enforce flags); see [`ldx::specfile`]
+//! analysis (sources, sinks, the trace flag); see [`ldx::specfile`]
 //! for the format. Without one, the program runs in an empty world with
 //! the default sink specification. With `trace`, the run's event stream
 //! is recorded and printed as the alignment trace (`trace:` lines, master
@@ -159,9 +159,6 @@ fn build_analysis(program_path: &str, experiment_path: Option<&str>) -> Result<A
         analysis = analysis.sinks(experiment.spec.sinks);
         if experiment.spec.record {
             analysis = analysis.recorded();
-        }
-        if experiment.spec.enforcement {
-            analysis = analysis.enforcing();
         }
     }
     Ok(analysis)

@@ -168,14 +168,13 @@ impl Analysis {
     }
 
     /// A batch job running this analysis with `source` as its only
-    /// source (never enforcing; recording as configured).
+    /// source (recording as configured).
     fn single_source_job(&self, label: String, source: SourceSpec) -> BatchJob {
         let spec = self.spec();
         let single = DualSpec {
             sources: vec![source],
             sinks: spec.sinks.clone(),
             record: spec.record,
-            enforcement: false,
             exec: spec.exec,
         };
         BatchJob::new(label, self.program(), self.world_ref().clone(), single)

@@ -156,13 +156,6 @@ impl Analysis {
         self
     }
 
-    /// Enables enforcement mode (the paper's original lockstep: the master
-    /// blocks at sinks and loop barriers until the slave catches up).
-    pub fn enforcing(mut self) -> Self {
-        self.spec.enforcement = true;
-        self
-    }
-
     /// Overrides interpreter limits.
     pub fn exec_config(mut self, exec: ExecConfig) -> Self {
         self.spec.exec = exec;
@@ -316,7 +309,7 @@ mod tests {
         .unwrap()
         .world(VosConfig::new().file("/s", "data"))
         .source(SourceSpec::file("/s"))
-        .sinks(SinkSpec::AllWrites)
+        .sinks(SinkSpec::Outputs)
         .recorded()
         .run();
         assert!(!report.trace_lines().is_empty());

@@ -19,10 +19,9 @@
 //! source net api.example replace "tampered"
 //! source client 80
 //! source syscall random
-//! sink network            # outputs | network | file | writes
+//! sink network            # outputs | network | file
 //! sink site guard 0
 //! trace                   # record the event stream (DualSpec::record)
-//! enforce
 //! ```
 
 use crate::{DualSpec, Mutation, SinkSpec, SourceMatcher, SourceSpec};
@@ -172,10 +171,9 @@ pub fn parse_experiment(text: &str) -> Result<ExperimentFile, SpecFileError> {
                         "outputs" => SinkSpec::Outputs,
                         "network" => SinkSpec::NetworkOut,
                         "file" => SinkSpec::FileOut,
-                        "writes" => SinkSpec::AllWrites,
                         other => {
                             return Err(err(format!(
-                                "unknown sink kind `{other}` (outputs|network|file|writes|site)"
+                                "unknown sink kind `{other}` (outputs|network|file|site)"
                             )))
                         }
                     }
@@ -190,7 +188,6 @@ pub fn parse_experiment(text: &str) -> Result<ExperimentFile, SpecFileError> {
                 _ => return Err(err("usage: sink <kind> | sink site <fn> <n>".into())),
             },
             "trace" => spec.record = true,
-            "enforce" => spec.enforcement = true,
             other => return Err(err(format!("unknown directive `{other}`"))),
         }
     }
@@ -309,7 +306,6 @@ mod tests {
         );
         assert_eq!(exp.spec.sinks, SinkSpec::NetworkOut);
         assert!(exp.spec.record);
-        assert!(!exp.spec.enforcement);
     }
 
     #[test]
@@ -336,16 +332,12 @@ mod tests {
     }
 
     #[test]
-    fn enforce_flag() {
-        let exp = parse_experiment("enforce\n").unwrap();
-        assert!(exp.spec.enforcement);
-    }
-
-    #[test]
     fn rejects_bad_inputs() {
         assert!(parse_experiment("peer h nonsense\n").is_err());
         assert!(parse_experiment("listen notaport\n").is_err());
         assert!(parse_experiment("source file /x teleport\n").is_err());
         assert!(parse_experiment("sink plasma\n").is_err());
+        assert!(parse_experiment("sink writes\n").is_err());
+        assert!(parse_experiment("enforce\n").is_err());
     }
 }

@@ -3,9 +3,10 @@
 //! This is the runtime realization of paper §4.2: per thread-pair, the
 //! master appends its syscall outcomes to a queue and publishes a *ready*
 //! progress key; the slave consumes aligned outcomes, skips (and counts)
-//! master-only entries, and decouples when no alignment can exist. Both
-//! sides synchronize at loop backedges (§5) and publish a terminal key on
-//! thread exit so the peer never blocks forever.
+//! master-only entries, and decouples when no alignment can exist. The
+//! channel runs one way, master → slave: the master also publishes its
+//! progress at loop backedges (§5) and a terminal key on thread exit, so
+//! the slave never blocks forever, and it never waits for the slave.
 //!
 //! Every protocol decision either side makes is reported once, through
 //! [`Coupling::emit`].
@@ -16,12 +17,12 @@ use crate::recorder::{
 use crate::report::{CausalityKind, CausalityRecord, Role};
 use ldx_ir::{FuncId, SiteId};
 use ldx_lang::Syscall;
-use ldx_runtime::{ProgressKey, ProgressOrder, StopSignal, SyscallCtx, ThreadKey, Value};
+use ldx_runtime::{ProgressKey, SyscallCtx, ThreadKey, Value};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long any coupling wait may block before giving up (safety valve;
 /// orders of magnitude above any legitimate wait in the test suite).
@@ -52,12 +53,12 @@ impl Entry {
 }
 
 /// Where a decision was made: the acting role's thread and progress key,
-/// and the syscall site (`None` only for loop-barrier waits).
+/// and the syscall site.
 #[derive(Clone, Copy)]
 pub(crate) struct At<'a> {
     pub thread: &'a ThreadKey,
     pub key: &'a ProgressKey,
-    pub site: Option<(FuncId, SiteId, Syscall)>,
+    pub site: (FuncId, SiteId, Syscall),
 }
 
 impl<'a> At<'a> {
@@ -66,7 +67,7 @@ impl<'a> At<'a> {
         At {
             thread: &ctx.thread,
             key: &ctx.key,
-            site: Some((ctx.func, ctx.site, ctx.sys)),
+            site: (ctx.func, ctx.site, ctx.sys),
         }
     }
 
@@ -75,7 +76,7 @@ impl<'a> At<'a> {
         At {
             thread,
             key: &entry.key,
-            site: Some((entry.func, entry.site, entry.sys)),
+            site: (entry.func, entry.site, entry.sys),
         }
     }
 }
@@ -88,14 +89,13 @@ pub(crate) enum Diff {
     Sink(CausalityKind),
 }
 
-/// Mutable pair state (one per Lx thread pair).
+/// Mutable pair state (one per Lx thread pair), written by the master and
+/// read by the slave.
 #[derive(Debug, Default)]
 pub(crate) struct PairInner {
     pub master_ready: Option<ProgressKey>,
-    pub slave_ready: Option<ProgressKey>,
     pub queue: VecDeque<Entry>,
     pub master_done: bool,
-    pub slave_done: bool,
 }
 
 /// A thread pair's synchronization cell.
@@ -106,31 +106,17 @@ pub(crate) struct Pair {
 }
 
 impl Pair {
-    /// Publishes a ready key for `role` and wakes waiters.
-    pub fn publish(&self, role: Role, key: ProgressKey) {
-        let mut inner = self.inner.lock();
-        let slot = match role {
-            Role::Master => &mut inner.master_ready,
-            Role::Slave => &mut inner.slave_ready,
-        };
-        *slot = Some(key);
-        drop(inner);
+    /// Publishes the master's ready key and wakes the slave.
+    pub fn publish(&self, key: ProgressKey) {
+        self.inner.lock().master_ready = Some(key);
         self.cv.notify_all();
     }
 
-    /// Marks `role`'s thread as finished (terminal progress).
-    pub fn finish(&self, role: Role) {
+    /// Marks the master's thread as finished (terminal progress).
+    pub fn finish(&self) {
         let mut inner = self.inner.lock();
-        match role {
-            Role::Master => {
-                inner.master_done = true;
-                inner.master_ready = Some(ProgressKey::top());
-            }
-            Role::Slave => {
-                inner.slave_done = true;
-                inner.slave_ready = Some(ProgressKey::top());
-            }
-        }
+        inner.master_done = true;
+        inner.master_ready = Some(ProgressKey::top());
         drop(inner);
         self.cv.notify_all();
     }
@@ -155,7 +141,6 @@ pub(crate) struct CouplingStats {
 pub(crate) struct Coupling {
     pairs: Mutex<HashMap<ThreadKey, Arc<Pair>>>,
     pub master_exec_done: AtomicBool,
-    pub slave_exec_done: AtomicBool,
     pub records: Mutex<Vec<CausalityRecord>>,
     pub stats: CouplingStats,
     /// Paths with diverged state (paper §7 resource tainting).
@@ -173,7 +158,6 @@ impl Coupling {
         Coupling {
             pairs: Mutex::new(HashMap::new()),
             master_exec_done: AtomicBool::new(false),
-            slave_exec_done: AtomicBool::new(false),
             records: Mutex::new(Vec::new()),
             stats: CouplingStats::default(),
             tainted_paths: Mutex::new(HashSet::new()),
@@ -214,12 +198,13 @@ impl Coupling {
             ldx_obs::instant(ldx_obs::cat::SYSCALL_DECISION, name);
         }
         let (thread, key) = (|| at.thread.clone(), || at.key.clone());
-        let Some((func, site, sys)) = at.site.filter(|_| decision != Decision::Timeout) else {
+        if decision == Decision::Timeout {
             return self.flight(role, || FlightEvent::Timeout {
                 thread: thread(),
                 key: key(),
             });
-        };
+        }
+        let (func, site, sys) = at.site;
         self.flight(role, || FlightEvent::Syscall {
             decision,
             thread: thread(),
@@ -282,31 +267,20 @@ impl Coupling {
             return Arc::clone(p);
         }
         let p = Arc::new(Pair::default());
-        // If one whole execution already finished, threads it never spawned
-        // must not be waited for.
-        {
-            let mut inner = p.inner.lock();
-            if self.master_exec_done.load(Ordering::SeqCst) {
-                inner.master_done = true;
-                inner.master_ready = Some(ProgressKey::top());
-            }
-            if self.slave_exec_done.load(Ordering::SeqCst) {
-                inner.slave_done = true;
-                inner.slave_ready = Some(ProgressKey::top());
-            }
+        // If the master execution already finished, threads it never
+        // spawned must not be waited for.
+        if self.master_exec_done.load(Ordering::SeqCst) {
+            p.finish();
         }
         pairs.insert(t.clone(), Arc::clone(&p));
         p
     }
 
-    /// Marks a whole execution as finished, releasing every waiter.
-    pub fn finish_execution(&self, role: Role) {
-        match role {
-            Role::Master => self.master_exec_done.store(true, Ordering::SeqCst),
-            Role::Slave => self.slave_exec_done.store(true, Ordering::SeqCst),
-        }
+    /// Marks the master execution as finished, releasing every waiter.
+    pub fn finish_execution(&self) {
+        self.master_exec_done.store(true, Ordering::SeqCst);
         for pair in self.pairs.lock().values() {
-            pair.finish(role);
+            pair.finish();
         }
     }
 
@@ -362,27 +336,6 @@ impl Coupling {
             }
         }
     }
-
-    /// Blocks the master until the slave reaches `at.key` (or finishes);
-    /// a release by the stop signal or `MAX_WAIT` instead is emitted as a
-    /// [`Decision::Timeout`] at `at`.
-    pub fn await_slave(&self, pair: &Pair, stop: &StopSignal, at: At<'_>) {
-        let reached = |inner: &PairInner| {
-            inner.slave_done
-                || inner.slave_ready.as_ref().is_some_and(|ready| {
-                    !matches!(ready.cmp_progress(at.key), ProgressOrder::Behind)
-                })
-        };
-        let start = Instant::now();
-        let mut inner = pair.inner.lock();
-        while !reached(&inner) {
-            if stop.should_stop() || start.elapsed() > MAX_WAIT {
-                self.emit(Role::Master, Decision::Timeout, at, false, None);
-                return;
-            }
-            pair.cv.wait_for(&mut inner, Duration::from_millis(2));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -394,18 +347,18 @@ mod tests {
         let c = Coupling::new(false);
         let t = ThreadKey::root();
         let p = c.pair(&t);
-        p.publish(Role::Master, ProgressKey::start());
+        p.publish(ProgressKey::start());
         assert!(p.inner.lock().master_ready.is_some());
-        p.finish(Role::Slave);
+        p.finish();
         let inner = p.inner.lock();
-        assert!(inner.slave_done);
-        assert!(inner.slave_ready.as_ref().unwrap().is_top());
+        assert!(inner.master_done);
+        assert!(inner.master_ready.as_ref().unwrap().is_top());
     }
 
     #[test]
     fn pair_created_after_execution_end_is_released() {
         let c = Coupling::new(false);
-        c.finish_execution(Role::Master);
+        c.finish_execution();
         let p = c.pair(&ThreadKey::root().child(3));
         assert!(p.inner.lock().master_done);
     }
@@ -415,7 +368,7 @@ mod tests {
         let c = Coupling::new(false);
         let p = c.pair(&ThreadKey::root());
         assert!(!p.inner.lock().master_done);
-        c.finish_execution(Role::Master);
+        c.finish_execution();
         assert!(p.inner.lock().master_done);
     }
 
@@ -425,46 +378,6 @@ mod tests {
         c.taint_path("/a//b/");
         assert!(c.path_tainted("a/b"));
         assert!(!c.path_tainted("/a"));
-    }
-
-    #[test]
-    fn await_slave_releases_on_stop_as_a_timeout() {
-        let c = Coupling::new(true);
-        let t = ThreadKey::root();
-        let p = c.pair(&t);
-        let stop = StopSignal::new();
-        stop.request_exit(0);
-        let key = ProgressKey::start();
-        let at = At {
-            thread: &t,
-            key: &key,
-            site: None,
-        };
-        c.await_slave(&p, &stop, at);
-        assert_eq!(c.stats.timeouts.load(Ordering::Relaxed), 1);
-        let log = c.take_flight_log();
-        assert!(matches!(log.master[..], [FlightEvent::Timeout { .. }]));
-    }
-
-    #[test]
-    fn await_slave_observes_the_slave() {
-        let c = Arc::new(Coupling::new(false));
-        let t = ThreadKey::root();
-        let p = c.pair(&t);
-        let p2 = Arc::clone(&p);
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            p2.publish(Role::Slave, ProgressKey::top());
-        });
-        let key = ProgressKey::start();
-        let at = At {
-            thread: &t,
-            key: &key,
-            site: None,
-        };
-        c.await_slave(&p, &StopSignal::new(), at);
-        assert_eq!(c.stats.timeouts.load(Ordering::Relaxed), 0);
-        h.join().unwrap();
     }
 
     #[test]

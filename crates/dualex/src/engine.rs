@@ -2,7 +2,7 @@
 
 use crate::couple::Coupling;
 use crate::master::MasterHooks;
-use crate::report::{CausalityKind, CausalityRecord, DualReport, Role};
+use crate::report::{CausalityKind, CausalityRecord, DualReport};
 use crate::resolved::{ResolvedSinks, ResolvedSources};
 use crate::slave::SlaveHooks;
 use crate::spec::DualSpec;
@@ -56,7 +56,6 @@ fn dual_execute_inner(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSp
         vos: Arc::clone(&master_vos),
         locks: LockTable::new(),
         sinks: sinks.clone(),
-        enforcement: spec.enforcement,
     });
     let slave_hooks: Arc<dyn SyscallHooks> = Arc::new(SlaveHooks {
         coupling: Arc::clone(&coupling),
@@ -82,19 +81,16 @@ fn dual_execute_inner(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSp
                 ldx_obs::flow_point(ldx_obs::cat::FLOW, "dual-run", id, true);
             }
             let r = run_program(mp, master_hooks, exec);
-            mc.finish_execution(Role::Master);
+            mc.finish_execution();
             r
         });
-        let sc = Arc::clone(&coupling);
         let sp = Arc::clone(&program);
         let slave = s.spawn(move || {
             let _s = ldx_obs::span(ldx_obs::cat::SLAVE, "run");
             if let Some(id) = flow_id {
                 ldx_obs::flow_point(ldx_obs::cat::FLOW, "dual-run", id, false);
             }
-            let r = run_program(sp, slave_hooks, exec);
-            sc.finish_execution(Role::Slave);
-            r
+            run_program(sp, slave_hooks, exec)
         });
         (
             master.join().expect("master thread"),

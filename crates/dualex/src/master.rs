@@ -3,20 +3,21 @@
 //! The master runs against the real virtual world, records every syscall
 //! outcome into its thread pair's queue, and publishes its progress so the
 //! slave can align. In the paper the master also blocks at sinks to
-//! compare arguments in-line (enforcement mode); this reproduction runs in
-//! *detection* mode — sink comparison happens when the slave reaches the
-//! aligned sink, or at end-of-run reconciliation for sinks the slave never
-//! reaches — which detects exactly the same causality set without the
-//! master-side stall (deviation documented in DESIGN.md).
+//! compare arguments in-line; this reproduction runs in *detection* mode —
+//! sink comparison happens when the slave reaches the aligned sink, or at
+//! end-of-run reconciliation for sinks the slave never reaches — which
+//! detects exactly the same causality set without the master-side stall
+//! (deviation documented in DESIGN.md). The master never waits for the
+//! slave.
 
 use crate::couple::{At, Coupling, Entry};
-use crate::recorder::{key_scalar, Decision, FlightEvent};
+use crate::recorder::{Decision, FlightEvent};
 use crate::report::Role;
 use crate::resolved::ResolvedSinks;
 use ldx_lang::Syscall;
 use ldx_runtime::{
-    from_sys_ret, to_sys_args, LockTable, ProgressKey, StopSignal, SysOutcome, SyscallCtx,
-    SyscallHooks, ThreadKey, Trap, Value,
+    from_sys_ret, to_sys_args, LockTable, ProgressKey, SysOutcome, SyscallCtx, SyscallHooks,
+    ThreadKey, Trap, Value,
 };
 use ldx_vos::Vos;
 use std::sync::Arc;
@@ -27,9 +28,6 @@ pub(crate) struct MasterHooks {
     pub vos: Arc<Vos>,
     pub locks: LockTable,
     pub sinks: ResolvedSinks,
-    /// Paper-faithful lockstep: block at sinks and barriers until the
-    /// slave catches up (see `DualSpec::enforcement`).
-    pub enforcement: bool,
 }
 
 impl MasterHooks {
@@ -88,17 +86,6 @@ impl SyscallHooks for MasterHooks {
             }
             sys => {
                 let is_sink = self.sinks.is_sink(ctx.func, ctx.site, sys, args);
-                if is_sink && self.enforcement {
-                    // Alg. 2 lines 2–6: spin until the slave catches up so
-                    // the comparison happens before the output escapes.
-                    // Note: the master must NOT publish this key yet — its
-                    // published progress asserts every entry up to the key
-                    // is enqueued, and the sink entry is not (an early-
-                    // arriving slave would decouple spuriously otherwise).
-                    let pair = self.coupling.pair(&ctx.thread);
-                    let _s = ldx_obs::span(ldx_obs::cat::BARRIER_WAIT, "sink-wait");
-                    self.coupling.await_slave(&pair, &ctx.stop, At::ctx(ctx));
-                }
                 let sys_args = to_sys_args(args)?;
                 let outcome = from_sys_ret(self.vos.syscall(sys, &sys_args)?);
                 self.enqueue(ctx, args, outcome.clone(), is_sink);
@@ -107,46 +94,20 @@ impl SyscallHooks for MasterHooks {
         }
     }
 
-    fn loop_barrier(
-        &self,
-        thread: &ThreadKey,
-        key: &ProgressKey,
-        stop: &StopSignal,
-    ) -> Result<(), Trap> {
-        // Detection mode (default): publishing the barrier progress is
-        // sufficient for alignment — the slave's per-syscall wait provides
-        // all the ordering the protocol needs — so the master runs
-        // unthrottled. Enforcement mode restores the paper's lockstep
-        // iteration barrier.
-        let pair = self.coupling.pair(thread);
-        pair.publish(Role::Master, key.clone());
-        self.coupling.flight(Role::Master, || {
-            let peer = pair
-                .inner
-                .lock()
-                .slave_ready
-                .as_ref()
-                .map(key_scalar)
-                .unwrap_or(0);
-            FlightEvent::Barrier {
-                thread: thread.clone(),
-                key: key.clone(),
-                delta: peer.saturating_sub(key_scalar(key)),
-            }
+    fn loop_barrier(&self, thread: &ThreadKey, key: &ProgressKey) -> Result<(), Trap> {
+        // Publishing the barrier progress is all the master does: the
+        // slave's per-syscall alignment wait provides all the ordering the
+        // protocol needs, so the master runs unthrottled (detection mode).
+        self.coupling.pair(thread).publish(key.clone());
+        self.coupling.flight(Role::Master, || FlightEvent::Barrier {
+            thread: thread.clone(),
+            key: key.clone(),
+            delta: 0,
         });
-        if self.enforcement {
-            let _s = ldx_obs::span(ldx_obs::cat::BARRIER_WAIT, "loop-barrier");
-            let at = At {
-                thread,
-                key,
-                site: None,
-            };
-            self.coupling.await_slave(&pair, stop, at);
-        }
         Ok(())
     }
 
     fn thread_finished(&self, thread: &ThreadKey) {
-        self.coupling.pair(thread).finish(Role::Master);
+        self.coupling.pair(thread).finish();
     }
 }

@@ -230,8 +230,10 @@ pub enum FlightEvent {
         thread: ThreadKey,
         /// Progress key at the barrier.
         key: ProgressKey,
-        /// How far the peer's published counter was past ours at release
-        /// (0 when unknown or behind). Timing-dependent; forensic only.
+        /// On the slave lane, how far the master's published counter was
+        /// past the slave's at release (0 when unknown or behind).
+        /// Timing-dependent; forensic only. Always 0 on the master lane:
+        /// the slave publishes no progress for the master to compare with.
         delta: u64,
     },
     /// The mutation was applied to a matched source outcome.

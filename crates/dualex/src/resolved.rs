@@ -87,7 +87,6 @@ impl ResolvedSinks {
             SinkSpec::FileOut => {
                 sys == Syscall::Write && matches!(args.first(), Some(Value::Int(fd)) if *fd >= 3)
             }
-            SinkSpec::AllWrites => sys.is_output(),
             SinkSpec::Sites(_) => self.sites.contains(&(func, site)),
         }
     }

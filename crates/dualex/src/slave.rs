@@ -25,8 +25,8 @@ use crate::report::{CausalityKind, Role};
 use crate::resolved::{ResolvedMatcher, ResolvedSinks, ResolvedSources};
 use ldx_lang::Syscall;
 use ldx_runtime::{
-    from_sys_ret, to_sys_args, LockTable, ProgressKey, ProgressOrder, StopSignal, SysOutcome,
-    SyscallCtx, SyscallHooks, ThreadKey, Trap, Value,
+    from_sys_ret, to_sys_args, LockTable, ProgressKey, ProgressOrder, SysOutcome, SyscallCtx,
+    SyscallHooks, ThreadKey, Trap, Value,
 };
 use ldx_vos::{SlaveVos, SysArg, SysRet};
 use parking_lot::Mutex;
@@ -173,8 +173,6 @@ impl SlaveHooks {
         waits: &mut u64,
     ) -> Align {
         let pair = self.coupling.pair(&ctx.thread);
-        pair.publish(Role::Slave, ctx.key.clone());
-
         let start = Instant::now();
         let mut inner = pair.inner.lock();
         loop {
@@ -631,31 +629,24 @@ impl SyscallHooks for SlaveHooks {
         }
     }
 
-    fn loop_barrier(
-        &self,
-        thread: &ThreadKey,
-        key: &ProgressKey,
-        _stop: &StopSignal,
-    ) -> Result<(), Trap> {
+    fn loop_barrier(&self, thread: &ThreadKey, key: &ProgressKey) -> Result<(), Trap> {
         if self.thread_decoupled(thread) {
             return Ok(());
         }
-        // Like the master side, the slave publishes its barrier progress
-        // but does not block: its next syscall's alignment wait provides
-        // the ordering (detection mode; see DESIGN.md).
+        // The slave never blocks here: its next syscall's alignment wait
+        // provides the ordering (detection mode; see DESIGN.md). The span
+        // marks the barrier in the trace.
         let _s = ldx_obs::span(ldx_obs::cat::BARRIER_WAIT, "loop-barrier");
-        let pair = self.coupling.pair(thread);
-        pair.publish(Role::Slave, key.clone());
-        self.coupling.flight(Role::Slave, || FlightEvent::Barrier {
-            thread: thread.clone(),
-            key: key.clone(),
-            delta: master_delta(pair.inner.lock().master_ready.as_ref(), key),
+        self.coupling.flight(Role::Slave, || {
+            let pair = self.coupling.pair(thread);
+            let delta = master_delta(pair.inner.lock().master_ready.as_ref(), key);
+            FlightEvent::Barrier {
+                thread: thread.clone(),
+                key: key.clone(),
+                delta,
+            }
         });
         Ok(())
-    }
-
-    fn thread_finished(&self, thread: &ThreadKey) {
-        self.coupling.pair(thread).finish(Role::Slave);
     }
 }
 
@@ -663,7 +654,7 @@ impl SyscallHooks for SlaveHooks {
 mod tests {
     use super::*;
     use crate::spec::DualSpec;
-    use ldx_runtime::{FrameKey, LoopUid};
+    use ldx_runtime::{FrameKey, LoopUid, StopSignal};
     use ldx_vos::{Vos, VosConfig};
     use std::sync::atomic::Ordering;
 
@@ -685,9 +676,7 @@ mod tests {
             spawn_counts: Mutex::new(HashMap::new()),
         };
         if let Some(ready) = master_ready {
-            coupling
-                .pair(&ThreadKey::root())
-                .publish(Role::Master, ready);
+            coupling.pair(&ThreadKey::root()).publish(ready);
         }
         let stop = StopSignal::new();
         stop.request_exit(0);

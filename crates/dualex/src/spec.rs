@@ -74,8 +74,6 @@ pub enum SinkSpec {
     NetworkOut,
     /// Local file output only (`write` to fd >= 3, i.e. not stdio).
     FileOut,
-    /// `write`s to stdio too (useful for small examples).
-    AllWrites,
     /// Specific static call sites, `(function name, site index)` — how the
     /// vulnerable-program suite marks its critical execution points
     /// (return addresses, allocation sizes).
@@ -87,7 +85,7 @@ impl SinkSpec {
     /// matching is done by the engine, which knows the site).
     pub fn matches_kind(&self, sys: Syscall) -> bool {
         match self {
-            SinkSpec::Outputs | SinkSpec::AllWrites => sys.is_output(),
+            SinkSpec::Outputs => sys.is_output(),
             SinkSpec::NetworkOut => sys == Syscall::Send,
             SinkSpec::FileOut => sys == Syscall::Write,
             SinkSpec::Sites(_) => true,
@@ -107,12 +105,6 @@ pub struct DualSpec {
     /// report: the alignment trace of paper Figures 3 and 5 and the
     /// evidence behind `ldx explain`.
     pub record: bool,
-    /// Enforcement mode: the master blocks at sinks and loop barriers
-    /// until the slave catches up, like the paper's original protocol
-    /// (Alg. 2 lines 2–6). Detection results are identical; this recovers
-    /// the paper's timing behavior (and lets output be *blocked* before it
-    /// escapes, at lockstep cost).
-    pub enforcement: bool,
     /// Interpreter limits for both executions.
     pub exec: ExecConfig,
 }
@@ -123,7 +115,6 @@ impl Default for DualSpec {
             sources: Vec::new(),
             sinks: SinkSpec::Outputs,
             record: false,
-            enforcement: false,
             exec: ExecConfig::default(),
         }
     }
@@ -153,12 +144,6 @@ impl DualSpec {
     /// Enables the flight recorder (builder style).
     pub fn recorded(mut self) -> Self {
         self.record = true;
-        self
-    }
-
-    /// Enables enforcement mode (builder style).
-    pub fn enforcing(mut self) -> Self {
-        self.enforcement = true;
         self
     }
 }

@@ -63,12 +63,7 @@ pub trait SyscallHooks: Send + Sync {
     /// # Errors
     ///
     /// May return [`Trap::Aborted`] when the engine tears down.
-    fn loop_barrier(
-        &self,
-        _thread: &ThreadKey,
-        _key: &ProgressKey,
-        _stop: &StopSignal,
-    ) -> Result<(), Trap> {
+    fn loop_barrier(&self, _thread: &ThreadKey, _key: &ProgressKey) -> Result<(), Trap> {
         Ok(())
     }
 

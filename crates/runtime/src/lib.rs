@@ -53,7 +53,7 @@ mod value;
 pub use globals::{const_to_value, Globals};
 pub use hooks::{from_sys_ret, to_sys_args, NativeHooks, SysOutcome, SyscallCtx, SyscallHooks};
 pub use libfns::eval_lib;
-pub use machine::{run_program, run_program_with_stop, ExecConfig, RunOutcome};
+pub use machine::{run_program, ExecConfig, RunOutcome};
 pub use progress::{FrameKey, LoopUid, ProgressKey, ProgressOrder};
 pub use recording::{RecordingHooks, SyscallEvent};
 pub use stats::RunStats;

@@ -70,28 +70,13 @@ pub fn run_program(
     hooks: Arc<dyn SyscallHooks>,
     config: ExecConfig,
 ) -> Result<RunOutcome, Trap> {
-    run_program_with_stop(program, hooks, config, StopSignal::new())
-}
-
-/// Like [`run_program`], but with a caller-provided stop signal so an
-/// engine can abort the execution from outside.
-///
-/// # Errors
-///
-/// See [`run_program`].
-pub fn run_program_with_stop(
-    program: Arc<IrProgram>,
-    hooks: Arc<dyn SyscallHooks>,
-    config: ExecConfig,
-    stop: StopSignal,
-) -> Result<RunOutcome, Trap> {
     let globals = Arc::new(Globals::new(&program));
     let env = Arc::new(Env {
         program,
         hooks,
         globals,
         registry: Arc::new(ThreadRegistry::new()),
-        stop,
+        stop: StopSignal::new(),
         config,
         stats: Mutex::new(RunStats::default()),
         gen_counter: AtomicU64::new(0),
@@ -464,16 +449,12 @@ impl Machine {
                 self.stats.barrier_waits += 1;
                 if ldx_obs::enabled() {
                     let t0 = std::time::Instant::now();
-                    self.env
-                        .hooks
-                        .loop_barrier(&self.thread, &key, &self.env.stop)?;
+                    self.env.hooks.loop_barrier(&self.thread, &key)?;
                     let ns = t0.elapsed().as_nanos() as u64;
                     self.stats.barrier_wait_ns += ns;
                     ldx_obs::histogram_record("runtime.barrier_wait_ns", ns);
                 } else {
-                    self.env
-                        .hooks
-                        .loop_barrier(&self.thread, &key, &self.env.stop)?;
+                    self.env.hooks.loop_barrier(&self.thread, &key)?;
                 }
                 let uid = LoopUid::new(func.0, loop_id.0);
                 let act = self.activations.last_mut().expect("active frame");

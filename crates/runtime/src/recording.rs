@@ -1,7 +1,7 @@
 //! Event-recording hook wrapper (testing and trace tooling).
 
 use crate::hooks::{SysOutcome, SyscallCtx, SyscallHooks};
-use crate::threads::{StopSignal, ThreadKey};
+use crate::threads::ThreadKey;
 use crate::trap::Trap;
 use crate::value::Value;
 use crate::ProgressKey;
@@ -68,13 +68,8 @@ impl<H: SyscallHooks> SyscallHooks for RecordingHooks<H> {
         self.inner.syscall(ctx, args)
     }
 
-    fn loop_barrier(
-        &self,
-        thread: &ThreadKey,
-        key: &ProgressKey,
-        stop: &StopSignal,
-    ) -> Result<(), Trap> {
-        self.inner.loop_barrier(thread, key, stop)
+    fn loop_barrier(&self, thread: &ThreadKey, key: &ProgressKey) -> Result<(), Trap> {
+        self.inner.loop_barrier(thread, key)
     }
 
     fn thread_finished(&self, thread: &ThreadKey) {

@@ -163,7 +163,7 @@ impl StaticAnalysis {
             .sites
             .iter()
             .filter(|(_, info)| match sinks {
-                SinkSpec::Outputs | SinkSpec::AllWrites => info.sys.is_output(),
+                SinkSpec::Outputs => info.sys.is_output(),
                 SinkSpec::NetworkOut => info.sys == Syscall::Send,
                 SinkSpec::FileOut => {
                     // `write` to fd >= 3: exclude sites whose fd is a known

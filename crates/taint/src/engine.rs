@@ -462,7 +462,7 @@ impl TaintInterp {
 
     fn is_sink(&self, func: FuncId, site: SiteId, sys: Syscall, args: &[TVal]) -> bool {
         match &self.sinks {
-            SinkSpec::Outputs | SinkSpec::AllWrites => sys.is_output(),
+            SinkSpec::Outputs => sys.is_output(),
             SinkSpec::NetworkOut => sys == Syscall::Send,
             SinkSpec::FileOut => {
                 sys == Syscall::Write

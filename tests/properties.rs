@@ -113,18 +113,22 @@ proptest! {
         prop_assert_eq!(a.decoupled, b.decoupled);
     }
 
-    /// Enforcement mode changes timing, never verdicts.
+    /// The flight recorder observes, never steers: a recorded run reaches
+    /// the same verdict and the same protocol decisions as a plain one.
     #[test]
-    fn enforcement_mode_preserves_verdicts(seed in 0u64..400, input in 0i64..300) {
+    fn recording_preserves_verdicts(seed in 0u64..400, input in 0i64..300) {
         let program = build(seed);
         let w = world(&input.to_string());
-        let detection = spec(Mutation::OffByOne);
-        let mut enforcement = detection.clone();
-        enforcement.enforcement = true;
-        let d = dual_execute(Arc::clone(&program), &w, &detection);
-        let e = dual_execute(Arc::clone(&program), &w, &enforcement);
-        prop_assert_eq!(d.leaked(), e.leaked(), "seed {}", seed);
-        prop_assert_eq!(d.tainted_sinks(), e.tainted_sinks(), "seed {}", seed);
+        let plain = spec(Mutation::OffByOne);
+        let recorded = plain.clone().recorded();
+        let p = dual_execute(Arc::clone(&program), &w, &plain);
+        let r = dual_execute(Arc::clone(&program), &w, &recorded);
+        prop_assert_eq!(p.leaked(), r.leaked(), "seed {}", seed);
+        prop_assert_eq!(p.tainted_sinks(), r.tainted_sinks(), "seed {}", seed);
+        prop_assert_eq!(p.shared, r.shared);
+        prop_assert_eq!(p.syscall_diffs, r.syscall_diffs);
+        prop_assert_eq!(p.decoupled, r.decoupled);
+        prop_assert_eq!(p.timeouts + r.timeouts, 0);
     }
 
     /// The mutation's effect must be *monotone in detection*: if the
