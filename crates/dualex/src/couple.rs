@@ -18,7 +18,8 @@ use crate::report::{CausalityKind, CausalityRecord, Role};
 use ldx_ir::{FuncId, SiteId};
 use ldx_lang::Syscall;
 use ldx_runtime::{ProgressKey, SyscallCtx, ThreadKey, Value};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -96,6 +97,9 @@ pub(crate) struct PairInner {
     pub master_ready: Option<ProgressKey>,
     pub queue: VecDeque<Entry>,
     pub master_done: bool,
+    /// Set by the slave, under the lock, for the duration of a condvar
+    /// wait: the master notifies only while it is set.
+    pub slave_parked: bool,
 }
 
 /// A thread pair's synchronization cell.
@@ -106,10 +110,32 @@ pub(crate) struct Pair {
 }
 
 impl Pair {
-    /// Publishes the master's ready key and wakes the slave.
+    /// Queues a master outcome, publishes its key as ready, and wakes the
+    /// slave if it is parked.
+    pub fn enqueue(&self, entry: Entry) {
+        let mut inner = self.inner.lock();
+        inner.master_ready = Some(entry.key.clone());
+        inner.queue.push_back(entry);
+        self.wake_parked(inner);
+    }
+
+    /// Publishes the master's ready key and wakes the slave if it is
+    /// parked.
     pub fn publish(&self, key: ProgressKey) {
-        self.inner.lock().master_ready = Some(key);
-        self.cv.notify_all();
+        let mut inner = self.inner.lock();
+        inner.master_ready = Some(key);
+        self.wake_parked(inner);
+    }
+
+    /// Releases the pair lock, then notifies if the slave was parked when
+    /// the update was made. The slave sets the flag under the same lock
+    /// before it waits, so a wakeup cannot be lost.
+    fn wake_parked(&self, inner: MutexGuard<'_, PairInner>) {
+        let parked = inner.slave_parked;
+        drop(inner);
+        if parked {
+            self.cv.notify_all();
+        }
     }
 
     /// Marks the master's thread as finished (terminal progress).
@@ -122,23 +148,55 @@ impl Pair {
     }
 }
 
-/// Counters shared by the two wrappers.
+/// Counters of one dual execution, written only by [`Coupling::emit`].
+/// Each role's counters sit on their own cache lines, so the master's and
+/// the slave's increments never contend.
 #[derive(Debug, Default)]
 pub(crate) struct CouplingStats {
+    pub master: MasterStats,
+    pub slave: SlaveStats,
+}
+
+/// Counters the master writes while the executions run.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct MasterStats {
+    /// Sink instances the master executed.
+    pub sinks: AtomicU64,
+}
+
+/// Counters the slave writes while the executions run (and
+/// [`Coupling::reconcile`] once both have finished).
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct SlaveStats {
     /// Outcomes shared master → slave.
     pub shared: AtomicU64,
     /// Slave syscalls executed decoupled.
     pub decoupled: AtomicU64,
     /// Non-sink syscall differences (master-only + slave-decoupled).
     pub diffs: AtomicU64,
-    /// Sink instances the master executed.
-    pub master_sinks: AtomicU64,
     /// Waits released by the stop signal or `MAX_WAIT`.
     pub timeouts: AtomicU64,
 }
 
+/// Source of [`Coupling`] ids. Ids are never reused, so a pair handle
+/// cached for one dual execution is never returned to another, even one
+/// whose `Coupling` lands at the same address.
+static NEXT_COUPLING_ID: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The pair this OS thread resolved last: `(coupling id, Lx thread,
+    /// pair)`. Every Lx thread runs on its own OS thread, so after its
+    /// first syscall each role finds its pair here without touching the
+    /// shared map or the pair's reference count.
+    static CACHED_PAIR: RefCell<Option<(u64, ThreadKey, Arc<Pair>)>> =
+        const { RefCell::new(None) };
+}
+
 /// All shared state of one dual execution.
 pub(crate) struct Coupling {
+    id: u64,
     pairs: Mutex<HashMap<ThreadKey, Arc<Pair>>>,
     pub master_exec_done: AtomicBool,
     pub records: Mutex<Vec<CausalityRecord>>,
@@ -156,6 +214,7 @@ impl Coupling {
     /// Creates coupling state; `record` enables the flight recorder.
     pub fn new(record: bool) -> Self {
         Coupling {
+            id: NEXT_COUPLING_ID.fetch_add(1, Ordering::Relaxed),
             pairs: Mutex::new(HashMap::new()),
             master_exec_done: AtomicBool::new(false),
             records: Mutex::new(Vec::new()),
@@ -180,15 +239,15 @@ impl Coupling {
     ) {
         let stats = &self.stats;
         let (counter, instant) = match decision {
-            Decision::Executed => (is_sink.then_some(&stats.master_sinks), None),
-            Decision::Shared => (Some(&stats.shared), Some("aligned-reuse")),
+            Decision::Executed => (is_sink.then_some(&stats.master.sinks), None),
+            Decision::Shared => (Some(&stats.slave.shared), Some("aligned-reuse")),
             // A sink that compared equal shares the outcome.
             Decision::Compared => (
-                diff.is_none().then_some(&stats.shared),
+                diff.is_none().then_some(&stats.slave.shared),
                 Some("sink-compare"),
             ),
-            Decision::Decoupled => (Some(&stats.decoupled), Some("decoupled")),
-            Decision::Timeout => (Some(&stats.timeouts), Some("timeout")),
+            Decision::Decoupled => (Some(&stats.slave.decoupled), Some("decoupled")),
+            Decision::Timeout => (Some(&stats.slave.timeouts), Some("timeout")),
             Decision::MasterOnly | Decision::SlaveOnly => (None, None),
         };
         if let Some(counter) = counter {
@@ -216,7 +275,7 @@ impl Coupling {
         });
         match diff {
             Some(Diff::Syscall) => {
-                stats.diffs.fetch_add(1, Ordering::Relaxed);
+                stats.slave.diffs.fetch_add(1, Ordering::Relaxed);
             }
             Some(Diff::Sink(kind)) => {
                 if let CausalityKind::ArgDiff { master, slave } = &kind {
@@ -260,8 +319,21 @@ impl Coupling {
             .unwrap_or_default()
     }
 
+    /// Runs `f` on the pair cell for thread `t`. The calling OS thread
+    /// caches the pair it resolved last, so a role resolves its thread's
+    /// pair once per run. `f` must not resolve another pair.
+    pub fn with_pair<R>(&self, t: &ThreadKey, f: impl FnOnce(&Pair) -> R) -> R {
+        CACHED_PAIR.with(|slot| {
+            let hit = matches!(&*slot.borrow(), Some((id, key, _)) if *id == self.id && key == t);
+            if !hit {
+                slot.replace(Some((self.id, t.clone(), self.pair(t))));
+            }
+            f(&slot.borrow().as_ref().expect("pair cached above").2)
+        })
+    }
+
     /// The pair cell for thread `t`, created on first use by either side.
-    pub fn pair(&self, t: &ThreadKey) -> Arc<Pair> {
+    fn pair(&self, t: &ThreadKey) -> Arc<Pair> {
         let mut pairs = self.pairs.lock();
         if let Some(p) = pairs.get(t) {
             return Arc::clone(p);
@@ -308,11 +380,11 @@ impl Coupling {
         }
     }
 
-    /// Whether a path is tainted.
+    /// Whether a path is tainted. Nothing is normalized or allocated
+    /// while no path is.
     pub fn path_tainted(&self, path: &str) -> bool {
-        self.tainted_paths
-            .lock()
-            .contains(&ldx_vos::normalize_path(path).join("/"))
+        let tainted = self.tainted_paths.lock();
+        !tainted.is_empty() && tainted.contains(&ldx_vos::normalize_path(path).join("/"))
     }
 
     /// Drains every unconsumed master entry at the end of the run:
@@ -341,6 +413,84 @@ impl Coupling {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+
+    fn entry(site: u32, is_sink: bool) -> Entry {
+        Entry {
+            key: ProgressKey::start(),
+            func: FuncId(0),
+            site: SiteId(site),
+            sys: if is_sink {
+                Syscall::Send
+            } else {
+                Syscall::Read
+            },
+            args: vec![],
+            outcome: Value::Int(0),
+            is_sink,
+        }
+    }
+
+    /// Parks a waiter on `pair` the way the slave does, but without the
+    /// timed wait, so only a notification can release it; runs `wake` once
+    /// the waiter is parked and fails (instead of hanging) if the waiter
+    /// is not released within 5 s.
+    fn released_by(what: &str, wake: impl FnOnce(&Pair)) {
+        let pair = Arc::new(Pair::default());
+        let (tx, rx) = mpsc::channel();
+        let waiter = Arc::clone(&pair);
+        std::thread::spawn(move || {
+            let mut inner = waiter.inner.lock();
+            while inner.master_ready.is_none() {
+                inner.slave_parked = true;
+                waiter.cv.wait(&mut inner);
+                inner.slave_parked = false;
+            }
+            tx.send(()).expect("test is waiting");
+        });
+        while !pair.inner.lock().slave_parked {
+            std::thread::yield_now();
+        }
+        wake(&pair);
+        assert!(
+            rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "{what} lost the wakeup of a parked slave"
+        );
+        assert!(!pair.inner.lock().slave_parked);
+    }
+
+    #[test]
+    fn every_master_update_wakes_a_parked_slave() {
+        released_by("publish", |p| p.publish(ProgressKey::start()));
+        released_by("enqueue", |p| p.enqueue(entry(0, false)));
+        released_by("finish", Pair::finish);
+    }
+
+    #[test]
+    fn a_fresh_coupling_never_sees_a_stale_pair() {
+        let t = ThreadKey::root();
+        for _ in 0..8 {
+            let c = Coupling::new(false);
+            c.with_pair(&t, |p| {
+                let inner = p.inner.lock();
+                assert!(!inner.master_done);
+                assert!(inner.queue.is_empty());
+            });
+            c.with_pair(&t, |p| p.enqueue(entry(0, false)));
+            c.finish_execution();
+            c.with_pair(&t, |p| assert!(p.inner.lock().master_done));
+        }
+    }
+
+    #[test]
+    fn role_counters_live_on_separate_cache_lines() {
+        let stats = CouplingStats::default();
+        let master = &stats.master as *const MasterStats as usize;
+        let slave = &stats.slave as *const SlaveStats as usize;
+        assert!(master.abs_diff(slave) >= 128);
+        assert_eq!(std::mem::align_of::<MasterStats>(), 128);
+        assert_eq!(std::mem::align_of::<SlaveStats>(), 128);
+    }
 
     #[test]
     fn pair_publish_and_finish() {
@@ -383,31 +533,11 @@ mod tests {
     #[test]
     fn reconcile_counts_master_only_entries() {
         let c = Coupling::new(false);
-        let t = ThreadKey::root();
-        let p = c.pair(&t);
-        {
-            let mut inner = p.inner.lock();
-            inner.queue.push_back(Entry {
-                key: ProgressKey::start(),
-                func: FuncId(0),
-                site: SiteId(0),
-                sys: Syscall::Read,
-                args: vec![],
-                outcome: Value::Int(0),
-                is_sink: false,
-            });
-            inner.queue.push_back(Entry {
-                key: ProgressKey::start(),
-                func: FuncId(0),
-                site: SiteId(1),
-                sys: Syscall::Send,
-                args: vec![],
-                outcome: Value::Int(0),
-                is_sink: true,
-            });
-        }
+        let p = c.pair(&ThreadKey::root());
+        p.enqueue(entry(0, false));
+        p.enqueue(entry(1, true));
         c.reconcile();
-        assert_eq!(c.stats.diffs.load(Ordering::Relaxed), 1);
+        assert_eq!(c.stats.slave.diffs.load(Ordering::Relaxed), 1);
         assert_eq!(c.records.lock().len(), 1);
     }
 }

@@ -27,11 +27,14 @@ use std::sync::Arc;
 ///
 /// This entry point is **reentrant and `Send`-safe**: every piece of
 /// coupling state — the `Coupling` channel, both worlds, lock tables,
-/// fd maps — is allocated per call and shared only between the two
-/// threads this call spawns. There are no `static`s or thread-locals
-/// anywhere in the engine (audited: `couple.rs`, `master.rs`,
-/// `slave.rs`, `fdmap.rs`), so any number of `dual_execute` calls may
-/// run concurrently from different threads — the contract the batch
+/// fd maps — is allocated per call and shared only between the threads
+/// this call spawns. The engine has one `static` and one thread-local,
+/// both in `couple.rs`: a counter that gives every `Coupling` a fresh
+/// id, and a per-OS-thread cache of the last thread pair resolved,
+/// keyed by that id and the Lx thread. A cached pair is only ever
+/// returned for the `Coupling` that created it, so any number of
+/// `dual_execute` calls may run concurrently from different threads, or
+/// one after another on the same thread — the contract the batch
 /// scheduler in `ldx::batch` relies on. Each call uses **two** OS
 /// threads; schedulers should budget accordingly.
 pub fn dual_execute(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSpec) -> DualReport {
@@ -128,11 +131,11 @@ fn dual_execute_inner(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSp
         causality: std::mem::take(&mut *coupling.records.lock()),
         master: master_result,
         slave: slave_result,
-        syscall_diffs: stats.diffs.load(Ordering::Relaxed),
-        shared: stats.shared.load(Ordering::Relaxed),
-        decoupled: stats.decoupled.load(Ordering::Relaxed),
-        master_sinks: stats.master_sinks.load(Ordering::Relaxed),
-        timeouts: stats.timeouts.load(Ordering::Relaxed),
+        syscall_diffs: stats.slave.diffs.load(Ordering::Relaxed),
+        shared: stats.slave.shared.load(Ordering::Relaxed),
+        decoupled: stats.slave.decoupled.load(Ordering::Relaxed),
+        master_sinks: stats.master.sinks.load(Ordering::Relaxed),
+        timeouts: stats.slave.timeouts.load(Ordering::Relaxed),
         flight,
     };
 

@@ -10,7 +10,7 @@
 //! (deviation documented in DESIGN.md). The master never waits for the
 //! slave.
 
-use crate::couple::{At, Coupling, Entry};
+use crate::couple::{At, Coupling, Entry, Pair};
 use crate::recorder::{Decision, FlightEvent};
 use crate::report::Role;
 use crate::resolved::ResolvedSinks;
@@ -32,9 +32,7 @@ pub(crate) struct MasterHooks {
 
 impl MasterHooks {
     fn enqueue(&self, ctx: &SyscallCtx, args: &[Value], outcome: Value, is_sink: bool) {
-        let pair = self.coupling.pair(&ctx.thread);
-        let mut inner = pair.inner.lock();
-        inner.queue.push_back(Entry {
+        let entry = Entry {
             key: ctx.key.clone(),
             func: ctx.func,
             site: ctx.site,
@@ -42,10 +40,9 @@ impl MasterHooks {
             args: args.to_vec(),
             outcome,
             is_sink,
-        });
-        inner.master_ready = Some(ctx.key.clone());
-        drop(inner);
-        pair.cv.notify_all();
+        };
+        self.coupling
+            .with_pair(&ctx.thread, |pair| pair.enqueue(entry));
         self.coupling.emit(
             Role::Master,
             Decision::Executed,
@@ -98,7 +95,8 @@ impl SyscallHooks for MasterHooks {
         // Publishing the barrier progress is all the master does: the
         // slave's per-syscall alignment wait provides all the ordering the
         // protocol needs, so the master runs unthrottled (detection mode).
-        self.coupling.pair(thread).publish(key.clone());
+        self.coupling
+            .with_pair(thread, |pair| pair.publish(key.clone()));
         self.coupling.flight(Role::Master, || FlightEvent::Barrier {
             thread: thread.clone(),
             key: key.clone(),
@@ -108,6 +106,6 @@ impl SyscallHooks for MasterHooks {
     }
 
     fn thread_finished(&self, thread: &ThreadKey) {
-        self.coupling.pair(thread).finish();
+        self.coupling.with_pair(thread, Pair::finish);
     }
 }

@@ -17,7 +17,7 @@
 //! Source-matched input outcomes are mutated (this is where the
 //! counterfactual perturbation enters the slave).
 
-use crate::couple::{At, Coupling, Diff, Entry, MAX_WAIT};
+use crate::couple::{At, Coupling, Diff, Entry, Pair, MAX_WAIT};
 use crate::fdmap::{FdInfo, Resource, SlaveFdMap};
 use crate::mutation::Mutation;
 use crate::recorder::{excerpt, key_scalar, Decision, FlightEvent, ResourceId};
@@ -69,7 +69,8 @@ enum Align {
 
 impl SlaveHooks {
     fn thread_decoupled(&self, t: &ThreadKey) -> bool {
-        self.decoupled_threads.lock().contains(t)
+        let decoupled = self.decoupled_threads.lock();
+        !decoupled.is_empty() && decoupled.contains(t)
     }
 
     fn emit(&self, decision: Decision, ctx: &SyscallCtx, is_sink: bool, diff: Option<Diff>) {
@@ -136,43 +137,41 @@ impl SlaveHooks {
     /// stall profiler (keyed by the barrier's static site) together with
     /// the master/slave progress-counter delta observed at release.
     fn align(&self, ctx: &SyscallCtx, args: &[Value], is_sink: bool) -> Align {
-        let mut waits: u64 = 0;
-        if !ldx_obs::enabled() {
-            return self.align_inner(ctx, args, is_sink, &mut waits);
-        }
-        let t0_ns = ldx_obs::now_ns();
-        let out = self.align_inner(ctx, args, is_sink, &mut waits);
-        if waits > 0 {
-            let ns = ldx_obs::now_ns().saturating_sub(t0_ns);
-            let delta = {
-                let pair = self.coupling.pair(&ctx.thread);
-                let inner = pair.inner.lock();
-                master_delta(inner.master_ready.as_ref(), &ctx.key)
-            };
-            ldx_obs::stall_record(&format!("f{}:s{}", ctx.func.0, ctx.site.0), ns, delta);
-            ldx_obs::record_complete(
-                ldx_obs::cat::BARRIER_WAIT,
-                "align-wait",
-                t0_ns,
-                ns,
-                vec![("delta", delta as i64), ("waits", waits as i64)],
-            );
-        }
-        out
+        self.coupling.with_pair(&ctx.thread, |pair| {
+            let mut waits: u64 = 0;
+            if !ldx_obs::enabled() {
+                return self.align_inner(pair, ctx, args, is_sink, &mut waits);
+            }
+            let t0_ns = ldx_obs::now_ns();
+            let out = self.align_inner(pair, ctx, args, is_sink, &mut waits);
+            if waits > 0 {
+                let ns = ldx_obs::now_ns().saturating_sub(t0_ns);
+                let delta = master_delta(pair.inner.lock().master_ready.as_ref(), &ctx.key);
+                ldx_obs::stall_record(&format!("f{}:s{}", ctx.func.0, ctx.site.0), ns, delta);
+                ldx_obs::record_complete(
+                    ldx_obs::cat::BARRIER_WAIT,
+                    "align-wait",
+                    t0_ns,
+                    ns,
+                    vec![("delta", delta as i64), ("waits", waits as i64)],
+                );
+            }
+            out
+        })
     }
 
     /// The alignment state machine. Never blocks forever: released by the
     /// master's progress, the master's termination, the stop signal, or
-    /// the safety timeout. `waits` counts condvar blocks for the caller's
-    /// stall accounting.
+    /// the safety timeout. `waits` counts parks for the caller's stall
+    /// accounting.
     fn align_inner(
         &self,
+        pair: &Pair,
         ctx: &SyscallCtx,
         args: &[Value],
         is_sink: bool,
         waits: &mut u64,
     ) -> Align {
-        let pair = self.coupling.pair(&ctx.thread);
         let start = Instant::now();
         let mut inner = pair.inner.lock();
         loop {
@@ -232,31 +231,33 @@ impl SlaveHooks {
                 return Align::Decoupled;
             }
             *waits += 1;
+            inner.slave_parked = true;
             pair.cv.wait_for(&mut inner, Duration::from_millis(2));
+            inner.slave_parked = false;
         }
     }
 
     /// Mutation matching one of the configured sources, if any.
     fn source_mutation(&self, ctx: &SyscallCtx, args: &[Value]) -> Option<Mutation> {
         let fdmap = self.fdmap.lock();
-        let fd_resource = args.first().and_then(|a| match a {
-            Value::Int(fd) => fdmap.get(*fd).map(|i| i.resource.clone()),
+        let fd_resource = match args.first() {
+            Some(Value::Int(fd)) => fdmap.get(*fd).map(|i| &i.resource),
             _ => None,
-        });
+        };
         for source in &self.sources.sources {
             let hit = match &source.matcher {
                 ResolvedMatcher::FileRead(segs) => {
                     ctx.sys == Syscall::Read
-                        && matches!(&fd_resource, Some(Resource::File { path, .. })
+                        && matches!(fd_resource, Some(Resource::File { path, .. })
                             if &ldx_vos::normalize_path(path) == segs)
                 }
                 ResolvedMatcher::NetRecv(host) => {
                     matches!(ctx.sys, Syscall::Recv | Syscall::Read)
-                        && matches!(&fd_resource, Some(Resource::Peer { host: h }) if h == host)
+                        && matches!(fd_resource, Some(Resource::Peer { host: h }) if h == host)
                 }
                 ResolvedMatcher::ClientRecv(port) => {
                     matches!(ctx.sys, Syscall::Recv | Syscall::Read)
-                        && matches!(&fd_resource, Some(Resource::Client { port: p, .. }) if p == port)
+                        && matches!(fd_resource, Some(Resource::Client { port: p, .. }) if p == port)
                 }
                 ResolvedMatcher::SyscallKind(sys) => ctx.sys == *sys,
                 ResolvedMatcher::Site(fid, site) => ctx.func == *fid && ctx.site == *site,
@@ -270,10 +271,8 @@ impl SlaveHooks {
 
     /// Whether the syscall references a tainted resource.
     fn touches_tainted(&self, sys: Syscall, args: &[Value]) -> bool {
-        for path in Self::paths_in(sys, args) {
-            if self.coupling.path_tainted(&path) {
-                return true;
-            }
+        if Self::paths_in(sys, args).any(|path| self.coupling.path_tainted(path)) {
+            return true;
         }
         if let Some(Value::Int(fd)) = args.first() {
             if matches!(
@@ -292,24 +291,19 @@ impl SlaveHooks {
         false
     }
 
-    fn paths_in(sys: Syscall, args: &[Value]) -> Vec<String> {
-        let mut out = Vec::new();
-        let grab = |i: usize, out: &mut Vec<String>| {
-            if let Some(Value::Str(s)) = args.get(i) {
-                out.push(s.to_string());
-            }
-        };
-        match sys {
+    /// The path arguments of a syscall, borrowed from `args`.
+    fn paths_in(sys: Syscall, args: &[Value]) -> impl Iterator<Item = &str> {
+        let n = match sys {
             Syscall::Open | Syscall::Stat | Syscall::Mkdir | Syscall::Unlink | Syscall::Readdir => {
-                grab(0, &mut out)
+                1
             }
-            Syscall::Rename => {
-                grab(0, &mut out);
-                grab(1, &mut out);
-            }
-            _ => {}
-        }
-        out
+            Syscall::Rename => 2,
+            _ => 0,
+        };
+        args.iter().take(n).filter_map(|a| match a {
+            Value::Str(s) => Some(&**s),
+            _ => None,
+        })
     }
 
     /// Reconstructs (or retrieves) the overlay descriptor for a program
@@ -476,7 +470,7 @@ impl SlaveHooks {
             | Syscall::Readdir
             | Syscall::Rename => {
                 for p in Self::paths_in(sys, args) {
-                    self.coupling.taint_path(&p);
+                    self.coupling.taint_path(p);
                 }
                 Ok(from_sys_ret(
                     self.overlay.syscall(sys, &to_sys_args(args)?)?,
@@ -638,8 +632,9 @@ impl SyscallHooks for SlaveHooks {
         // marks the barrier in the trace.
         let _s = ldx_obs::span(ldx_obs::cat::BARRIER_WAIT, "loop-barrier");
         self.coupling.flight(Role::Slave, || {
-            let pair = self.coupling.pair(thread);
-            let delta = master_delta(pair.inner.lock().master_ready.as_ref(), key);
+            let delta = self.coupling.with_pair(thread, |pair| {
+                master_delta(pair.inner.lock().master_ready.as_ref(), key)
+            });
             FlightEvent::Barrier {
                 thread: thread.clone(),
                 key: key.clone(),
@@ -676,7 +671,7 @@ mod tests {
             spawn_counts: Mutex::new(HashMap::new()),
         };
         if let Some(ready) = master_ready {
-            coupling.pair(&ThreadKey::root()).publish(ready);
+            coupling.with_pair(&ThreadKey::root(), |pair| pair.publish(ready));
         }
         let stop = StopSignal::new();
         stop.request_exit(0);
@@ -688,8 +683,8 @@ mod tests {
             sys: Syscall::Read,
             stop,
         };
-        let aligned = hooks.align_inner(&ctx, &[Value::Int(3), Value::Int(1)], false, &mut 0);
-        let timeouts = coupling.stats.timeouts.load(Ordering::Relaxed);
+        let aligned = hooks.align(&ctx, &[Value::Int(3), Value::Int(1)], false);
+        let timeouts = coupling.stats.slave.timeouts.load(Ordering::Relaxed);
         let log = coupling.take_flight_log();
         assert_eq!(
             timeouts > 0,
