@@ -92,11 +92,11 @@ impl SyscallHooks for MasterHooks {
     }
 
     fn loop_barrier(&self, thread: &ThreadKey, key: &ProgressKey) -> Result<(), Trap> {
-        // Publishing the barrier progress is all the master does: the
-        // slave's per-syscall alignment wait provides all the ordering the
-        // protocol needs, so the master runs unthrottled (detection mode).
-        self.coupling
-            .with_pair(thread, |pair| pair.publish(key.clone()));
+        // Publishing the barrier progress to a parked slave is all the
+        // master does: the slave's per-syscall alignment wait provides all
+        // the ordering the protocol needs, so the master runs unthrottled
+        // (detection mode).
+        self.coupling.with_pair(thread, |pair| pair.publish(key));
         self.coupling.flight(Role::Master, || FlightEvent::Barrier {
             thread: thread.clone(),
             key: key.clone(),

@@ -50,12 +50,10 @@ pub const EXCERPT_BYTES: usize = 48;
 /// Collapses a progress key to a scalar (sum of frame counters and loop
 /// epochs): the coarse "progress counter value" `ldx explain` reports.
 pub fn key_scalar(key: &ProgressKey) -> u64 {
-    key.frames
-        .iter()
+    key.frame_refs()
         .map(|f| {
-            f.loops
-                .iter()
-                .fold(f.cnt, |acc, &(_, epoch, _)| acc.saturating_add(epoch))
+            f.loops()
+                .fold(f.cnt, |acc, (_, epoch, _)| acc.saturating_add(epoch))
         })
         .fold(0u64, u64::saturating_add)
 }
@@ -446,8 +444,9 @@ mod tests {
     fn key_scalar_sums_frames_and_loops() {
         let k = ProgressKey::start();
         let base = key_scalar(&k);
-        let mut k2 = k.clone();
-        k2.frames[0].cnt += 5;
+        let mut frames = k.frames();
+        frames[0].cnt += 5;
+        let k2 = ProgressKey::from_frames(&frames);
         assert_eq!(key_scalar(&k2), base + 5);
     }
 }

@@ -31,6 +31,7 @@ use ldx_runtime::{
 use ldx_vos::{SlaveVos, SysArg, SysRet};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -231,9 +232,9 @@ impl SlaveHooks {
                 return Align::Decoupled;
             }
             *waits += 1;
-            inner.slave_parked = true;
+            pair.slave_parked.store(true, Ordering::SeqCst);
             pair.cv.wait_for(&mut inner, Duration::from_millis(2));
-            inner.slave_parked = false;
+            pair.slave_parked.store(false, Ordering::SeqCst);
         }
     }
 
@@ -649,19 +650,19 @@ impl SyscallHooks for SlaveHooks {
 mod tests {
     use super::*;
     use crate::spec::DualSpec;
+    use ldx_ir::FuncId;
     use ldx_runtime::{FrameKey, LoopUid, StopSignal};
     use ldx_vos::{Vos, VosConfig};
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{mpsc, Barrier};
 
-    /// Aligns one slave `read` at `key` against a master whose only
-    /// progress is `master_ready`, with the stop signal already fired:
-    /// returns the decision and the number of timeouts counted.
-    fn align_with_stop(master_ready: Option<ProgressKey>, key: ProgressKey) -> (Align, u64) {
+    /// Slave hooks on `coupling` for a program with an empty `main`, and
+    /// that `main`.
+    fn slave_hooks(coupling: &Arc<Coupling>) -> (SlaveHooks, FuncId) {
         let program = ldx_ir::lower(&ldx_lang::compile("fn main() { }").unwrap());
         let config = VosConfig::new();
-        let coupling = Arc::new(Coupling::new(true));
         let hooks = SlaveHooks {
-            coupling: Arc::clone(&coupling),
+            coupling: Arc::clone(coupling),
             overlay: SlaveVos::new(Arc::new(Vos::new(&config)), &config),
             locks: LockTable::new(),
             sinks: ResolvedSinks::resolve(&DualSpec::default(), &program),
@@ -670,20 +671,35 @@ mod tests {
             decoupled_threads: Mutex::new(HashSet::new()),
             spawn_counts: Mutex::new(HashMap::new()),
         };
-        if let Some(ready) = master_ready {
-            coupling.with_pair(&ThreadKey::root(), |pair| pair.publish(ready));
-        }
-        let stop = StopSignal::new();
-        stop.request_exit(0);
-        let ctx = SyscallCtx {
+        (hooks, program.main())
+    }
+
+    /// A slave `read` at `key` in `main` of the root thread.
+    fn read_at(key: ProgressKey, func: FuncId, stop: StopSignal) -> SyscallCtx {
+        SyscallCtx {
             thread: ThreadKey::root(),
             key,
-            func: program.main(),
+            func,
             site: ldx_ir::SiteId(0),
             sys: Syscall::Read,
             stop,
-        };
-        let aligned = hooks.align(&ctx, &[Value::Int(3), Value::Int(1)], false);
+        }
+    }
+
+    const READ_ARGS: [Value; 2] = [Value::Int(3), Value::Int(1)];
+
+    /// Aligns one slave `read` at `key` against a master whose only
+    /// progress is `master_ready`, with the stop signal already fired:
+    /// returns the decision and the number of timeouts counted.
+    fn align_with_stop(master_ready: Option<ProgressKey>, key: ProgressKey) -> (Align, u64) {
+        let coupling = Arc::new(Coupling::new(true));
+        let (hooks, main) = slave_hooks(&coupling);
+        coupling.with_pair(&ThreadKey::root(), |pair| {
+            pair.inner.lock().master_ready = master_ready;
+        });
+        let stop = StopSignal::new();
+        stop.request_exit(0);
+        let aligned = hooks.align(&read_at(key, main, stop), &READ_ARGS, false);
         let timeouts = coupling.stats.slave.timeouts.load(Ordering::Relaxed);
         let log = coupling.take_flight_log();
         assert_eq!(
@@ -694,12 +710,10 @@ mod tests {
     }
 
     fn in_loop(epoch: u64, entry_cnt: u64, cnt: u64) -> ProgressKey {
-        ProgressKey {
-            frames: vec![FrameKey {
-                loops: vec![(LoopUid(1), epoch, entry_cnt)],
-                cnt,
-            }],
-        }
+        ProgressKey::from_frames(&[FrameKey {
+            loops: vec![(LoopUid(1), epoch, entry_cnt)],
+            cnt,
+        }])
     }
 
     #[test]
@@ -723,5 +737,58 @@ mod tests {
         // Once the master's barrier is past the slave, it decouples at once.
         let (_, timeouts) = align_with_stop(Some(in_loop(1, 15, 16)), in_loop(0, 15, 16));
         assert_eq!(timeouts, 0);
+    }
+
+    #[test]
+    fn a_slave_that_parks_while_the_master_publishes_is_released() {
+        // The master publishes only to a parked slave. Whenever the slave
+        // parks relative to the master's publishes, the next publish must
+        // release it: it decouples (the master is ahead) without a timeout.
+        let ahead = ProgressKey::from_frames(&[FrameKey {
+            loops: vec![],
+            cnt: 5,
+        }]);
+        for i in 0..200u32 {
+            let coupling = Arc::new(Coupling::new(false));
+            let (hooks, main) = slave_hooks(&coupling);
+            let done = Arc::new(AtomicBool::new(false));
+            let start = Arc::new(Barrier::new(2));
+            let master = {
+                let (coupling, done, start, ahead) = (
+                    Arc::clone(&coupling),
+                    Arc::clone(&done),
+                    Arc::clone(&start),
+                    ahead.clone(),
+                );
+                std::thread::spawn(move || {
+                    start.wait();
+                    // Begin publishing at a varied moment around the
+                    // slave's park.
+                    for _ in 0..(i % 20) * 50 {
+                        std::hint::spin_loop();
+                    }
+                    while !done.load(Ordering::SeqCst) {
+                        coupling.with_pair(&ThreadKey::root(), |pair| pair.publish(&ahead));
+                        std::thread::yield_now();
+                    }
+                })
+            };
+            let stop = StopSignal::new();
+            let ctx = read_at(ProgressKey::start(), main, stop.clone());
+            let (tx, rx) = mpsc::channel();
+            let slave = std::thread::spawn(move || {
+                start.wait();
+                let aligned = hooks.align(&ctx, &READ_ARGS, false);
+                tx.send(matches!(aligned, Align::Decoupled))
+                    .expect("test is waiting");
+            });
+            let decoupled = rx.recv_timeout(Duration::from_secs(5));
+            done.store(true, Ordering::SeqCst);
+            stop.request_exit(0);
+            assert_eq!(decoupled, Ok(true), "iteration {i}: slave not released");
+            assert_eq!(coupling.stats.slave.timeouts.load(Ordering::Relaxed), 0);
+            master.join().expect("master thread");
+            slave.join().expect("slave thread");
+        }
     }
 }

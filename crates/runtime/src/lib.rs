@@ -54,7 +54,7 @@ pub use globals::{const_to_value, Globals};
 pub use hooks::{from_sys_ret, to_sys_args, NativeHooks, SysOutcome, SyscallCtx, SyscallHooks};
 pub use libfns::eval_lib;
 pub use machine::{run_program, ExecConfig, RunOutcome};
-pub use progress::{FrameKey, LoopUid, ProgressKey, ProgressOrder};
+pub use progress::{FrameKey, FrameRef, LoopUid, ProgressKey, ProgressOrder};
 pub use recording::{RecordingHooks, SyscallEvent};
 pub use stats::RunStats;
 pub use threads::{LockTable, StopSignal, ThreadKey, ThreadRegistry};
@@ -413,10 +413,13 @@ mod tests {
             .collect();
         assert_eq!(writes.len(), 3);
         // All three writes share the same scalar but have distinct epochs.
-        let scalars: Vec<u64> = writes.iter().map(|e| e.key.frames[0].cnt).collect();
+        let scalars: Vec<u64> = writes.iter().map(|e| e.key.frames()[0].cnt).collect();
         assert_eq!(scalars[0], scalars[1]);
         assert_eq!(scalars[1], scalars[2]);
-        let epochs: Vec<u64> = writes.iter().map(|e| e.key.frames[0].loops[0].1).collect();
+        let epochs: Vec<u64> = writes
+            .iter()
+            .map(|e| e.key.frames()[0].loops[0].1)
+            .collect();
         assert_eq!(epochs, vec![0, 1, 2]);
         // The close after the loop is strictly ahead of every write.
         let close = evs
@@ -447,10 +450,10 @@ mod tests {
         run_program(Arc::new(program), hooks, ExecConfig::default()).unwrap();
         let evs = events.lock();
         assert_eq!(evs.len(), 3);
-        assert_eq!(evs[0].key.frames.len(), 1, "pre: root frame only");
-        assert_eq!(evs[1].key.frames.len(), 2, "emit: fresh frame");
-        assert_eq!(evs[1].key.frames[1].cnt, 1, "inside call: fresh scalar");
-        assert_eq!(evs[2].key.frames.len(), 1, "post: restored");
+        assert_eq!(evs[0].key.frames().len(), 1, "pre: root frame only");
+        assert_eq!(evs[1].key.frames().len(), 2, "emit: fresh frame");
+        assert_eq!(evs[1].key.frames()[1].cnt, 1, "inside call: fresh scalar");
+        assert_eq!(evs[2].key.frames().len(), 1, "post: restored");
         assert_eq!(
             evs[2].key.cmp_progress(&evs[1].key),
             ProgressOrder::Ahead,

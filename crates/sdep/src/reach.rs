@@ -368,7 +368,7 @@ impl StaticAnalysis {
             Ok(())
         } else {
             Err(OracleViolation {
-                record: record.clone(),
+                record: Box::new(record.clone()),
             })
         }
     }
@@ -386,8 +386,9 @@ pub fn type_preserving(m: &Mutation) -> bool {
 /// soundness bug in the analysis or the engine.
 #[derive(Debug, Clone)]
 pub struct OracleViolation {
-    /// The unexplained record.
-    pub record: CausalityRecord,
+    /// The unexplained record (boxed: a record is large, and the error
+    /// travels in every `check_report` result).
+    pub record: Box<CausalityRecord>,
 }
 
 impl fmt::Display for OracleViolation {
