@@ -3,9 +3,8 @@
 //! Columns mirror the paper: program, LOC, instrumented instructions
 //! (count + percent), instrumented loops / recursive call sites / indirect
 //! (fptr) call sites, sinks, syscall sites, max static counter, dynamic
-//! counter (avg/max) and counter-stack depth from a run, plus the
-//! barrier-crossing totals (count and wall-clock) the alignment-stall
-//! profiler agrees with, the number of mutated inputs (sources), and the
+//! counter (avg/max) and counter-stack depth from a run, plus the number
+//! of loop-backedge barriers crossed, the number of mutated inputs (sources), and the
 //! source pairs the `ldx-sdep` pre-filter proves inert (pruned, counted
 //! over declared plus statically discovered sources).
 //!
@@ -20,10 +19,10 @@ use ldx_bench::run_native_timed;
 fn main() {
     let (_args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
     ldx::obs::init(&obs_args);
-    // The barrier columns need hot-path timing regardless of the flags.
-    ldx::obs::enable_profiling();
+    // The metrics line on stderr reports the counters regardless of the flags.
+    ldx::obs::enable_metrics();
     println!(
-        "{:<10} {:>5} {:>7} {:>7} {:>6} {:>6} {:>5} {:>6} {:>5} {:>8} {:>9} {:>6} {:>5} {:>6} {:>8} {:>7} {:>6}",
+        "{:<10} {:>5} {:>7} {:>7} {:>6} {:>6} {:>5} {:>6} {:>5} {:>8} {:>9} {:>6} {:>5} {:>6} {:>7} {:>6}",
         "program",
         "loc",
         "instrs",
@@ -38,7 +37,6 @@ fn main() {
         "dyn-max",
         "stack",
         "barr",
-        "barr-ms",
         "sources",
         "pruned"
     );
@@ -64,7 +62,7 @@ fn main() {
             .count();
         ldx::obs::counter_add("sdep.pruned_pairs", pruned as u64);
         let line = format!(
-            "{:<10} {:>5} {:>7} {:>6.2}% {:>6} {:>6} {:>5} {:>6} {:>5} {:>8} {:>9.2} {:>6} {:>5} {:>6} {:>8.2} {:>7} {:>6}",
+            "{:<10} {:>5} {:>7} {:>6.2}% {:>6} {:>6} {:>5} {:>6} {:>5} {:>8} {:>9.2} {:>6} {:>5} {:>6} {:>7} {:>6}",
             w.name,
             w.loc(),
             orig,
@@ -79,7 +77,6 @@ fn main() {
             stats.cnt_max,
             stats.max_counter_depth,
             stats.barrier_waits,
-            stats.barrier_wait_ns as f64 / 1e6,
             w.sources.len(),
             pruned,
         );

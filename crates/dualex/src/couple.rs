@@ -34,6 +34,10 @@ pub(crate) const MAX_WAIT: Duration = Duration::from_secs(30);
 #[derive(Debug, Clone)]
 pub(crate) struct Entry {
     pub key: ProgressKey,
+    /// The version of the master's world this syscall left behind (0 for
+    /// control syscalls, which do not touch the world): once the slave
+    /// consumes the entry, its clones see the master at least this far.
+    pub version: u64,
     pub func: FuncId,
     pub site: SiteId,
     pub sys: Syscall,
@@ -54,7 +58,7 @@ impl Entry {
     }
 }
 
-/// Entries per chunk of an [`EntryQueue`]: 256 × 112 bytes is 28 KiB, well
+/// Entries per chunk of an [`EntryQueue`]: 256 × 120 bytes is 30 KiB, well
 /// below glibc's default 128 KiB mmap threshold.
 const QUEUE_CHUNK: usize = 256;
 
@@ -255,6 +259,9 @@ pub(crate) struct Coupling {
     id: u64,
     pairs: Mutex<HashMap<ThreadKey, Arc<Pair>>>,
     pub master_exec_done: AtomicBool,
+    /// The slave starts only once the master has finished (the one-thread
+    /// schedule), so it must never wait for it.
+    pub master_first: bool,
     pub records: Mutex<Vec<CausalityRecord>>,
     pub stats: CouplingStats,
     /// Paths with diverged state (paper §7 resource tainting).
@@ -273,6 +280,7 @@ impl Coupling {
             id: NEXT_COUPLING_ID.fetch_add(1, Ordering::Relaxed),
             pairs: Mutex::new(HashMap::new()),
             master_exec_done: AtomicBool::new(false),
+            master_first: false,
             records: Mutex::new(Vec::new()),
             stats: CouplingStats::default(),
             tainted_paths: Mutex::new(HashSet::new()),
@@ -474,6 +482,7 @@ mod tests {
     fn entry(site: u32, is_sink: bool) -> Entry {
         Entry {
             key: ProgressKey::start(),
+            version: 0,
             func: FuncId(0),
             site: SiteId(site),
             sys: if is_sink {

@@ -60,7 +60,7 @@ mod resolved;
 mod slave;
 mod spec;
 
-pub use engine::dual_execute;
+pub use engine::{dual_execute, dual_execute_with, Schedule};
 pub use mutation::Mutation;
 pub use recorder::{
     key_scalar, ByteDiff, Decision, FlightEvent, FlightLog, ResourceId, DEFAULT_FLIGHT_CAPACITY,

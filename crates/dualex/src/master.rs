@@ -31,9 +31,18 @@ pub(crate) struct MasterHooks {
 }
 
 impl MasterHooks {
-    fn enqueue(&self, ctx: &SyscallCtx, args: &[Value], outcome: Value, is_sink: bool) {
+    /// Queues a syscall that left the master's world at `version`.
+    fn enqueue(
+        &self,
+        ctx: &SyscallCtx,
+        args: &[Value],
+        outcome: Value,
+        version: u64,
+        is_sink: bool,
+    ) {
         let entry = Entry {
             key: ctx.key.clone(),
+            version,
             func: ctx.func,
             site: ctx.site,
             sys: ctx.sys,
@@ -64,13 +73,13 @@ impl SyscallHooks for MasterHooks {
             Syscall::Lock => {
                 let id = args[0].as_int()?;
                 self.locks.lock(id, &ctx.thread, &ctx.stop);
-                self.enqueue(ctx, args, Value::Int(0), false);
+                self.enqueue(ctx, args, Value::Int(0), 0, false);
                 Ok(SysOutcome::Value(Value::Int(0)))
             }
             Syscall::Unlock => {
                 let id = args[0].as_int()?;
                 self.locks.unlock(id);
-                self.enqueue(ctx, args, Value::Int(0), false);
+                self.enqueue(ctx, args, Value::Int(0), 0, false);
                 Ok(SysOutcome::Value(Value::Int(0)))
             }
             Syscall::Spawn | Syscall::Join | Syscall::Exit | Syscall::Setjmp | Syscall::Longjmp => {
@@ -78,14 +87,15 @@ impl SyscallHooks for MasterHooks {
                 // §4.2); a longjmp is preceded by an artificial sink (§6)
                 // so a jump difference across the executions is reported.
                 let is_sink = ctx.sys == Syscall::Longjmp;
-                self.enqueue(ctx, args, Value::Int(0), is_sink);
+                self.enqueue(ctx, args, Value::Int(0), 0, is_sink);
                 Ok(SysOutcome::DoLocal)
             }
             sys => {
                 let is_sink = self.sinks.is_sink(ctx.func, ctx.site, sys, args);
                 let sys_args = to_sys_args(args)?;
-                let outcome = from_sys_ret(self.vos.syscall(sys, &sys_args)?);
-                self.enqueue(ctx, args, outcome.clone(), is_sink);
+                let (ret, version) = self.vos.syscall_versioned(sys, &sys_args)?;
+                let outcome = from_sys_ret(ret);
+                self.enqueue(ctx, args, outcome.clone(), version, is_sink);
                 Ok(SysOutcome::Value(outcome))
             }
         }

@@ -188,6 +188,7 @@ impl SlaveHooks {
                     return Align::Decoupled;
                 }
                 let e = inner.queue.pop_front().expect("front exists");
+                self.overlay.advance_cut(e.version);
                 if order == ProgressOrder::Behind {
                     // A master-only syscall the slave will never issue.
                     self.master_only(ctx, &e, CausalityKind::MasterOnlySink);
@@ -227,7 +228,9 @@ impl SlaveHooks {
                 }
                 return Align::Decoupled;
             }
-            if ctx.stop.should_stop() || start.elapsed() > MAX_WAIT {
+            // A slave running after its finished master finds every pair
+            // done, so reaching a park is a protocol error, reported at once.
+            if self.coupling.master_first || ctx.stop.should_stop() || start.elapsed() > MAX_WAIT {
                 self.emit(Decision::Timeout, ctx, is_sink, None);
                 return Align::Decoupled;
             }
@@ -629,9 +632,7 @@ impl SyscallHooks for SlaveHooks {
             return Ok(());
         }
         // The slave never blocks here: its next syscall's alignment wait
-        // provides the ordering (detection mode; see DESIGN.md). The span
-        // marks the barrier in the trace.
-        let _s = ldx_obs::span(ldx_obs::cat::BARRIER_WAIT, "loop-barrier");
+        // provides the ordering (detection mode; see DESIGN.md).
         self.coupling.flight(Role::Slave, || {
             let delta = self.coupling.with_pair(thread, |pair| {
                 master_delta(pair.inner.lock().master_ready.as_ref(), key)
@@ -723,6 +724,25 @@ mod tests {
         let (aligned, timeouts) = align_with_stop(None, ProgressKey::start());
         assert!(matches!(aligned, Align::Decoupled));
         assert_eq!(timeouts, 1);
+    }
+
+    #[test]
+    fn a_slave_after_its_finished_master_never_waits() {
+        // On the one-thread schedule every pair is done before the slave
+        // starts. A slave that would park anyway (here: nothing queued or
+        // published, and no stop signal) reports a timeout at once.
+        let mut coupling = Coupling::new(false);
+        coupling.master_first = true;
+        let coupling = Arc::new(coupling);
+        let (hooks, main) = slave_hooks(&coupling);
+        let start = Instant::now();
+        let ctx = read_at(ProgressKey::start(), main, StopSignal::new());
+        assert!(matches!(
+            hooks.align(&ctx, &READ_ARGS, false),
+            Align::Decoupled
+        ));
+        assert_eq!(coupling.stats.slave.timeouts.load(Ordering::Relaxed), 1);
+        assert!(start.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

@@ -234,7 +234,7 @@ mod tests {
         // disabled path stops being a branch.
         let start = Instant::now();
         for _ in 0..1_000_000 {
-            let _s = span(cat::BARRIER_WAIT, "loop-barrier");
+            let _s = span(cat::BARRIER_WAIT, "align-wait");
         }
         assert!(
             start.elapsed() < std::time::Duration::from_millis(500),

@@ -461,15 +461,7 @@ impl Machine {
                 );
                 let key = &self.backedge_key;
                 self.stats.barrier_waits += 1;
-                if ldx_obs::enabled() {
-                    let t0 = std::time::Instant::now();
-                    self.env.hooks.loop_barrier(&self.thread, key)?;
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    self.stats.barrier_wait_ns += ns;
-                    ldx_obs::histogram_record("runtime.barrier_wait_ns", ns);
-                } else {
-                    self.env.hooks.loop_barrier(&self.thread, key)?;
-                }
+                self.env.hooks.loop_barrier(&self.thread, key)?;
                 let uid = LoopUid::new(func.0, loop_id.0);
                 let act = self.activations.last_mut().expect("active frame");
                 let entry = act

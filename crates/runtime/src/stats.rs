@@ -21,10 +21,8 @@ pub struct RunStats {
     /// Lx threads spawned.
     pub threads_spawned: u64,
     /// Loop-backedge barrier crossings (hook invocations at backedges).
+    /// Neither execution waits there, so they are counted, not timed.
     pub barrier_waits: u64,
-    /// Nanoseconds spent inside barrier hooks. Only accumulated while
-    /// `ldx_obs::enabled()` — zero in plain (untimed) runs.
-    pub barrier_wait_ns: u64,
 }
 
 impl RunStats {
@@ -56,7 +54,6 @@ impl RunStats {
         self.max_activation_depth = self.max_activation_depth.max(other.max_activation_depth);
         self.threads_spawned += other.threads_spawned;
         self.barrier_waits += other.barrier_waits;
-        self.barrier_wait_ns += other.barrier_wait_ns;
     }
 }
 
@@ -87,7 +84,6 @@ mod tests {
             max_activation_depth: 4,
             threads_spawned: 1,
             barrier_waits: 3,
-            barrier_wait_ns: 100,
         };
         let b = RunStats {
             steps: 5,
@@ -99,7 +95,6 @@ mod tests {
             max_activation_depth: 2,
             threads_spawned: 0,
             barrier_waits: 2,
-            barrier_wait_ns: 50,
         };
         a.merge(&b);
         assert_eq!(a.steps, 15);
@@ -108,6 +103,5 @@ mod tests {
         assert_eq!(a.max_counter_depth, 2);
         assert_eq!(a.max_activation_depth, 4);
         assert_eq!(a.barrier_waits, 5);
-        assert_eq!(a.barrier_wait_ns, 150);
     }
 }

@@ -17,7 +17,10 @@
 //! * a **copy-on-divergence overlay** ([`SlaveVos`]): when the dual
 //!   executions diverge, the slave performs its decoupled syscalls against
 //!   clones of the affected resources so it never interferes with the
-//!   master's world (paper §7 "Light-weight Resource Tainting").
+//!   master's world (paper §7 "Light-weight Resource Tainting"). The
+//!   master's world is versioned ([`Vos::versioned`]), so a clone shows
+//!   it as of the last master syscall the slave consumed, however far
+//!   the master has run ahead.
 //!
 //! The crate deliberately knows nothing about dual execution itself; it
 //! only provides interceptable syscalls with recordable outcomes. The

@@ -46,17 +46,45 @@ impl PeerState {
         }
     }
 
-    /// Handles a `recv` of up to `n` bytes; returns `""` at end of stream.
-    pub fn on_recv(&mut self, n: usize) -> String {
+    /// Handles a `recv` of up to `n` bytes; returns `""` at end of stream,
+    /// and whether the recv first moved a `Script` on to its next line.
+    pub fn on_recv(&mut self, n: usize) -> (String, bool) {
+        let mut advanced = false;
         if self.pending.is_empty() {
             if let PeerBehavior::Script(lines) = &self.behavior {
                 if self.script_pos < lines.len() {
                     self.pending.push_str(&lines[self.script_pos]);
                     self.script_pos += 1;
+                    advanced = true;
                 }
             }
         }
-        take_prefix(&mut self.pending, n)
+        (take_prefix(&mut self.pending, n), advanced)
+    }
+
+    /// Bytes queued for the program to `recv`.
+    pub(crate) fn pending_len(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Reverts a send that found `pending` bytes queued.
+    pub(crate) fn undo_send(&mut self, pending: usize) {
+        self.sent.pop();
+        self.pending.truncate(pending);
+    }
+
+    /// Reverts a recv that returned `taken`; `advanced` as [`on_recv`]
+    /// reported it.
+    ///
+    /// [`on_recv`]: PeerState::on_recv
+    pub(crate) fn undo_recv(&mut self, taken: &str, advanced: bool) {
+        if advanced {
+            // The recv found nothing pending and loaded the next line.
+            self.pending.clear();
+            self.script_pos -= 1;
+        } else {
+            self.pending.insert_str(0, taken);
+        }
     }
 }
 
@@ -113,9 +141,9 @@ mod tests {
     fn echo_peer_echoes() {
         let mut p = PeerState::new(PeerBehavior::Echo);
         p.on_send("hello");
-        assert_eq!(p.on_recv(3), "hel");
-        assert_eq!(p.on_recv(10), "lo");
-        assert_eq!(p.on_recv(10), "");
+        assert_eq!(p.on_recv(3).0, "hel");
+        assert_eq!(p.on_recv(10).0, "lo");
+        assert_eq!(p.on_recv(10).0, "");
         assert_eq!(p.sent, vec!["hello"]);
     }
 
@@ -123,10 +151,10 @@ mod tests {
     fn script_peer_ignores_sends_and_plays_lines() {
         let mut p = PeerState::new(PeerBehavior::Script(vec!["first".into(), "second".into()]));
         p.on_send("anything");
-        assert_eq!(p.on_recv(16), "first");
-        assert_eq!(p.on_recv(3), "sec");
-        assert_eq!(p.on_recv(16), "ond");
-        assert_eq!(p.on_recv(16), "");
+        assert_eq!(p.on_recv(16), ("first".into(), true));
+        assert_eq!(p.on_recv(3), ("sec".into(), true));
+        assert_eq!(p.on_recv(16), ("ond".into(), false));
+        assert_eq!(p.on_recv(16), (String::new(), false));
     }
 
     #[test]
@@ -135,9 +163,38 @@ mod tests {
         map.insert("GET /".to_string(), "index".to_string());
         let mut p = PeerState::new(PeerBehavior::Respond(map));
         p.on_send("GET /");
-        assert_eq!(p.on_recv(16), "index");
+        assert_eq!(p.on_recv(16).0, "index");
         p.on_send("GET /missing");
-        assert_eq!(p.on_recv(16), "");
+        assert_eq!(p.on_recv(16).0, "");
+    }
+
+    #[test]
+    fn sends_and_recvs_undo_exactly() {
+        let script = PeerBehavior::Script(vec!["ab".into(), "cd".into()]);
+        for behavior in [PeerBehavior::Echo, script] {
+            let mut p = PeerState::new(behavior);
+            let mut states = vec![p.clone()];
+            let mut undos = Vec::new();
+            for step in 0..6 {
+                if step % 3 == 0 {
+                    let pending = p.pending.len();
+                    p.on_send("xyz");
+                    undos.push((None, pending));
+                } else {
+                    let (taken, advanced) = p.on_recv(1);
+                    undos.push((Some((taken, advanced)), 0));
+                }
+                states.push(p.clone());
+            }
+            states.pop();
+            for (undo, want) in undos.into_iter().rev().zip(states.into_iter().rev()) {
+                match undo {
+                    (None, pending) => p.undo_send(pending),
+                    (Some((taken, advanced)), _) => p.undo_recv(&taken, advanced),
+                }
+                assert_eq!(p, want);
+            }
+        }
     }
 
     #[test]

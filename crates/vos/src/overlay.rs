@@ -11,8 +11,11 @@
 //!
 //! [`SlaveVos`] implements that: it owns a private [`VosState`] built from
 //! the same configuration, and on the *first decoupled access* to a path or
-//! peer it refreshes that resource from the master's live world. All
-//! subsequent accesses stay private.
+//! peer it clones that resource from the master's world **as of the cut**:
+//! the version after the last master syscall the slave has consumed (see
+//! [`SlaveVos::advance_cut`]). The master may have run far ahead by then,
+//! but its later writes stay invisible, so the clone is the same whenever
+//! the slave gets there. All subsequent accesses stay private.
 
 use crate::config::VosConfig;
 use crate::error::VosError;
@@ -22,12 +25,19 @@ use crate::world::Vos;
 use ldx_lang::Syscall;
 use parking_lot::Mutex;
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The master's history is trimmed each time the cut crosses a multiple
+/// of this many versions.
+const FORGET_EVERY: u64 = 1024;
 
 /// The slave execution's private overlay world.
 #[derive(Debug)]
 pub struct SlaveVos {
     master: Arc<Vos>,
+    /// The master version clones are taken at.
+    cut: AtomicU64,
     own: Mutex<OverlayState>,
 }
 
@@ -52,6 +62,7 @@ impl SlaveVos {
     pub fn new(master: Arc<Vos>, config: &VosConfig) -> Self {
         SlaveVos {
             master,
+            cut: AtomicU64::new(0),
             own: Mutex::new(OverlayState {
                 state: VosState::build_with_fd_start(config, Self::FD_START),
                 copied_paths: HashSet::new(),
@@ -60,8 +71,21 @@ impl SlaveVos {
         }
     }
 
+    /// Moves the cut up to master version `version` (it never moves
+    /// back): the slave has consumed the master syscall that left the
+    /// world at that version. With several threads the cut follows the
+    /// master's global syscall order, across every thread pair. History
+    /// older than the cut is no longer needed and is dropped now and then.
+    pub fn advance_cut(&self, version: u64) {
+        let before = self.cut.fetch_max(version, Ordering::Relaxed);
+        if version / FORGET_EVERY > before / FORGET_EVERY {
+            self.master.forget_until(version);
+        }
+    }
+
     /// Executes a *decoupled* syscall against the private world, cloning
-    /// the touched resource from the master on first access.
+    /// the touched resource from the master (as of the cut) on first
+    /// access.
     ///
     /// # Errors
     ///
@@ -122,7 +146,10 @@ impl SlaveVos {
         if !own.copied_paths.insert(key) {
             return;
         }
-        match self.master.clone_node(path) {
+        match self
+            .master
+            .node_as_of(path, self.cut.load(Ordering::Relaxed))
+        {
             Some(node) => {
                 own.state.install_node(path, node);
             }
@@ -138,7 +165,10 @@ impl SlaveVos {
         if !own.copied_peers.insert(host.to_string()) {
             return;
         }
-        if let Some(peer) = self.master.peer_snapshot(host) {
+        if let Some(peer) = self
+            .master
+            .peer_as_of(host, self.cut.load(Ordering::Relaxed))
+        {
             own.state.install_peer(host, peer);
         }
     }
@@ -160,36 +190,45 @@ mod tests {
         let cfg = VosConfig::new()
             .file("/shared.txt", "from-config")
             .peer("host", PeerBehavior::Script(vec!["r1".into(), "r2".into()]));
-        let master = Arc::new(Vos::new(&cfg));
+        let master = Arc::new(Vos::versioned(&cfg));
         let slave = SlaveVos::new(Arc::clone(&master), &cfg);
         (master, slave)
     }
 
-    #[test]
-    fn first_access_sees_masters_current_content() {
-        let (master, slave) = setup();
-        // The master wrote to the file before the divergence.
-        let SysRet::Int(fd) = master
-            .syscall(Syscall::Open, &[sa("/shared.txt"), ia(1)])
-            .unwrap()
-        else {
-            panic!()
-        };
-        master
-            .syscall(Syscall::Write, &[ia(fd), sa("master-write")])
-            .unwrap();
-        // The slave's decoupled read sees the master's content, not the
-        // stale configured one.
-        let SysRet::Int(sfd) = slave
-            .syscall(Syscall::Open, &[sa("/shared.txt"), ia(0)])
-            .unwrap()
-        else {
+    /// Runs `sys` on the master; returns its integer result and version.
+    fn on_master(master: &Vos, sys: Syscall, args: &[SysArg]) -> (i64, u64) {
+        match master.syscall_versioned(sys, args).unwrap() {
+            (SysRet::Int(v), version) => (v, version),
+            (SysRet::Str(_), version) => (0, version),
+        }
+    }
+
+    fn slave_read(slave: &SlaveVos, path: &str) -> String {
+        let SysRet::Int(sfd) = slave.syscall(Syscall::Open, &[sa(path), ia(0)]).unwrap() else {
             panic!()
         };
         let SysRet::Str(data) = slave.syscall(Syscall::Read, &[ia(sfd), ia(64)]).unwrap() else {
             panic!()
         };
-        assert_eq!(data, "master-write");
+        data
+    }
+
+    #[test]
+    fn first_access_sees_the_master_as_of_the_cut() {
+        let (master, slave) = setup();
+        // The master wrote to the file before the divergence...
+        let (fd, _) = on_master(&master, Syscall::Open, &[sa("/shared.txt"), ia(1)]);
+        let (_, cut) = on_master(&master, Syscall::Write, &[ia(fd), sa("master-write")]);
+        slave.advance_cut(cut);
+        // ...and again after it, running ahead of the slave.
+        on_master(&master, Syscall::Write, &[ia(fd), sa("+later")]);
+        // The slave's decoupled read sees the master's content at the cut:
+        // neither the stale configured one nor the master's future.
+        assert_eq!(slave_read(&slave, "/shared.txt"), "master-write");
+        assert_eq!(
+            master.file_contents("/shared.txt").unwrap(),
+            "master-write+later"
+        );
     }
 
     #[test]
@@ -215,16 +254,10 @@ mod tests {
         slave
             .syscall(Syscall::Open, &[sa("/shared.txt"), ia(0)])
             .unwrap();
-        // Master changes afterwards...
-        let SysRet::Int(fd) = master
-            .syscall(Syscall::Open, &[sa("/shared.txt"), ia(1)])
-            .unwrap()
-        else {
-            panic!()
-        };
-        master
-            .syscall(Syscall::Write, &[ia(fd), sa("late")])
-            .unwrap();
+        // Master changes afterwards, and the slave catches up with it...
+        let (fd, _) = on_master(&master, Syscall::Open, &[sa("/shared.txt"), ia(1)]);
+        let (_, cut) = on_master(&master, Syscall::Write, &[ia(fd), sa("late")]);
+        slave.advance_cut(cut);
         // ...but the slave's copy is already pinned.
         assert_eq!(slave.file_contents("/shared.txt").unwrap(), "from-config");
     }
@@ -232,9 +265,8 @@ mod tests {
     #[test]
     fn master_deletion_tombstones_slave_fallback() {
         let (master, slave) = setup();
-        master
-            .syscall(Syscall::Unlink, &[sa("/shared.txt")])
-            .unwrap();
+        let (_, cut) = on_master(&master, Syscall::Unlink, &[sa("/shared.txt")]);
+        slave.advance_cut(cut);
         assert_eq!(
             slave
                 .syscall(Syscall::Open, &[sa("/shared.txt"), ia(0)])
@@ -245,40 +277,38 @@ mod tests {
     }
 
     #[test]
+    fn a_deletion_past_the_cut_is_not_seen() {
+        let (master, slave) = setup();
+        on_master(&master, Syscall::Unlink, &[sa("/shared.txt")]);
+        assert_eq!(slave_read(&slave, "/shared.txt"), "from-config");
+    }
+
+    #[test]
     fn pinned_paths_are_not_refreshed() {
         let (master, slave) = setup();
         slave.pin_path("/shared.txt");
-        let SysRet::Int(fd) = master
-            .syscall(Syscall::Open, &[sa("/shared.txt"), ia(1)])
-            .unwrap()
-        else {
-            panic!()
-        };
-        master
-            .syscall(Syscall::Write, &[ia(fd), sa("master-change")])
-            .unwrap();
-        let SysRet::Int(sfd) = slave
-            .syscall(Syscall::Open, &[sa("/shared.txt"), ia(0)])
-            .unwrap()
-        else {
-            panic!()
-        };
-        let SysRet::Str(data) = slave.syscall(Syscall::Read, &[ia(sfd), ia(64)]).unwrap() else {
-            panic!()
-        };
-        assert_eq!(data, "from-config", "pinned path keeps slave's own view");
+        let (fd, _) = on_master(&master, Syscall::Open, &[sa("/shared.txt"), ia(1)]);
+        let (_, cut) = on_master(&master, Syscall::Write, &[ia(fd), sa("master-change")]);
+        slave.advance_cut(cut);
+        assert_eq!(
+            slave_read(&slave, "/shared.txt"),
+            "from-config",
+            "pinned path keeps slave's own view"
+        );
     }
 
     #[test]
     fn peer_state_cloned_from_master_position() {
         let (master, slave) = setup();
-        // Master consumed the first scripted line.
-        let SysRet::Int(ms) = master.syscall(Syscall::Connect, &[sa("host")]).unwrap() else {
-            panic!()
-        };
-        master.syscall(Syscall::Recv, &[ia(ms), ia(16)]).unwrap();
+        // Master consumed the first scripted line before the cut, and the
+        // second after it.
+        let (ms, _) = on_master(&master, Syscall::Connect, &[sa("host")]);
+        let (_, cut) = on_master(&master, Syscall::Recv, &[ia(ms), ia(16)]);
+        slave.advance_cut(cut);
+        on_master(&master, Syscall::Recv, &[ia(ms), ia(16)]);
         // Slave connects decoupled: it continues from the master's script
-        // position (r2), not from the beginning.
+        // position at the cut (r2), neither from the beginning nor from
+        // the master's current position (the end).
         let SysRet::Int(ss) = slave.syscall(Syscall::Connect, &[sa("host")]).unwrap() else {
             panic!()
         };
@@ -289,5 +319,24 @@ mod tests {
         // And the slave's sends do not reach the master's transcript.
         slave.syscall(Syscall::Send, &[ia(ss), sa("x")]).unwrap();
         assert!(master.sent_to("host").is_empty());
+    }
+
+    #[test]
+    fn the_cut_never_moves_back_and_trimming_keeps_it_exact() {
+        let (master, slave) = setup();
+        let (fd, _) = on_master(&master, Syscall::Open, &[sa("/shared.txt"), ia(2)]);
+        let mut cut = 0;
+        for _ in 0..3 * FORGET_EVERY {
+            cut = on_master(&master, Syscall::Write, &[ia(fd), sa("x")]).1;
+        }
+        // Consumed out of order across thread pairs: the cut is the highest.
+        slave.advance_cut(cut - 1);
+        slave.advance_cut(FORGET_EVERY / 2);
+        on_master(&master, Syscall::Write, &[ia(fd), sa("y")]);
+        let want = format!("from-config{}", "x".repeat(3 * FORGET_EVERY as usize - 1));
+        slave.syscall(Syscall::Stat, &[sa("/shared.txt")]).unwrap();
+        assert_eq!(slave.file_contents("/shared.txt").unwrap(), want);
+        // History up to the cut was dropped.
+        assert!(master.with_state(|s| s.history_len()) < 2 * FORGET_EVERY as usize);
     }
 }

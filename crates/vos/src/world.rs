@@ -26,6 +26,15 @@ impl Vos {
         }
     }
 
+    /// Builds the world described by `config`, keeping the history that
+    /// [`Vos::node_as_of`] and [`Vos::peer_as_of`] read (the master's
+    /// world in a dual execution).
+    pub fn versioned(config: &VosConfig) -> Self {
+        Vos {
+            state: Mutex::new(VosState::build_versioned(config)),
+        }
+    }
+
     /// Executes a syscall.
     ///
     /// # Errors
@@ -33,6 +42,22 @@ impl Vos {
     /// See [`VosState::syscall`].
     pub fn syscall(&self, sys: Syscall, args: &[SysArg]) -> Result<SysRet, VosError> {
         self.state.lock().syscall(sys, args)
+    }
+
+    /// Executes a syscall and returns, with its result, the version of
+    /// the world it left behind.
+    ///
+    /// # Errors
+    ///
+    /// See [`VosState::syscall`].
+    pub fn syscall_versioned(
+        &self,
+        sys: Syscall,
+        args: &[SysArg],
+    ) -> Result<(SysRet, u64), VosError> {
+        let mut state = self.state.lock();
+        let ret = state.syscall(sys, args)?;
+        Ok((ret, state.syscall_count))
     }
 
     /// Runs `f` with shared access to the locked state (inspection).
@@ -50,14 +75,20 @@ impl Vos {
         self.state.lock().sent_to(host)
     }
 
-    /// Clones the filesystem node at `path` (copy-on-divergence hook).
-    pub fn clone_node(&self, path: &str) -> Option<Node> {
-        self.state.lock().clone_node(path)
+    /// The filesystem node at `path` as of version `cut`
+    /// (copy-on-divergence hook; see [`VosState::node_as_of`]).
+    pub fn node_as_of(&self, path: &str, cut: u64) -> Option<Node> {
+        self.state.lock().node_as_of(path, cut)
     }
 
-    /// Snapshot of a peer's live state.
-    pub fn peer_snapshot(&self, host: &str) -> Option<PeerState> {
-        self.state.lock().peer_snapshot(host)
+    /// A peer's state as of version `cut`.
+    pub fn peer_as_of(&self, host: &str, cut: u64) -> Option<PeerState> {
+        self.state.lock().peer_as_of(host, cut)
+    }
+
+    /// Drops the history no version at or after `cut` needs.
+    pub fn forget_until(&self, cut: u64) {
+        self.state.lock().forget_until(cut);
     }
 
     /// Total syscalls executed against this world.
@@ -101,7 +132,7 @@ mod tests {
         let vos = Vos::new(&VosConfig::new().file("/f", "abc"));
         assert_eq!(vos.file_contents("/f").unwrap(), "abc");
         assert_eq!(vos.file_contents("/f").unwrap(), "abc");
-        assert!(vos.clone_node("/f").is_some());
+        assert!(vos.node_as_of("/f", 0).is_some());
         assert_eq!(
             vos.with_state(|s| s.clock()),
             VosConfig::default().clock_start

@@ -35,6 +35,12 @@ impl Default for GeneratorConfig {
 /// branches and loops on its contents, performs file and stderr syscalls
 /// along the way, and finishes with an output syscall — so dual execution
 /// always has sources and sinks to work with.
+///
+/// `main` may read `/gen/log` on a branch, and always writes it after its
+/// body: a slave whose branch flips reads the log decoupled, and must find
+/// it as the master left it at that point, not with the master's later
+/// write. The output `/gen/out` holds only `acc`, so a mutation whose
+/// effect never reaches `acc` leaves it unchanged.
 pub fn random_program_source(seed: u64, config: &GeneratorConfig) -> String {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = String::new();
@@ -49,13 +55,16 @@ pub fn random_program_source(seed: u64, config: &GeneratorConfig) -> String {
 
     let _ = writeln!(out, "fn main() {{");
     let _ = writeln!(out, "    let fd = open(\"/gen/input\", 0);");
+    let _ = writeln!(out, "    let lg = open(\"/gen/log\", 2);");
     let _ = writeln!(out, "    let v = int(trim(read(fd, 8)));");
     let _ = writeln!(out, "    let acc = 0;");
     let body = gen_block(&mut rng, config, 1, false);
     out.push_str(&body);
+    let _ = writeln!(out, "    write(lg, \"logged\");");
+    let _ = writeln!(out, "    close(lg);");
     let _ = writeln!(out, "    close(fd);");
     let _ = writeln!(out, "    let o = open(\"/gen/out\", 1);");
-    let _ = writeln!(out, "    write(o, str(acc) + \"/\" + str(v));");
+    let _ = writeln!(out, "    write(o, str(acc));");
     let _ = writeln!(out, "    close(o);");
     let _ = writeln!(out, "}}");
     out
@@ -75,7 +84,7 @@ fn gen_block(rng: &mut StdRng, config: &GeneratorConfig, depth: u32, in_helper: 
         let choice = if depth >= config.max_depth {
             rng.random_range(0..4)
         } else {
-            rng.random_range(0..7)
+            rng.random_range(0..8)
         };
         let pad = indent(depth);
         match choice {
@@ -130,6 +139,20 @@ fn gen_block(rng: &mut StdRng, config: &GeneratorConfig, depth: u32, in_helper: 
                 );
                 let _ = writeln!(out, "{pad}    write(2, \"t\" + str({i}));");
                 out.push_str(&gen_block(rng, config, depth + 1, in_helper));
+                let _ = writeln!(out, "{pad}}}");
+            }
+            7 if !in_helper => {
+                // Read the log on one branch; main writes it later.
+                let _ = writeln!(
+                    out,
+                    "{pad}if ({var} % {} == {}) {{",
+                    rng.random_range(2..4),
+                    rng.random_range(0..2)
+                );
+                let _ = writeln!(
+                    out,
+                    "{pad}    {acc} = {acc} + len(read(open(\"/gen/log\", 0), 64));"
+                );
                 let _ = writeln!(out, "{pad}}}");
             }
             _ => {

@@ -11,14 +11,41 @@
 //!   shares every outcome and reports nothing;
 //! * **alignment soundness under mutation** — a real mutation may cause
 //!   divergence but never deadlocks, never traps the engine, and the
-//!   executions always terminate.
+//!   executions always terminate;
+//! * **schedule independence** — running the slave after the master on
+//!   one OS thread gives the report of running both concurrently, for
+//!   generated programs and for the corpus without Lx threads.
 
-use ldx_dualex::{dual_execute, DualSpec, Mutation, SinkSpec, SourceSpec};
+use ldx_dualex::{
+    dual_execute, dual_execute_with, DualReport, DualSpec, Mutation, Schedule, SinkSpec, SourceSpec,
+};
 use ldx_runtime::ExecConfig;
 use ldx_vos::VosConfig;
-use ldx_workloads::{random_program_source, GeneratorConfig};
+use ldx_workloads::{random_program_source, GeneratorConfig, Suite};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+const SCHEDULES: [Schedule; 2] = [Schedule::TwoThreads, Schedule::OneThread];
+
+/// Everything a report says about the two executions (the flight log
+/// aside: its progress deltas are how far the master had run ahead).
+fn verdict(r: &DualReport) -> String {
+    format!(
+        "records={:?} shared={} decoupled={} diffs={} master_sinks={} timeouts={} \
+         master={:?} slave={:?}",
+        r.causality
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>(),
+        r.shared,
+        r.decoupled,
+        r.syscall_diffs,
+        r.master_sinks,
+        r.timeouts,
+        r.master,
+        r.slave,
+    )
+}
 
 fn world(value: &str) -> VosConfig {
     VosConfig::new()
@@ -88,6 +115,59 @@ proptest! {
         prop_assert!(report.slave.is_ok(), "seed {seed}: {:?}", report.slave);
         prop_assert_eq!(report.timeouts, 0, "a coupling wait timed out");
     }
+
+    /// The mutation's effect must be *monotone in detection*: if the
+    /// mutated input produces exactly the same final output file as the
+    /// original (checked natively), LDX must not report; if the outputs
+    /// differ, it must report. Under either schedule.
+    #[test]
+    fn detection_matches_native_output_difference(seed in 0u64..800, input in 0i64..500) {
+        use ldx_runtime::{run_program, NativeHooks};
+        use ldx_vos::Vos;
+
+        let program = build(seed);
+        let original = input.to_string();
+        let mutated = match Mutation::OffByOne.apply(&ldx_runtime::Value::str(original.as_str())) {
+            ldx_runtime::Value::Str(s) => s,
+            _ => unreachable!(),
+        };
+
+        let native_out = |input: &str| {
+            let vos = Arc::new(Vos::new(&world(input)));
+            let hooks = Arc::new(NativeHooks::new(Arc::clone(&vos)));
+            run_program(Arc::clone(&program), hooks, ExecConfig::default()).expect("runs");
+            vos.file_contents("/gen/out").unwrap_or_default()
+        };
+        let out_original = native_out(&original);
+        let out_mutated = native_out(&mutated);
+
+        for schedule in SCHEDULES {
+            let report = dual_execute_with(
+                Arc::clone(&program),
+                &world(&original),
+                &spec(Mutation::OffByOne),
+                schedule,
+            );
+            prop_assert_eq!(
+                report.leaked(),
+                out_original != out_mutated,
+                "seed {} input {} {:?}: outputs {:?} vs {:?}, records {:?}",
+                seed, input, schedule, out_original, out_mutated, report.causality
+            );
+        }
+    }
+
+    /// The one-thread schedule reports what the two-thread schedule does.
+    #[test]
+    fn one_thread_report_equals_two_thread_report(seed in 0u64..800, input in 0i64..500) {
+        let program = build(seed);
+        let w = world(&input.to_string());
+        let s = spec(Mutation::OffByOne);
+        let [two, one] = SCHEDULES.map(|schedule| {
+            verdict(&dual_execute_with(Arc::clone(&program), &w, &s, schedule))
+        });
+        prop_assert_eq!(two, one, "seed {} input {}", seed, input);
+    }
 }
 
 proptest! {
@@ -130,42 +210,22 @@ proptest! {
         prop_assert_eq!(p.decoupled, r.decoupled);
         prop_assert_eq!(p.timeouts + r.timeouts, 0);
     }
+}
 
-    /// The mutation's effect must be *monotone in detection*: if the
-    /// mutated input produces exactly the same final output file as the
-    /// original (checked natively), LDX must not report; if the outputs
-    /// differ, it must report.
-    #[test]
-    fn detection_matches_native_output_difference(seed in 0u64..800, input in 0i64..500) {
-        use ldx_runtime::{run_program, NativeHooks};
-        use ldx_vos::Vos;
-
-        let program = build(seed);
-        let original = input.to_string();
-        let mutated = match Mutation::OffByOne.apply(&ldx_runtime::Value::str(original.as_str())) {
-            ldx_runtime::Value::Str(s) => s,
-            _ => unreachable!(),
-        };
-
-        let native_out = |input: &str| {
-            let vos = Arc::new(Vos::new(&world(input)));
-            let hooks = Arc::new(NativeHooks::new(Arc::clone(&vos)));
-            run_program(Arc::clone(&program), hooks, ExecConfig::default()).expect("runs");
-            vos.file_contents("/gen/out").unwrap_or_default()
-        };
-        let out_original = native_out(&original);
-        let out_mutated = native_out(&mutated);
-
-        let report = dual_execute(
-            Arc::clone(&program),
-            &world(&original),
-            &spec(Mutation::OffByOne),
-        );
-        prop_assert_eq!(
-            report.leaked(),
-            out_original != out_mutated,
-            "seed {}: outputs {:?} vs {:?}, records {:?}",
-            seed, out_original, out_mutated, report.causality
-        );
+/// The schedule property over every corpus program without Lx threads,
+/// with its own world, sources and sinks.
+#[test]
+fn one_thread_report_equals_two_thread_report_on_the_corpus() {
+    let corpus = ldx_workloads::corpus();
+    for w in corpus.iter().filter(|w| w.suite != Suite::Concurrent) {
+        let [two, one] = SCHEDULES.map(|schedule| {
+            verdict(&dual_execute_with(
+                w.program(),
+                &w.world,
+                &w.dual_spec(),
+                schedule,
+            ))
+        });
+        assert_eq!(two, one, "{}", w.name);
     }
 }
