@@ -830,4 +830,14 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn spawn_sites_are_found_in_any_function() {
+        let threaded = lower_src(
+            "fn work(n) { write(1, str(n)); } fn go() { return spawn(&work, 1); } \
+             fn main() { join(go()); }",
+        );
+        assert!(threaded.spawns_threads());
+        assert!(!lower_src("fn main() { write(1, \"x\"); }").spawns_threads());
+    }
 }

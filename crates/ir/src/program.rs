@@ -1,6 +1,7 @@
 //! Program-level IR containers and the id newtypes used throughout.
 
 use crate::instr::{BasicBlock, Const, Instr};
+use ldx_lang::Syscall;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -198,6 +199,15 @@ impl IrProgram {
     /// Total instruction count across all functions.
     pub fn instr_count(&self) -> usize {
         self.functions.iter().map(|f| f.instr_count()).sum()
+    }
+
+    /// Whether the program has a `spawn` site, i.e. may run more than one
+    /// Lx thread.
+    pub fn spawns_threads(&self) -> bool {
+        self.functions
+            .iter()
+            .flat_map(|f| f.instrs())
+            .any(|(_, instr)| instr.as_syscall() == Some(Syscall::Spawn))
     }
 }
 
