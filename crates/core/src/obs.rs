@@ -30,6 +30,7 @@ pub const DEFAULT_COUNTERS: &[&str] = &[
     "dualex.decoupled",
     "dualex.syscall_diffs",
     "dualex.master_sinks",
+    "dualex.batch_pulls",
     "sdep.nodes",
     "sdep.edges",
     "sdep.sites",

@@ -177,10 +177,15 @@ pub fn dual_execute_with(
     };
 
     // Mirror the coupling counters into the process-wide registry (the
-    // registry sums across batch jobs).
+    // registry sums across batch jobs). Batch pulls are a cost of the
+    // schedule, not of the verdict, so they are left out of the report.
     if ldx_obs::metrics_enabled() {
         for (name, value) in [
             ("dualex.runs", 1),
+            (
+                "dualex.batch_pulls",
+                stats.slave.pulls.load(Ordering::Relaxed),
+            ),
             ("dualex.shared", report.shared),
             ("dualex.decoupled", report.decoupled),
             ("dualex.syscall_diffs", report.syscall_diffs),

@@ -1,14 +1,17 @@
 //! The master execution's syscall wrapper (paper Algorithm 2).
 //!
-//! The master runs against the real virtual world, records every syscall
-//! outcome into its thread pair's queue, and publishes its progress so the
-//! slave can align. In the paper the master also blocks at sinks to
-//! compare arguments in-line; this reproduction runs in *detection* mode —
-//! sink comparison happens when the slave reaches the aligned sink, or at
-//! end-of-run reconciliation for sinks the slave never reaches — which
-//! detects exactly the same causality set without the master-side stall
-//! (deviation documented in DESIGN.md). The master never waits for the
-//! slave.
+//! The master runs against the real virtual world and records every
+//! syscall outcome into its thread pair's open batch, which it hands to
+//! the slave's queue a chunk at a time, or at once when the slave is
+//! parked (the slave also pulls the batch itself when it runs dry; see
+//! `dualex::couple`). At loop backedges it publishes its progress to a
+//! parked slave, so the slave can align. In the paper the master also
+//! blocks at sinks to compare arguments in-line; this reproduction runs in
+//! *detection* mode — sink comparison happens when the slave reaches the
+//! aligned sink, or at end-of-run reconciliation for sinks the slave never
+//! reaches — which detects exactly the same causality set without the
+//! master-side stall (deviation documented in DESIGN.md). The master never
+//! waits for the slave.
 
 use crate::couple::{At, Coupling, Entry, Pair};
 use crate::recorder::{Decision, FlightEvent};
@@ -40,16 +43,7 @@ impl MasterHooks {
         version: u64,
         is_sink: bool,
     ) {
-        let entry = Entry {
-            key: ctx.key.clone(),
-            version,
-            func: ctx.func,
-            site: ctx.site,
-            sys: ctx.sys,
-            args: args.to_vec(),
-            outcome,
-            is_sink,
-        };
+        let entry = Entry::new(ctx, args, outcome, version, is_sink);
         self.coupling
             .with_pair(&ctx.thread, |pair| pair.enqueue(entry));
         self.coupling.emit(

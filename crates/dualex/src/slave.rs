@@ -17,7 +17,7 @@
 //! Source-matched input outcomes are mutated (this is where the
 //! counterfactual perturbation enters the slave).
 
-use crate::couple::{At, Coupling, Diff, Entry, Pair, MAX_WAIT};
+use crate::couple::{At, Coupling, Diff, Entry, Pair, Pull, MAX_WAIT, PARK_WAIT};
 use crate::fdmap::{FdInfo, Resource, SlaveFdMap};
 use crate::mutation::Mutation;
 use crate::recorder::{excerpt, key_scalar, Decision, FlightEvent, ResourceId};
@@ -33,7 +33,7 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Slave-side hooks.
 pub(crate) struct SlaveHooks {
@@ -202,7 +202,7 @@ impl SlaveHooks {
                     }
                     return Align::Decoupled;
                 }
-                if e.args == args {
+                if e.args() == args {
                     return Align::Aligned(e);
                 }
                 // Same site, different arguments (Alg. 2 case 3).
@@ -210,19 +210,31 @@ impl SlaveHooks {
                     return Align::Mismatched;
                 }
                 let diff = CausalityKind::ArgDiff {
-                    master: Self::render_args(&e.args),
+                    master: Self::render_args(e.args()),
                     slave: Self::render_args(args),
                 };
                 self.emit(Decision::Compared, ctx, true, Some(Diff::Sink(diff)));
                 return Align::Decoupled;
             }
-            // Queue empty: decide by the master's published progress.
+            // Queue empty: pull the master's open batch; if that is empty
+            // too, decide by the master's published progress.
+            let (guard, pull) = pair.pull(inner);
+            inner = guard;
+            let open = match pull {
+                Pull::Dry(open) => open,
+                Pull::Refilled { pulled } => {
+                    let pulls = &self.coupling.stats.slave.pulls;
+                    pulls.fetch_add(u64::from(pulled), Ordering::Relaxed);
+                    continue;
+                }
+            };
             let master_past = inner.master_done
                 || inner
                     .master_ready
                     .as_ref()
                     .is_some_and(|r| !matches!(r.cmp_progress(&ctx.key), ProgressOrder::Behind));
             if master_past {
+                drop(open);
                 if is_sink {
                     self.slave_only_sink(ctx);
                 }
@@ -231,13 +243,12 @@ impl SlaveHooks {
             // A slave running after its finished master finds every pair
             // done, so reaching a park is a protocol error, reported at once.
             if self.coupling.master_first || ctx.stop.should_stop() || start.elapsed() > MAX_WAIT {
+                drop(open);
                 self.emit(Decision::Timeout, ctx, is_sink, None);
                 return Align::Decoupled;
             }
             *waits += 1;
-            pair.slave_parked.store(true, Ordering::SeqCst);
-            pair.cv.wait_for(&mut inner, Duration::from_millis(2));
-            pair.slave_parked.store(false, Ordering::SeqCst);
+            pair.park(open, &mut inner, PARK_WAIT);
         }
     }
 
@@ -656,6 +667,7 @@ mod tests {
     use ldx_vos::{Vos, VosConfig};
     use std::sync::atomic::AtomicBool;
     use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
 
     /// Slave hooks on `coupling` for a program with an empty `main`, and
     /// that `main`.
