@@ -19,6 +19,11 @@
 //!   slave's threads are paced by the running master. The calling thread
 //!   is one of the workers, so a pool with one worker spawns no worker
 //!   thread.
+//! * **Replay jobs.** A job made by [`BatchJob::replay`] carries a
+//!   [`Recording`] of its master: it runs only the slave, against that
+//!   recording, on its worker's thread, whatever the worker count. So a
+//!   one-job batch of a replay spawns no thread, and the many probes of
+//!   one analysis share one master run (see [`Analysis::attribute_sources`]).
 //! * **Work stealing.** Jobs land in a global injector; each worker
 //!   drains a small local deque, refills it in batches from the injector,
 //!   and steals FIFO from siblings when both run dry. Long-tailed jobs
@@ -34,9 +39,10 @@
 //!   in under 1-worker and oversubscribed pools.
 //!
 //! [`Analysis::run`]: crate::Analysis::run
+//! [`Analysis::attribute_sources`]: crate::Analysis::attribute_sources
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use ldx_dualex::{dual_execute_with, DualReport, DualSpec, Schedule};
+use ldx_dualex::{dual_execute_with, replay, DualReport, DualSpec, Recording, Schedule};
 use ldx_ir::IrProgram;
 use ldx_vos::VosConfig;
 use parking_lot::Mutex;
@@ -64,6 +70,9 @@ pub struct BatchJob {
     pub world: VosConfig,
     /// Sources, sinks, and execution limits.
     pub spec: DualSpec,
+    /// A recording of this job's master: when set, the job replays only
+    /// the slave against it.
+    pub recording: Option<Arc<Recording>>,
 }
 
 impl BatchJob {
@@ -79,6 +88,23 @@ impl BatchJob {
             program,
             world,
             spec,
+            recording: None,
+        }
+    }
+
+    /// A job that replays a slave under `spec` against `recording`.
+    ///
+    /// # Panics
+    ///
+    /// If the recording does not [accept](Recording::accepts) `spec`.
+    pub fn replay(label: impl Into<String>, recording: Arc<Recording>, spec: DualSpec) -> Self {
+        assert!(
+            recording.accepts(&spec),
+            "a replay may change only the recorded spec's sources"
+        );
+        BatchJob {
+            recording: Some(Arc::clone(&recording)),
+            ..BatchJob::new(label, recording.program(), recording.config().clone(), spec)
         }
     }
 }
@@ -195,6 +221,7 @@ impl BatchEngine {
     /// each job runs on [`Schedule::TwoThreads`]; a batch with Lx threads
     /// then budgets two CPUs per job, with
     /// `min(width, available_parallelism() / 2, jobs)` workers (at least 1).
+    /// Replay jobs ignore the schedule: they run on one thread.
     pub fn plan(&self, jobs: &[BatchJob]) -> (usize, Schedule) {
         let threaded = jobs.iter().any(|job| job.program.spawns_threads());
         let cpus_per_job = if threaded { 2 } else { 1 };
@@ -218,7 +245,10 @@ impl BatchEngine {
             let t0 = Instant::now();
             let span = ldx_obs::span(ldx_obs::cat::BATCH, job.label.clone())
                 .arg("worker", ctx.worker as i64);
-            let report = dual_execute_with(job.program, &job.world, &job.spec, schedule);
+            let report = match &job.recording {
+                Some(recording) => replay(recording, &job.spec),
+                None => dual_execute_with(job.program, &job.world, &job.spec, schedule),
+            };
             drop(span);
             JobResult {
                 label: job.label,
@@ -473,6 +503,34 @@ mod tests {
         let report = BatchEngine::auto().run(mixed);
         assert_eq!(report.workers, (avail / 2).max(1));
         assert!(report.results.iter().all(|r| r.report.timeouts == 0));
+    }
+
+    #[test]
+    fn replay_jobs_report_what_dual_executions_do() {
+        let job = leak_job("fresh", "x");
+        let recording = ldx_dualex::record(Arc::clone(&job.program), &job.world, &job.spec);
+        let recording = Arc::new(recording);
+        let replays = (0..3)
+            .map(|i| BatchJob::replay(format!("r{i}"), Arc::clone(&recording), job.spec.clone()))
+            .collect();
+        let replayed = BatchEngine::auto().run(replays);
+        let fresh = BatchEngine::auto().run(vec![job]);
+        for r in &replayed.results {
+            assert_eq!(r.report.causality, fresh.results[0].report.causality);
+            assert_eq!(r.report.shared, fresh.results[0].report.shared);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "only the recorded spec's sources")]
+    fn a_replay_job_keeps_the_recorded_sinks() {
+        let job = leak_job("fresh", "x");
+        let recording = ldx_dualex::record(Arc::clone(&job.program), &job.world, &job.spec);
+        let spec = DualSpec {
+            sinks: SinkSpec::Outputs,
+            ..job.spec
+        };
+        BatchJob::replay("r", Arc::new(recording), spec);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! * [`Analysis::attribute_sources`] — the paper runs *all* sources mutated
 //!   at once ("It does not require running multiple times for individual
 //!   sources", §3) and reports that *some* source is causal. When an
-//!   analyst needs to know **which**, this extension re-runs the dual
-//!   execution once per source and returns the per-source verdicts.
+//!   analyst needs to know **which**, this extension runs a slave once per
+//!   source and returns the per-source verdicts.
 //! * [`Analysis::causal_strength`] — §2 defines causal *strength*: a strong
 //!   cause is a one-to-one mapping from source values to sink values; weak
 //!   causes are many-to-one. The engine's single off-by-one run detects
@@ -12,10 +12,52 @@
 //!   mutations and reports the fraction that flipped a sink — an empirical
 //!   strength score (1.0 = every perturbation observable = strong;
 //!   near 0.0 = most perturbations absorbed = weak).
+//!
+//! Every one of these runs has the same master: only the sources the
+//! slave perturbs differ (§3). So an analysis records its master once —
+//! [`Analysis::run`] keeps its own, or the first extension call records
+//! one — and runs each spec as a slave replayed against that recording.
+//! A spec already run against it is not run again: its report is reused
+//! (the combined run and a one-source attribution have the same spec, and
+//! so has the off-by-one strength probe for an off-by-one source). A
+//! program with a `spawn` site takes no recording; its specs run as full
+//! dual executions.
 
 use crate::{Analysis, BatchEngine, BatchJob};
-use ldx_dualex::{DualReport, DualSpec, Mutation, SourceSpec};
+use ldx_dualex::{record, DualReport, DualSpec, Mutation, Recording, SourceSpec};
 use ldx_runtime::{RunOutcome, RunStats, Value};
+use parking_lot::Mutex;
+use std::sync::{Arc, OnceLock};
+
+/// An analysis' master recording and the reports run against it, keyed
+/// by their whole spec.
+#[derive(Debug, Default)]
+pub(crate) struct Replays {
+    recording: OnceLock<Arc<Recording>>,
+    reports: Mutex<Vec<(DualSpec, DualReport)>>,
+}
+
+impl Replays {
+    pub fn has_recording(&self) -> bool {
+        self.recording.get().is_some()
+    }
+
+    /// Keeps `recording`, and `report` as the report of `spec` against
+    /// it, unless a recording is kept already.
+    pub fn keep(&self, recording: Recording, spec: &DualSpec, report: &DualReport) {
+        if self.recording.set(Arc::new(recording)).is_ok() {
+            self.reports.lock().push((spec.clone(), report.clone()));
+        }
+    }
+
+    /// The report of a spec equal to `spec` run before, if any.
+    fn reused(&self, spec: &DualSpec) -> Option<DualReport> {
+        let reports = self.reports.lock();
+        let report = reports.iter().find(|(s, _)| s == spec)?.1.clone();
+        crate::obs::counter_add("dualex.reports_reused", 1);
+        Some(report)
+    }
+}
 
 /// Verdict for one source (see [`Analysis::attribute_sources`]).
 #[derive(Debug, Clone)]
@@ -82,8 +124,10 @@ impl StrengthReport {
 }
 
 impl Analysis {
-    /// Re-runs the dual execution once per configured source, mutating only
+    /// Runs the dual execution once per configured source, mutating only
     /// that source, and reports which of them are individually causal.
+    /// Each run is a slave replayed against this analysis' recording, or
+    /// the report of an equal spec already run (see the module docs).
     ///
     /// The per-source runs are independent, so they fan out on an
     /// auto-sized [`BatchEngine`]; use [`Analysis::attribute_sources_with`]
@@ -105,16 +149,19 @@ impl Analysis {
         let spec = self.spec();
         let sdep = self.prune_enabled().then(|| self.static_analysis());
         let should_run = self.prune_mask(spec.sources.iter().cloned());
-        let jobs = spec
+        let specs = spec
             .sources
             .iter()
             .enumerate()
             .filter(|&(index, _)| should_run[index])
             .map(|(index, source)| {
-                self.single_source_job(format!("source#{index}"), source.clone())
+                (
+                    format!("source#{index}"),
+                    self.single_source(source.clone()),
+                )
             })
             .collect();
-        let mut results = engine.run(jobs).results.into_iter();
+        let mut results = self.run_specs(engine, specs).into_iter();
         spec.sources
             .iter()
             .enumerate()
@@ -128,7 +175,7 @@ impl Analysis {
                         report: pruned_report(),
                     };
                 }
-                let report = results.next().expect("one result per scheduled job").report;
+                let report = results.next().expect("one result per scheduled job");
                 if let Some(analysis) = &sdep {
                     debug_assert!(
                         analysis
@@ -167,17 +214,65 @@ impl Analysis {
         mask
     }
 
-    /// A batch job running this analysis with `source` as its only
-    /// source (recording as configured).
-    fn single_source_job(&self, label: String, source: SourceSpec) -> BatchJob {
-        let spec = self.spec();
-        let single = DualSpec {
+    /// This analysis' spec with `source` as its only source.
+    fn single_source(&self, source: SourceSpec) -> DualSpec {
+        DualSpec {
             sources: vec![source],
-            sinks: spec.sinks.clone(),
-            record: spec.record,
-            exec: spec.exec,
+            ..self.spec().clone()
+        }
+    }
+
+    /// The reports of `specs` (labelled jobs), in order: reused where an
+    /// equal spec ran against this analysis' recording before, else
+    /// replayed against it on `engine`. Without a recording (a program
+    /// with a `spawn` site) each spec runs as a dual execution.
+    fn run_specs(&self, engine: &BatchEngine, specs: Vec<(String, DualSpec)>) -> Vec<DualReport> {
+        let recording = self.recording();
+        let job = |label: &String, spec: &DualSpec| match &recording {
+            Some(recording) => BatchJob::replay(label.clone(), Arc::clone(recording), spec.clone()),
+            None => BatchJob::new(
+                label.clone(),
+                self.program(),
+                self.world_ref().clone(),
+                spec.clone(),
+            ),
         };
-        BatchJob::new(label, self.program(), self.world_ref().clone(), single)
+        let mut reports: Vec<Option<DualReport>> = specs
+            .iter()
+            .map(|(_, spec)| self.replays.reused(spec))
+            .collect();
+        let jobs = specs
+            .iter()
+            .zip(&reports)
+            .filter(|(_, report)| report.is_none())
+            .map(|((label, spec), _)| job(label, spec))
+            .collect();
+        let mut fresh = engine.run(jobs).results.into_iter().map(|r| r.report);
+        let mut kept = self.replays.reports.lock();
+        for ((_, spec), slot) in specs.into_iter().zip(&mut reports) {
+            if slot.is_none() {
+                let report = fresh.next().expect("one result per scheduled job");
+                if recording.is_some() {
+                    kept.push((spec, report.clone()));
+                }
+                *slot = Some(report);
+            }
+        }
+        reports.into_iter().flatten().collect()
+    }
+
+    /// This analysis' recording, made now (the master alone, on the
+    /// calling thread) if there is none yet; `None` for a program with a
+    /// `spawn` site.
+    fn recording(&self) -> Option<Arc<Recording>> {
+        if self.program().spawns_threads() {
+            return None;
+        }
+        let recording = self
+            .replays
+            .recording
+            .get_or_init(|| Arc::new(record(self.program(), self.world_ref(), self.spec())));
+        Some(Arc::clone(recording))
     }
 
     /// Probes the first source with a battery of distinct mutations and
@@ -191,7 +286,7 @@ impl Analysis {
     }
 
     /// [`Analysis::causal_strength`] on a caller-provided pool: the whole
-    /// battery runs as one batch.
+    /// battery runs as one batch (of replays, less any probe already run).
     ///
     /// With pruning enabled, probes whose (mutated source, sinks) pair is
     /// statically independent never run — they count as probed but not
@@ -215,17 +310,20 @@ impl Analysis {
             mutation: mutation.clone(),
         };
         let should_run = self.prune_mask(battery.iter().map(probe));
-        let jobs = battery
+        let specs = battery
             .iter()
             .enumerate()
             .filter(|&(index, _)| should_run[index])
             .map(|(index, mutation)| {
-                self.single_source_job(format!("probe#{index}"), probe(mutation))
+                (
+                    format!("probe#{index}"),
+                    self.single_source(probe(mutation)),
+                )
             })
             .collect();
-        let batch = engine.run(jobs);
+        let reports = self.run_specs(engine, specs);
         StrengthReport {
-            flipped: batch.leaks(),
+            flipped: reports.iter().filter(|r| r.leaked()).count(),
             probed: battery.len(),
         }
     }
@@ -279,6 +377,113 @@ mod tests {
         for (p, f) in pruned.iter().zip(&full) {
             assert_eq!(p.causal, f.causal, "pruning must not change verdicts");
         }
+    }
+
+    /// The argument difference of the first sink record: (master, slave).
+    fn arg_diff(report: &DualReport) -> (String, String) {
+        report
+            .causality
+            .iter()
+            .find_map(|c| match &c.kind {
+                crate::CausalityKind::ArgDiff { master, slave } => {
+                    Some((master.clone(), slave.clone()))
+                }
+                _ => None,
+            })
+            .expect("a sink argument difference")
+    }
+
+    #[test]
+    fn a_clone_that_changes_its_world_never_sees_the_original_recording() {
+        let original = two_source_analysis();
+        original.run();
+        let moved = original.clone().world(
+            VosConfig::new()
+                .file("/a", "other")
+                .file("/b", "unused")
+                .peer("out", PeerBehavior::Echo),
+        );
+        assert!(moved.replays.recording.get().is_none());
+        let attributed = |a: &Analysis| arg_diff(&a.attribute_sources()[0].report).0;
+        assert!(attributed(&moved).contains("payload=other"));
+        assert!(attributed(&original).contains("payload=used"));
+        // A clone shares the recording until a builder changes what its
+        // master sees; sources and pruning do not.
+        let shares = |a: &Analysis| Arc::ptr_eq(&a.replays, &original.replays);
+        assert!(shares(
+            &original.clone().source(SourceSpec::file("/c")).no_prune()
+        ));
+        let exec = ldx_runtime::ExecConfig::default();
+        for fresh in [
+            original.clone().sinks(SinkSpec::Outputs),
+            original.clone().recorded(),
+            original.clone().exec_config(exec),
+        ] {
+            assert!(!shares(&fresh) && fresh.replays.recording.get().is_none());
+        }
+    }
+
+    #[test]
+    fn a_reused_report_comes_only_from_an_equal_spec() {
+        let both = Analysis::for_source(
+            r#"fn main() {
+                let a = read(open("/a", 0), 8);
+                let b = read(open("/b", 0), 8);
+                send(connect("out"), a + "|" + b);
+            }"#,
+        )
+        .unwrap()
+        .world(
+            VosConfig::new()
+                .file("/a", "a1")
+                .file("/b", "b1")
+                .peer("out", PeerBehavior::Echo),
+        )
+        .source(SourceSpec::file("/a"))
+        .source(SourceSpec::file("/b"))
+        .sinks(SinkSpec::NetworkOut);
+        let combined = both.run();
+        assert_eq!(arg_diff(&combined).1, "5, a2|b2");
+        // Each attribution perturbs one source: no spec equals the
+        // combined one, so each is replayed.
+        let attributions = both.attribute_sources();
+        assert_eq!(arg_diff(&attributions[0].report).1, "5, a2|b1");
+        assert_eq!(arg_diff(&attributions[1].report).1, "5, a1|b2");
+        // The strength battery probes /a: its off-by-one probe is the /a
+        // attribution's spec, so 3 specs plus 2 probes were run in all.
+        assert!(both.causal_strength(&[]).is_strong());
+        let kept = both.replays.reports.lock();
+        assert_eq!(kept.len(), 5);
+        for (i, (spec, _)) in kept.iter().enumerate() {
+            assert!(kept[..i].iter().all(|(other, _)| other != spec));
+        }
+        drop(kept);
+        let again = both.attribute_sources();
+        assert_eq!(again[0].report.causality, attributions[0].report.causality);
+    }
+
+    #[test]
+    fn a_program_with_a_spawn_site_never_records() {
+        let analysis = Analysis::for_source(
+            r#"fn work(v) { send(connect("out"), v); }
+            fn main() {
+                let v = read(open("/a", 0), 8);
+                join(spawn(&work, v));
+            }"#,
+        )
+        .unwrap()
+        .world(
+            VosConfig::new()
+                .file("/a", "value")
+                .peer("out", PeerBehavior::Echo),
+        )
+        .source(SourceSpec::file("/a"))
+        .sinks(SinkSpec::NetworkOut);
+        assert!(analysis.run().leaked());
+        assert!(analysis.attribute_sources()[0].causal);
+        assert!(analysis.causal_strength(&[]).is_strong());
+        assert!(analysis.replays.recording.get().is_none());
+        assert!(analysis.replays.reports.lock().is_empty());
     }
 
     #[test]

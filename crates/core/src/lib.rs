@@ -58,7 +58,8 @@ pub use explain::{
 };
 pub use extensions::{SourceAttribution, StrengthReport};
 
-use ldx_dualex::dual_execute;
+use extensions::Replays;
+use ldx_dualex::{dual_execute, dual_execute_and_record};
 use ldx_instrument::InstrumentedProgram;
 use ldx_ir::IrProgram;
 use ldx_vos::VosConfig;
@@ -66,7 +67,7 @@ use std::sync::{Arc, OnceLock};
 
 pub use ldx_dualex::{
     ByteDiff, CausalityKind, CausalityRecord, Decision, DualReport, DualSpec, FlightEvent,
-    FlightLog, Mutation, ResourceId, SinkSpec, SourceMatcher, SourceSpec,
+    FlightLog, Mutation, Recording, ResourceId, SinkSpec, SourceMatcher, SourceSpec,
 };
 pub use ldx_instrument::{instrument, InstrumentationReport};
 pub use ldx_lang::LangError as Error;
@@ -95,6 +96,13 @@ pub mod compiler {
 /// A fluent, end-to-end causality analysis.
 ///
 /// Wraps compile → instrument → dual-execute. See the crate-level example.
+///
+/// Clones share two caches by `Arc`: the static analysis, which depends
+/// on the program alone, and the master recording with the reports run
+/// against it ([`Analysis::attribute_sources`]). A builder that changes
+/// what the master sees ([`Analysis::world`], [`Analysis::sinks`],
+/// [`Analysis::recorded`], [`Analysis::exec_config`]) starts a fresh
+/// recording cache.
 #[derive(Debug, Clone)]
 pub struct Analysis {
     program: Arc<IrProgram>,
@@ -103,6 +111,7 @@ pub struct Analysis {
     spec: DualSpec,
     prune: bool,
     sdep_cache: Arc<OnceLock<Arc<sdep::StaticAnalysis>>>,
+    replays: Arc<Replays>,
 }
 
 impl Analysis {
@@ -128,12 +137,14 @@ impl Analysis {
             spec: DualSpec::default(),
             prune: true,
             sdep_cache: Arc::new(OnceLock::new()),
+            replays: Arc::default(),
         }
     }
 
     /// Sets the virtual world the program runs against.
     pub fn world(mut self, world: VosConfig) -> Self {
         self.world = world;
+        self.replays = Arc::default();
         self
     }
 
@@ -146,6 +157,7 @@ impl Analysis {
     /// Sets the sink specification (default: all output syscalls).
     pub fn sinks(mut self, sinks: SinkSpec) -> Self {
         self.spec.sinks = sinks;
+        self.replays = Arc::default();
         self
     }
 
@@ -153,12 +165,14 @@ impl Analysis {
     /// [`DualReport::trace_lines`] and [`Analysis::explain`].
     pub fn recorded(mut self) -> Self {
         self.spec.record = true;
+        self.replays = Arc::default();
         self
     }
 
     /// Overrides interpreter limits.
     pub fn exec_config(mut self, exec: ExecConfig) -> Self {
         self.spec.exec = exec;
+        self.replays = Arc::default();
         self
     }
 
@@ -194,9 +208,20 @@ impl Analysis {
         Arc::clone(&self.program)
     }
 
-    /// Runs the dual execution and returns the causality report.
+    /// Runs the dual execution and returns the causality report. The run
+    /// keeps its master as this analysis' recording, unless it has one
+    /// already or the program spawns threads, so attribution and strength
+    /// probes replay against it instead of running the master again.
     pub fn run(&self) -> DualReport {
-        dual_execute(Arc::clone(&self.program), &self.world, &self.spec)
+        let (program, world, spec) = (self.program(), &self.world, &self.spec);
+        if self.replays.has_recording() {
+            return dual_execute(program, world, spec);
+        }
+        let (report, recording) = dual_execute_and_record(program, world, spec);
+        if let Some(recording) = recording {
+            self.replays.keep(recording, spec, &report);
+        }
+        report
     }
 
     /// Packages this analysis as a [`BatchJob`] for the parallel engine.

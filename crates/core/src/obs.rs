@@ -31,6 +31,9 @@ pub const DEFAULT_COUNTERS: &[&str] = &[
     "dualex.syscall_diffs",
     "dualex.master_sinks",
     "dualex.batch_pulls",
+    "dualex.recordings",
+    "dualex.replays",
+    "dualex.reports_reused",
     "sdep.nodes",
     "sdep.edges",
     "sdep.sites",

@@ -21,6 +21,11 @@
 //! cannot see. The master wakes a parked slave once per park: it clears
 //! `slave_parked` when it notifies.
 //!
+//! A run that keeps a recording also logs every entry its master queues,
+//! per pair and under the batch lock the master already holds; a replay
+//! starts from pairs whose queues hold such a log and whose master is done
+//! ([`Coupling::replaying`]).
+//!
 //! Every protocol decision either side makes is reported once, through
 //! [`Coupling::emit`].
 
@@ -163,6 +168,11 @@ impl EntryQueue {
         }
         entry
     }
+
+    /// Removes every entry, in order.
+    fn drain(&mut self) -> Vec<Entry> {
+        std::iter::from_fn(|| self.pop_front()).collect()
+    }
 }
 
 /// Where a decision was made: the acting role's thread and progress key,
@@ -237,7 +247,16 @@ impl PairInner {
 #[derive(Debug, Default)]
 #[repr(align(128))]
 struct OpenBatch {
-    entries: Mutex<VecDeque<Entry>>,
+    entries: Mutex<Open>,
+}
+
+/// What the open-batch lock guards.
+#[derive(Debug, Default)]
+pub(crate) struct Open {
+    batch: VecDeque<Entry>,
+    /// A copy of every entry the master queued, when its run keeps a
+    /// recording.
+    log: Option<Vec<Entry>>,
 }
 
 /// What a slave that ran dry found ([`Pair::pull`]).
@@ -247,7 +266,7 @@ pub(crate) enum Pull<'a> {
     Refilled { pulled: bool },
     /// Queue and open batch are both empty. Holds the batch lock, for
     /// [`Pair::park`].
-    Dry(MutexGuard<'a, VecDeque<Entry>>),
+    Dry(MutexGuard<'a, Open>),
 }
 
 /// A thread pair's synchronization cell. Lock order, on both sides: the
@@ -270,14 +289,36 @@ pub(crate) struct Pair {
 }
 
 impl Pair {
-    /// Master: appends an outcome to the open batch, and hands the batch
-    /// over (waking the slave) when it fills a chunk or the slave is
-    /// parked. The slave parks under the batch lock, so the flag read
-    /// here cannot miss a park that could miss this entry.
+    /// A pair whose master logs every entry it queues.
+    fn logging() -> Self {
+        let pair = Pair::default();
+        pair.open.entries.lock().log = Some(Vec::new());
+        pair
+    }
+
+    /// A pair for a replay: `log` queued, and the master done.
+    fn replayed(log: Vec<Entry>) -> Self {
+        let pair = Pair::default();
+        let mut inner = pair.inner.lock();
+        log.into_iter()
+            .for_each(|entry| inner.queue.push_back(entry));
+        inner.master_done = true;
+        inner.master_ready = Some(ProgressKey::top());
+        drop(inner);
+        pair
+    }
+
+    /// Master: appends an outcome to the open batch (and to the log, when
+    /// kept), and hands the batch over (waking the slave) when it fills a
+    /// chunk or the slave is parked. The slave parks under the batch lock,
+    /// so the flag read here cannot miss a park that could miss this entry.
     pub fn enqueue(&self, entry: Entry) {
         let mut open = self.open.entries.lock();
-        open.push_back(entry);
-        if open.len() >= QUEUE_CHUNK || self.slave_parked.load(Ordering::SeqCst) {
+        if let Some(log) = &mut open.log {
+            log.push(entry.clone());
+        }
+        open.batch.push_back(entry);
+        if open.batch.len() >= QUEUE_CHUNK || self.slave_parked.load(Ordering::SeqCst) {
             let inner = self.hand_over(open);
             self.wake_parked(inner);
         }
@@ -309,10 +350,20 @@ impl Pair {
 
     /// Moves the open batch (its lock taken first, the lock order) into
     /// the queue; releases the batch lock and returns the pair lock.
-    fn hand_over(&self, mut open: MutexGuard<'_, VecDeque<Entry>>) -> MutexGuard<'_, PairInner> {
+    fn hand_over(&self, mut open: MutexGuard<'_, Open>) -> MutexGuard<'_, PairInner> {
         let mut inner = self.inner.lock();
-        inner.take(&mut open);
+        inner.take(&mut open.batch);
         inner
+    }
+
+    /// The master's entries, in order: the log it kept, or, for a master
+    /// that ran alone, everything it queued.
+    fn take_log(&self) -> Vec<Entry> {
+        let mut open = self.open.entries.lock();
+        match open.log.take() {
+            Some(log) => log,
+            None => self.hand_over(open).queue.drain(),
+        }
     }
 
     /// Releases the pair lock, then notifies if the slave is parked,
@@ -335,7 +386,7 @@ impl Pair {
         drop(inner);
         let mut open = self.open.entries.lock();
         let mut inner = self.inner.lock();
-        let pulled = inner.take(&mut open);
+        let pulled = inner.take(&mut open.batch);
         if pulled || inner.queue.front().is_some() {
             return (inner, Pull::Refilled { pulled });
         }
@@ -348,7 +399,7 @@ impl Pair {
     /// the wait timed out rather than being notified.
     pub fn park(
         &self,
-        open: MutexGuard<'_, VecDeque<Entry>>,
+        open: MutexGuard<'_, Open>,
         inner: &mut MutexGuard<'_, PairInner>,
         timeout: Duration,
     ) -> bool {
@@ -414,9 +465,11 @@ pub(crate) struct Coupling {
     id: u64,
     pairs: Mutex<HashMap<ThreadKey, Arc<Pair>>>,
     pub master_exec_done: AtomicBool,
-    /// The slave starts only once the master has finished (the one-thread
-    /// schedule), so it must never wait for it.
+    /// The slave starts only once the master has finished (a replay), so
+    /// it must never wait for it.
     pub master_first: bool,
+    /// Every pair logs its master's entries, for a recording.
+    pub keep_logs: bool,
     pub records: Mutex<Vec<CausalityRecord>>,
     pub stats: CouplingStats,
     /// Paths with diverged state (paper §7 resource tainting).
@@ -436,11 +489,29 @@ impl Coupling {
             pairs: Mutex::new(HashMap::new()),
             master_exec_done: AtomicBool::new(false),
             master_first: false,
+            keep_logs: false,
             records: Mutex::new(Vec::new()),
             stats: CouplingStats::default(),
             tainted_paths: Mutex::new(HashSet::new()),
             tainted_locks: Mutex::new(HashSet::new()),
             recorder: record.then(|| FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY)),
+        }
+    }
+
+    /// Coupling state for a slave replayed against a finished master: one
+    /// pair per entry log, each done, and the flight recorder (when
+    /// `record`) resumed from the master's `lane`.
+    pub fn replaying(record: bool, lane: FlightLog, logs: Vec<(ThreadKey, Vec<Entry>)>) -> Self {
+        let pairs = logs
+            .into_iter()
+            .map(|(thread, log)| (thread, Arc::new(Pair::replayed(log))))
+            .collect();
+        Coupling {
+            pairs: Mutex::new(pairs),
+            master_exec_done: AtomicBool::new(true),
+            master_first: true,
+            recorder: record.then(|| FlightRecorder::resume(DEFAULT_FLIGHT_CAPACITY, lane)),
+            ..Coupling::new(false)
         }
     }
 
@@ -538,6 +609,26 @@ impl Coupling {
             .unwrap_or_default()
     }
 
+    /// A copy of the master lane so far (empty when recording is off).
+    pub fn master_flight_log(&self) -> FlightLog {
+        self.recorder
+            .as_ref()
+            .map(FlightRecorder::master_log)
+            .unwrap_or_default()
+    }
+
+    /// Every pair's master entries ([`Pair::take_log`]), in `ThreadKey`
+    /// order.
+    pub fn take_logs(&self) -> Vec<(ThreadKey, Vec<Entry>)> {
+        let pairs = self.pairs.lock();
+        let mut logs: Vec<_> = pairs
+            .iter()
+            .map(|(thread, pair)| (thread.clone(), pair.take_log()))
+            .collect();
+        logs.sort_by(|a, b| a.0.cmp(&b.0));
+        logs
+    }
+
     /// Runs `f` on the pair cell for thread `t`. The calling OS thread
     /// caches the pair it resolved last, so a role resolves its thread's
     /// pair once per run. `f` must not resolve another pair.
@@ -557,7 +648,11 @@ impl Coupling {
         if let Some(p) = pairs.get(t) {
             return Arc::clone(p);
         }
-        let p = Arc::new(Pair::default());
+        let p = Arc::new(if self.keep_logs {
+            Pair::logging()
+        } else {
+            Pair::default()
+        });
         // If the master execution already finished, threads it never
         // spawned must not be waited for.
         if self.master_exec_done.load(Ordering::SeqCst) {
@@ -662,7 +757,7 @@ mod tests {
     }
 
     fn open_len(pair: &Pair) -> usize {
-        pair.open.entries.lock().len()
+        pair.open.entries.lock().batch.len()
     }
 
     fn queued_sites(pair: &Pair) -> Vec<u32> {
@@ -765,7 +860,7 @@ mod tests {
             "publish",
             move |inner| queued(inner) && ready_at(inner, &key(1)),
             |p| {
-                p.open.entries.lock().push_back(entry(0, false));
+                p.open.entries.lock().batch.push_back(entry(0, false));
                 p.publish(&key(1));
             },
         );
@@ -796,7 +891,7 @@ mod tests {
         let pair = Pair::default();
         let last = QUEUE_CHUNK as u32 - 1;
         (0..last).for_each(|i| pair.enqueue(entry(i, false)));
-        let buffer = pair.open.entries.lock().as_slices().0.as_ptr();
+        let buffer = pair.open.entries.lock().batch.as_slices().0.as_ptr();
         pair.enqueue(entry(last, false));
         assert_eq!(open_len(&pair), 0);
         let inner = pair.inner.lock();
@@ -842,7 +937,7 @@ mod tests {
             let open = pair.open.entries.lock();
             let inner = pair.inner.lock();
             if let Some(ready) = &inner.master_ready {
-                for e in open.iter() {
+                for e in open.batch.iter() {
                     assert_eq!(ready.cmp_progress(&e.key), ProgressOrder::Behind, "at {i}");
                 }
             }
@@ -1029,6 +1124,61 @@ mod tests {
         c.taint_path("/a//b/");
         assert!(c.path_tainted("a/b"));
         assert!(!c.path_tainted("/a"));
+    }
+
+    fn sites(log: &[Entry]) -> Vec<u32> {
+        log.iter().map(|e| e.site.0).collect()
+    }
+
+    #[test]
+    fn a_logging_pair_keeps_every_entry_it_hands_over() {
+        let c = Coupling {
+            keep_logs: true,
+            ..Coupling::new(false)
+        };
+        let t = ThreadKey::root();
+        let n = QUEUE_CHUNK as u32 + 5;
+        let all: Vec<u32> = (0..n).collect();
+        c.with_pair(&t, |p| {
+            (0..n).for_each(|i| p.enqueue(entry(i, false)));
+            assert_eq!(consume(p, usize::MAX), all);
+        });
+        let logs = c.take_logs();
+        assert_eq!(logs.len(), 1);
+        assert_eq!(sites(&logs[0].1), all);
+    }
+
+    #[test]
+    fn a_master_that_ran_alone_leaves_its_queues_as_its_logs() {
+        let c = Coupling::new(false);
+        let (root, child) = (ThreadKey::root(), ThreadKey::root().child(0));
+        let n = QUEUE_CHUNK as u32 + 5;
+        for t in [&child, &root] {
+            c.with_pair(t, |p| (0..n).for_each(|i| p.enqueue(entry(i, false))));
+        }
+        c.finish_execution();
+        let logs = c.take_logs();
+        let threads: Vec<&ThreadKey> = logs.iter().map(|(t, _)| t).collect();
+        assert_eq!(threads, [&root, &child], "in ThreadKey order");
+        assert!(logs
+            .iter()
+            .all(|(_, log)| sites(log) == (0..n).collect::<Vec<_>>()));
+    }
+
+    #[test]
+    fn a_replaying_coupling_starts_with_finished_pairs() {
+        let root = ThreadKey::root();
+        let log = vec![entry(0, false), entry(1, true)];
+        let c = Coupling::replaying(false, FlightLog::default(), vec![(root.clone(), log)]);
+        assert!(c.master_first);
+        c.with_pair(&root, |p| {
+            let inner = p.inner.lock();
+            assert!(inner.master_done);
+            assert!(inner.master_ready.as_ref().is_some_and(ProgressKey::is_top));
+        });
+        assert_eq!(queued_sites(&c.pair(&root)), [0, 1]);
+        // A thread the recorded master never ran is done too.
+        assert!(c.pair(&root.child(0)).inner.lock().master_done);
     }
 
     #[test]

@@ -1,17 +1,31 @@
 //! The dual-execution orchestrator.
+//!
+//! A dual run has two halves. The master runs against a fresh versioned
+//! world and queues its syscall outcomes per thread pair; the slave
+//! consumes them. A finished master, kept with its entry logs, outcome,
+//! flight lane and world, is a [`Recording`], and [`replay`] runs only a
+//! slave against one: the master's work is paid once however many slaves,
+//! each perturbing different sources, run against it. The one-thread
+//! schedule is exactly [`record`] then a replay; the two-thread schedule
+//! runs both halves at once, and [`dual_execute_and_record`] keeps its
+//! recording too. Every report is built by the same tail: reconcile, end
+//! diff, flight log, counters.
 
-use crate::couple::Coupling;
+use crate::couple::{Coupling, Entry};
 use crate::master::MasterHooks;
+use crate::recorder::FlightLog;
 use crate::report::{CausalityKind, CausalityRecord, DualReport};
 use crate::resolved::{ResolvedSinks, ResolvedSources};
 use crate::slave::SlaveHooks;
 use crate::spec::DualSpec;
 use ldx_ir::{FuncId, IrProgram, SiteId};
 use ldx_lang::Syscall;
-use ldx_runtime::{run_program, LockTable, ProgressKey, RunOutcome, SyscallHooks, ThreadKey, Trap};
+use ldx_obs::FlowAnchor;
+use ldx_runtime::{run_program, LockTable, ProgressKey, RunOutcome, ThreadKey, Trap};
 use ldx_vos::{SlaveVos, Vos, VosConfig};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -28,9 +42,10 @@ pub enum Schedule {
     /// the master is behind. One long run overlaps its two interpreters.
     TwoThreads,
     /// The master runs to completion, then the slave, both on the calling
-    /// thread. The slave finds the whole queue and every pair done, so it
-    /// never waits and no thread is spawned or woken: the cheaper choice
-    /// when other jobs already keep the CPUs busy.
+    /// thread: [`record`], then a replay of the recording, which takes the
+    /// master's entries by move. The slave finds the whole queue and every
+    /// pair done, so it never waits and no thread is spawned or woken: the
+    /// cheaper choice when other jobs already keep the CPUs busy.
     OneThread,
 }
 
@@ -70,74 +85,295 @@ pub fn dual_execute_with(
     spec: &DualSpec,
     schedule: Schedule,
 ) -> DualReport {
+    match schedule {
+        Schedule::TwoThreads => two_threads(program, config, spec, false).0,
+        Schedule::OneThread => {
+            let Recording { setup, master } = record(program, config, spec);
+            replay_from(&setup, master, spec)
+        }
+    }
+}
+
+/// [`dual_execute`] that also keeps the master as a [`Recording`], for
+/// [`replay`]s with other sources. The master logs a copy of each entry
+/// it queues, and the slave leaves the master's history whole. A program
+/// with a `spawn` site gets no recording: its slave's threads are paced by
+/// a running master, so a replay could not follow them.
+pub fn dual_execute_and_record(
+    program: Arc<IrProgram>,
+    config: &VosConfig,
+    spec: &DualSpec,
+) -> (DualReport, Option<Recording>) {
+    let keep = !program.spawns_threads();
+    two_threads(program, config, spec, keep)
+}
+
+/// A finished master execution of a program against a world, under a
+/// spec's sinks, limits and recording flag: each thread pair's entry log,
+/// the master's outcome, sink count and flight lane, and its versioned
+/// world with the whole history. Any number of slaves perturbing other
+/// sources can [`replay`] against it, concurrently too.
+pub struct Recording {
+    setup: Setup,
+    master: Master,
+}
+
+/// The part of a [`Recording`] every replay reads.
+struct Setup {
+    program: Arc<IrProgram>,
+    config: VosConfig,
+    /// The spec the master ran under; replays may change its sources.
+    spec: DualSpec,
+    sinks: ResolvedSinks,
+    /// The master's world after its run, history kept.
+    world: Arc<Vos>,
+    master_sinks: u64,
+    /// Where replays' flow arrows start: in the master's span, when traced.
+    anchor: Option<FlowAnchor>,
+}
+
+/// The part of a [`Recording`] a replay consumes.
+#[derive(Clone)]
+struct Master {
+    logs: Vec<(ThreadKey, Vec<Entry>)>,
+    lane: FlightLog,
+    outcome: Result<RunOutcome, Trap>,
+}
+
+impl Recording {
+    /// The recorded program.
+    pub fn program(&self) -> Arc<IrProgram> {
+        Arc::clone(&self.setup.program)
+    }
+
+    /// The world the master started from.
+    pub fn config(&self) -> &VosConfig {
+        &self.setup.config
+    }
+
+    /// Whether `spec` may be replayed against this recording: it differs
+    /// from the recorded spec in its sources at most.
+    pub fn accepts(&self, spec: &DualSpec) -> bool {
+        self.setup.accepts(spec)
+    }
+}
+
+impl Setup {
+    fn accepts(&self, spec: &DualSpec) -> bool {
+        let own = &self.spec;
+        spec.sinks == own.sinks && spec.exec == own.exec && spec.record == own.record
+    }
+}
+
+impl fmt::Debug for Recording {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Recording")
+            .field("spec", &self.setup.spec)
+            .field("master", &self.master.outcome)
+            .field("pairs", &self.master.logs.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// Runs the master of `spec` alone, to completion, on the calling thread,
+/// and keeps it as a [`Recording`].
+pub fn record(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSpec) -> Recording {
+    let coupling = Arc::new(Coupling::new(spec.record));
+    let world = Arc::new(Vos::versioned(config));
+    let sinks = ResolvedSinks::resolve(spec, &program);
+    let master = MasterHooks {
+        coupling: Arc::clone(&coupling),
+        vos: Arc::clone(&world),
+        locks: LockTable::new(),
+        sinks: sinks.clone(),
+    };
+    let (outcome, anchor) = run_master(&program, master, spec, None);
+    let setup = Setup {
+        program,
+        config: config.clone(),
+        spec: spec.clone(),
+        sinks,
+        world,
+        master_sinks: coupling.stats.master.sinks.load(Ordering::Relaxed),
+        anchor,
+    };
+    let master = Master {
+        logs: coupling.take_logs(),
+        lane: coupling.take_flight_log(),
+        outcome,
+    };
+    ldx_obs::counter_add("dualex.recordings", 1);
+    Recording { setup, master }
+}
+
+/// Runs a slave under `spec` against `recording`, on the calling thread,
+/// and returns the report a dual execution under `spec` gives. The slave
+/// finds every entry queued and every pair done, so it never waits. Its
+/// span gets a flow arrow of its own from the recorded master's span
+/// (when both are traced).
+///
+/// # Panics
+///
+/// If the recording does not [accept](Recording::accepts) `spec`.
+pub fn replay(recording: &Recording, spec: &DualSpec) -> DualReport {
+    replay_from(&recording.setup, recording.master.clone(), spec)
+}
+
+fn replay_from(setup: &Setup, master: Master, spec: &DualSpec) -> DualReport {
+    assert!(
+        setup.accepts(spec),
+        "a replay may change only the recorded spec's sources"
+    );
+    let flow_id = setup
+        .anchor
+        .filter(|_| ldx_obs::tracing_enabled())
+        .map(|anchor| {
+            let id = ldx_obs::next_flow_id();
+            ldx_obs::flow_start_at(anchor, ldx_obs::cat::FLOW, "dual-run", id);
+            id
+        });
+    let coupling = Arc::new(Coupling::replaying(spec.record, master.lane, master.logs));
+    let master_sinks = &coupling.stats.master.sinks;
+    master_sinks.store(setup.master_sinks, Ordering::Relaxed);
+    let overlay = SlaveVos::keeping_history(Arc::clone(&setup.world), &setup.config);
+    let slave = slave_hooks(
+        &coupling,
+        overlay,
+        setup.sinks.clone(),
+        spec,
+        &setup.program,
+    );
+    let slave_result = run_slave(&setup.program, slave, spec, flow_id);
+    ldx_obs::counter_add("dualex.replays", 1);
+    report(&coupling, master.outcome, slave_result)
+}
+
+/// Runs master and slave concurrently: the master on the calling thread,
+/// the slave on a spawned one. With `keep`, the master's entries are
+/// logged and its history kept, and the run returns its recording.
+fn two_threads(
+    program: Arc<IrProgram>,
+    config: &VosConfig,
+    spec: &DualSpec,
+    keep: bool,
+) -> (DualReport, Option<Recording>) {
     // Compile-time audit that the inputs cross thread boundaries safely
-    // (the scoped spawns below require it, but spell the contract out).
+    // (the scoped spawn below requires it, but spell the contract out).
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Arc<IrProgram>>();
     assert_send_sync::<VosConfig>();
     assert_send_sync::<DualSpec>();
     let mut coupling = Coupling::new(spec.record);
-    coupling.master_first = schedule == Schedule::OneThread;
+    coupling.keep_logs = keep;
     let coupling = Arc::new(coupling);
-    let master_vos = Arc::new(Vos::versioned(config));
-
+    let world = Arc::new(Vos::versioned(config));
     let sinks = ResolvedSinks::resolve(spec, &program);
-    let sources = ResolvedSources::resolve(&spec.sources, &program);
-
-    let master_hooks: Arc<dyn SyscallHooks> = Arc::new(MasterHooks {
+    let master = MasterHooks {
         coupling: Arc::clone(&coupling),
-        vos: Arc::clone(&master_vos),
+        vos: Arc::clone(&world),
         locks: LockTable::new(),
         sinks: sinks.clone(),
-    });
-    let slave_hooks: Arc<dyn SyscallHooks> = Arc::new(SlaveHooks {
-        coupling: Arc::clone(&coupling),
-        overlay: SlaveVos::new(Arc::clone(&master_vos), config),
-        locks: LockTable::new(),
-        sinks,
-        sources,
-        fdmap: Mutex::new(Default::default()),
-        decoupled_threads: Mutex::new(HashSet::new()),
-        spawn_counts: Mutex::new(HashMap::new()),
-    });
-
-    let exec = spec.exec;
+    };
+    let overlay = if keep {
+        SlaveVos::keeping_history(Arc::clone(&world), config)
+    } else {
+        SlaveVos::new(Arc::clone(&world), config)
+    };
+    let slave = slave_hooks(&coupling, overlay, sinks.clone(), spec, &program);
     // A flow arrow links the master and slave spans of this run in the
     // Chrome trace (ph "s" in the master's span, ph "f" in the slave's).
     let flow_id = ldx_obs::tracing_enabled().then(ldx_obs::next_flow_id);
-    let mc = Arc::clone(&coupling);
-    let mp = Arc::clone(&program);
-    let master = move || {
-        let _s = ldx_obs::span(ldx_obs::cat::MASTER, "run");
-        if let Some(id) = flow_id {
-            ldx_obs::flow_point(ldx_obs::cat::FLOW, "dual-run", id, true);
+    // The slave gets a thread of its own; the master runs on the calling
+    // thread, so a run spawns one thread, not two.
+    let ((master_result, anchor), slave_result) = std::thread::scope(|s| {
+        let slave = s.spawn(|| run_slave(&program, slave, spec, flow_id));
+        let master = run_master(&program, master, spec, flow_id);
+        (master, slave.join().expect("slave thread"))
+    });
+    let recording = keep.then(|| {
+        ldx_obs::counter_add("dualex.recordings", 1);
+        Recording {
+            master: Master {
+                logs: coupling.take_logs(),
+                lane: coupling.master_flight_log(),
+                outcome: master_result.clone(),
+            },
+            setup: Setup {
+                program,
+                config: config.clone(),
+                spec: spec.clone(),
+                sinks,
+                world,
+                master_sinks: coupling.stats.master.sinks.load(Ordering::Relaxed),
+                anchor,
+            },
         }
-        let r = run_program(mp, master_hooks, exec);
-        mc.finish_execution();
-        r
-    };
-    let sp = Arc::clone(&program);
-    let slave = move || {
-        let _s = ldx_obs::span(ldx_obs::cat::SLAVE, "run");
-        if let Some(id) = flow_id {
-            ldx_obs::flow_point(ldx_obs::cat::FLOW, "dual-run", id, false);
-        }
-        run_program(sp, slave_hooks, exec)
-    };
-    let (master_result, slave_result) = match schedule {
-        // The slave gets a thread of its own; the master runs on the
-        // calling thread, so a run spawns one thread, not two.
-        Schedule::TwoThreads => std::thread::scope(|s| {
-            let slave = s.spawn(slave);
-            let master_result = master();
-            (master_result, slave.join().expect("slave thread"))
-        }),
-        Schedule::OneThread => {
-            let master_result = master();
-            (master_result, slave())
-        }
-    };
+    });
+    (report(&coupling, master_result, slave_result), recording)
+}
 
+/// The slave's hooks on `coupling`, with `overlay` as its private world.
+fn slave_hooks(
+    coupling: &Arc<Coupling>,
+    overlay: SlaveVos,
+    sinks: ResolvedSinks,
+    spec: &DualSpec,
+    program: &IrProgram,
+) -> SlaveHooks {
+    SlaveHooks {
+        coupling: Arc::clone(coupling),
+        overlay,
+        locks: LockTable::new(),
+        sinks,
+        sources: ResolvedSources::resolve(&spec.sources, program),
+        fdmap: Mutex::new(Default::default()),
+        decoupled_threads: Mutex::new(HashSet::new()),
+        spawn_counts: Mutex::new(HashMap::new()),
+    }
+}
+
+/// Runs the master to completion and marks it finished, starting flow
+/// arrow `flow_id` in its span; returns its outcome and, when tracing,
+/// where in its span arrows start.
+fn run_master(
+    program: &Arc<IrProgram>,
+    hooks: MasterHooks,
+    spec: &DualSpec,
+    flow_id: Option<u64>,
+) -> (Result<RunOutcome, Trap>, Option<FlowAnchor>) {
+    let _s = ldx_obs::span(ldx_obs::cat::MASTER, "run");
+    let anchor = ldx_obs::tracing_enabled().then(ldx_obs::flow_anchor);
+    if let Some((anchor, id)) = anchor.zip(flow_id) {
+        ldx_obs::flow_start_at(anchor, ldx_obs::cat::FLOW, "dual-run", id);
+    }
+    let coupling = Arc::clone(&hooks.coupling);
+    let outcome = run_program(Arc::clone(program), Arc::new(hooks), spec.exec);
+    coupling.finish_execution();
+    (outcome, anchor)
+}
+
+/// Runs the slave to completion, finishing flow arrow `flow_id`.
+fn run_slave(
+    program: &Arc<IrProgram>,
+    hooks: SlaveHooks,
+    spec: &DualSpec,
+    flow_id: Option<u64>,
+) -> Result<RunOutcome, Trap> {
+    let _s = ldx_obs::span(ldx_obs::cat::SLAVE, "run");
+    if let Some(id) = flow_id {
+        ldx_obs::flow_point(ldx_obs::cat::FLOW, "dual-run", id, false);
+    }
+    run_program(Arc::clone(program), Arc::new(hooks), spec.exec)
+}
+
+/// The report of a finished dual run: reconciles the master's leftovers,
+/// records an end-state difference, drains the flight log, and mirrors
+/// the counters into the registry.
+fn report(
+    coupling: &Coupling,
+    master_result: Result<RunOutcome, Trap>,
+    slave_result: Result<RunOutcome, Trap>,
+) -> DualReport {
     // Master-only leftovers (syscalls the slave never reached).
     coupling.reconcile();
 

@@ -60,7 +60,9 @@ mod resolved;
 mod slave;
 mod spec;
 
-pub use engine::{dual_execute, dual_execute_with, Schedule};
+pub use engine::{
+    dual_execute, dual_execute_and_record, dual_execute_with, record, replay, Recording, Schedule,
+};
 pub use mutation::Mutation;
 pub use recorder::{
     key_scalar, ByteDiff, Decision, FlightEvent, FlightLog, ResourceId, DEFAULT_FLIGHT_CAPACITY,
@@ -509,6 +511,28 @@ mod tests {
         let master_sys = report.master.as_ref().unwrap().stats.syscalls;
         assert_eq!(report.shared, master_sys, "all outcomes shared");
         assert_eq!(report.master_sinks, 1, "one send sink");
+    }
+
+    #[test]
+    fn a_recording_replays_only_specs_that_differ_in_sources() {
+        let spec = DualSpec::with_source(SourceSpec::file("/employee"));
+        let recording = record(employee_program(), &employee_world(), &spec);
+        let other_source = DualSpec::with_source(SourceSpec::file("/contracts/staff"));
+        assert!(recording.accepts(&other_source));
+        assert!(!recording.accepts(&spec.clone().sinks(SinkSpec::NetworkOut)));
+        assert!(!recording.accepts(&spec.clone().recorded()));
+        let fresh = dual_execute(employee_program(), &employee_world(), &other_source);
+        let replayed = replay(&recording, &other_source);
+        assert_eq!(replayed.causality, fresh.causality);
+        assert_eq!(replayed.shared, fresh.shared);
+    }
+
+    #[test]
+    #[should_panic(expected = "only the recorded spec's sources")]
+    fn replaying_other_sinks_is_refused() {
+        let spec = DualSpec::with_source(SourceSpec::file("/employee"));
+        let recording = record(employee_program(), &employee_world(), &spec);
+        replay(&recording, &spec.sinks(SinkSpec::FileOut));
     }
 
     #[test]

@@ -329,6 +329,33 @@ impl FlightRecorder {
         events.push(event);
     }
 
+    /// A recorder that carries on from `log`: its lanes start with the
+    /// log's events and dropped counts (a replay's slave continues the
+    /// master lane of the run it replays).
+    pub fn resume(capacity: usize, log: FlightLog) -> FlightRecorder {
+        let lane = |events, dropped| Lane {
+            events: Mutex::new(events),
+            dropped: AtomicU64::new(dropped),
+        };
+        FlightRecorder {
+            lanes: [
+                lane(log.master, log.master_dropped),
+                lane(log.slave, log.slave_dropped),
+            ],
+            capacity,
+        }
+    }
+
+    /// A copy of the master lane so far, as a log with an empty slave lane.
+    pub fn master_log(&self) -> FlightLog {
+        let lane = &self.lanes[0];
+        FlightLog {
+            master: lane.events.lock().clone(),
+            master_dropped: lane.dropped.load(Ordering::Relaxed),
+            ..FlightLog::default()
+        }
+    }
+
     /// Drains the recorder into its final log, leaving it empty.
     pub fn drain(&self) -> FlightLog {
         FlightLog {

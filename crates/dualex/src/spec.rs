@@ -94,7 +94,7 @@ impl SinkSpec {
 }
 
 /// The full dual-execution specification.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DualSpec {
     /// Sources to mutate in the slave.
     pub sources: Vec<SourceSpec>,

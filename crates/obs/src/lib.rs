@@ -54,8 +54,8 @@ pub use metrics::{
 };
 pub use stall::{stall_record, stalls_snapshot, StallSnapshot};
 pub use trace::{
-    flow_point, instant, record_complete, span, trace_dropped, trace_snapshot, Span,
-    TraceEventSnapshot, DEFAULT_TRACE_CAPACITY,
+    flow_anchor, flow_point, flow_start_at, instant, record_complete, span, trace_dropped,
+    trace_snapshot, FlowAnchor, Span, TraceEventSnapshot, DEFAULT_TRACE_CAPACITY,
 };
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

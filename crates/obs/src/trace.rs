@@ -137,15 +137,47 @@ pub fn instant(cat: &'static str, name: impl Into<Cow<'static, str>>) {
 /// category, name, and id, drawing an arrow between the enclosing spans —
 /// use the same `cat`/`name` on both ends (see [`crate::next_flow_id`]).
 pub fn flow_point(cat: &'static str, name: impl Into<Cow<'static, str>>, id: u64, is_start: bool) {
+    push_flow(flow_anchor(), cat, name.into(), id, is_start);
+}
+
+/// A moment on a thread where flow arrows may start: taken inside a span
+/// ([`flow_anchor`]), it lets later work on any thread start its own
+/// arrow from that span ([`flow_start_at`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowAnchor {
+    ts_ns: u64,
+    tid: u64,
+}
+
+/// The calling thread, now.
+pub fn flow_anchor() -> FlowAnchor {
+    FlowAnchor {
+        ts_ns: now_ns(),
+        tid: thread_id(),
+    }
+}
+
+/// Records the start of flow `id` at `anchor`, as if [`flow_point`] had
+/// been called there and then.
+pub fn flow_start_at(
+    anchor: FlowAnchor,
+    cat: &'static str,
+    name: impl Into<Cow<'static, str>>,
+    id: u64,
+) {
+    push_flow(anchor, cat, name.into(), id, true);
+}
+
+fn push_flow(at: FlowAnchor, cat: &'static str, name: Cow<'static, str>, id: u64, is_start: bool) {
     if !tracing_enabled() {
         return;
     }
     let ev = TraceEventSnapshot {
         cat,
-        name: name.into(),
-        ts_ns: now_ns(),
+        name,
+        ts_ns: at.ts_ns,
         dur_ns: 0,
-        tid: thread_id(),
+        tid: at.tid,
         args: Vec::new(),
         flow: Some((id, is_start)),
     };
@@ -270,6 +302,25 @@ mod tests {
         assert_eq!(evs[0].flow, Some((7, true)));
         assert_eq!(evs[1].flow, Some((7, false)));
         assert_eq!(evs[0].cat, cat::FLOW);
+        reset();
+    }
+
+    #[test]
+    fn a_flow_started_at_an_anchor_keeps_its_moment_and_thread() {
+        let _g = testutil::lock();
+        reset();
+        enable_tracing(16);
+        let anchor = std::thread::spawn(flow_anchor).join().unwrap();
+        flow_start_at(anchor, cat::FLOW, "dual-run", 9);
+        flow_point(cat::FLOW, "dual-run", 9, false);
+        let evs = trace_snapshot();
+        assert_eq!(evs[0].flow, Some((9, true)));
+        assert_eq!((evs[0].ts_ns, evs[0].tid), (anchor.ts_ns, anchor.tid));
+        assert_ne!(
+            evs[0].tid, evs[1].tid,
+            "the start is on the anchor's thread"
+        );
+        assert!(evs[0].ts_ns <= evs[1].ts_ns);
         reset();
     }
 

@@ -85,7 +85,7 @@ pub struct SiteInfo {
 #[derive(Debug)]
 pub struct Pdg {
     nodes: Vec<Node>,
-    index: HashMap<Node, NodeId>,
+    index: NodeIndex,
     succs: Vec<Vec<NodeId>>,
     /// Syscall sites keyed by `(function, site id)` — the same key
     /// causality records carry.
@@ -106,7 +106,7 @@ impl Pdg {
 
     /// The id of `node`, if present.
     pub fn node_id(&self, node: &Node) -> Option<NodeId> {
-        self.index.get(node).copied()
+        self.index.get(node)
     }
 
     /// Successors of `n`.
@@ -141,11 +141,43 @@ impl Pdg {
     }
 }
 
+/// Node ids by node. Instructions and terminators have dense ids, laid
+/// out function by function and block by block: a block's instructions in
+/// order, then its terminator. The few summary nodes are looked up.
+#[derive(Debug, Default)]
+struct NodeIndex {
+    /// Per function, the first id of each block, then the id after its
+    /// last block's terminator.
+    blocks: Vec<Vec<NodeId>>,
+    summary: HashMap<Node, NodeId>,
+}
+
+impl NodeIndex {
+    /// The id of an instruction or terminator node.
+    fn dense(&self, func: FuncId, block: BlockId, idx: Option<usize>) -> Option<NodeId> {
+        let starts = self.blocks.get(func.index())?;
+        let (start, next) = (*starts.get(block.index())?, *starts.get(block.index() + 1)?);
+        match idx {
+            None => Some(next - 1),
+            Some(idx) => (idx < (next - 1 - start) as usize).then(|| start + idx as NodeId),
+        }
+    }
+
+    fn get(&self, node: &Node) -> Option<NodeId> {
+        match *node {
+            Node::Ins { func, block, idx } => self.dense(func, block, Some(idx)),
+            Node::Term { func, block } => self.dense(func, block, None),
+            _ => self.summary.get(node).copied(),
+        }
+    }
+}
+
 struct Builder<'p> {
     program: &'p IrProgram,
     nodes: Vec<Node>,
-    index: HashMap<Node, NodeId>,
-    edges: BTreeSet<(NodeId, NodeId)>,
+    index: NodeIndex,
+    /// Sorted and deduplicated once, when the graph is built.
+    edges: Vec<(NodeId, NodeId)>,
     sites: BTreeMap<(FuncId, SiteId), SiteInfo>,
 }
 
@@ -154,45 +186,59 @@ impl<'p> Builder<'p> {
         Builder {
             program,
             nodes: Vec::new(),
-            index: HashMap::new(),
-            edges: BTreeSet::new(),
+            index: NodeIndex::default(),
+            edges: Vec::new(),
             sites: BTreeMap::new(),
         }
     }
 
+    /// The id of an instruction node.
+    fn ins(&self, func: FuncId, block: BlockId, idx: usize) -> NodeId {
+        self.index.blocks[func.index()][block.index()] + idx as NodeId
+    }
+
+    /// The id of a terminator node.
+    fn term(&self, func: FuncId, block: BlockId) -> NodeId {
+        self.index.blocks[func.index()][block.index() + 1] - 1
+    }
+
+    /// The id of a summary node, created on first use.
     fn node(&mut self, n: Node) -> NodeId {
-        if let Some(&id) = self.index.get(&n) {
+        if let Some(&id) = self.index.summary.get(&n) {
             return id;
         }
         let id = self.nodes.len() as NodeId;
         self.nodes.push(n);
-        self.index.insert(n, id);
+        self.index.summary.insert(n, id);
         id
     }
 
     fn edge(&mut self, from: NodeId, to: NodeId) {
         if from != to {
-            self.edges.insert((from, to));
+            self.edges.push((from, to));
         }
     }
 
     fn build(mut self) -> Pdg {
-        // Pre-create every instruction/terminator node so ids are stable
-        // and iteration order is deterministic.
+        // Lay out every instruction/terminator node first, so ids are
+        // stable and iteration order is deterministic.
         for (fid, func) in self.program.iter_funcs() {
+            let mut starts = Vec::with_capacity(func.blocks.len() + 1);
             for b in func.block_ids() {
-                for idx in 0..func.block(b).instrs.len() {
-                    self.node(Node::Ins {
-                        func: fid,
-                        block: b,
-                        idx,
-                    });
-                }
-                self.node(Node::Term {
+                starts.push(self.nodes.len() as NodeId);
+                let instrs = func.block(b).instrs.len();
+                self.nodes.extend((0..instrs).map(|idx| Node::Ins {
+                    func: fid,
+                    block: b,
+                    idx,
+                }));
+                self.nodes.push(Node::Term {
                     func: fid,
                     block: b,
                 });
             }
+            starts.push(self.nodes.len() as NodeId);
+            self.index.blocks.push(starts);
         }
         let end = self.node(Node::End);
 
@@ -205,6 +251,8 @@ impl<'p> Builder<'p> {
         }
         self.channel_edges();
 
+        self.edges.sort_unstable();
+        self.edges.dedup();
         let mut succs: Vec<Vec<NodeId>> = vec![Vec::new(); self.nodes.len()];
         let edge_count = self.edges.len();
         for &(a, b) in &self.edges {
@@ -242,33 +290,21 @@ impl<'p> Builder<'p> {
         callgraph: &CallGraph,
         end: NodeId,
     ) {
-        let func = self.program.func(fid).clone();
-        let rd = ReachingDefs::compute(&func);
-        let cdeps = ControlDeps::compute(&func);
-        let mut resolver = Resolver::new(&func, &rd);
+        let func = self.program.func(fid);
+        let rd = ReachingDefs::compute(func);
+        let cdeps = ControlDeps::compute(func);
+        let mut resolver = Resolver::new(func, &rd);
 
         // Data edges: def → use.
         for (pos, _local, defs) in rd.iter_uses() {
             let to = if pos.idx == TERM_IDX {
-                Node::Term {
-                    func: fid,
-                    block: pos.block,
-                }
+                self.term(fid, pos.block)
             } else {
-                Node::Ins {
-                    func: fid,
-                    block: pos.block,
-                    idx: pos.idx,
-                }
+                self.ins(fid, pos.block, pos.idx)
             };
-            let to = self.node(to);
             for &d in defs {
                 if let DefSite::Instr(b, idx) = rd.def(d).site {
-                    let from = self.node(Node::Ins {
-                        func: fid,
-                        block: b,
-                        idx,
-                    });
+                    let from = self.ins(fid, b, idx);
                     self.edge(from, to);
                 }
                 // Param defs carry no edge: arguments are covered by the
@@ -278,25 +314,11 @@ impl<'p> Builder<'p> {
 
         // Control edges: controlling branch → every node of the block.
         for (b, controllers) in cdeps.iter() {
-            let mut targets: Vec<NodeId> = (0..func.block(b).instrs.len())
-                .map(|idx| {
-                    self.node(Node::Ins {
-                        func: fid,
-                        block: b,
-                        idx,
-                    })
-                })
-                .collect();
-            targets.push(self.node(Node::Term {
-                func: fid,
-                block: b,
-            }));
+            // The block's instructions and terminator: a run of ids.
+            let targets = self.ins(fid, b, 0)..=self.term(fid, b);
             for &a in controllers {
-                let from = self.node(Node::Term {
-                    func: fid,
-                    block: a,
-                });
-                for &t in &targets {
+                let from = self.term(fid, a);
+                for t in targets.clone() {
                     self.edge(from, t);
                 }
             }
@@ -305,24 +327,14 @@ impl<'p> Builder<'p> {
         // CallCtl(fid) → every node of the body.
         let callctl = self.node(Node::CallCtl(fid));
         for b in func.block_ids() {
-            for idx in 0..func.block(b).instrs.len() {
-                let n = self.node(Node::Ins {
-                    func: fid,
-                    block: b,
-                    idx,
-                });
+            for n in self.ins(fid, b, 0)..=self.term(fid, b) {
                 self.edge(callctl, n);
             }
-            let t = self.node(Node::Term {
-                func: fid,
-                block: b,
-            });
-            self.edge(callctl, t);
         }
 
         // Per-instruction rules.
         let in_loop = {
-            let forest = ldx_ir::LoopForest::compute(&func);
+            let forest = ldx_ir::LoopForest::compute(func);
             let mut flags = vec![false; func.blocks.len()];
             for l in forest.loops() {
                 for &b in &l.body {
@@ -333,11 +345,7 @@ impl<'p> Builder<'p> {
         };
         for b in func.block_ids() {
             for (idx, instr) in func.block(b).instrs.iter().enumerate() {
-                let here = self.node(Node::Ins {
-                    func: fid,
-                    block: b,
-                    idx,
-                });
+                let here = self.ins(fid, b, idx);
                 match instr {
                     Instr::Call { func: callee, .. } => {
                         let ctl = self.node(Node::CallCtl(*callee));
@@ -431,10 +439,7 @@ impl<'p> Builder<'p> {
                     _ => {}
                 }
             }
-            let term = self.node(Node::Term {
-                func: fid,
-                block: b,
-            });
+            let term = self.term(fid, b);
             match &func.block(b).term {
                 Terminator::Return(_) => {
                     let ret = self.node(Node::Ret(fid));
@@ -477,5 +482,46 @@ impl<'p> Builder<'p> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_node_is_found_by_its_id() {
+        let program = ldx_ir::lower(
+            &ldx_lang::compile(
+                r#"global g = 0;
+                fn f(x) { if (x > 1) { g = x; } return x; }
+                fn main() {
+                    let v = int(read(open("/in", 0), 4));
+                    while (v > 0) { v = f(v) - 1; }
+                    write(1, str(g));
+                }"#,
+            )
+            .unwrap(),
+        );
+        let pdg = Pdg::build(&program);
+        for (id, node) in pdg.nodes().iter().enumerate() {
+            assert_eq!(pdg.node_id(node), Some(id as NodeId), "{node:?}");
+        }
+        let main = program.main();
+        let blocks = program.func(main).blocks.len() as u32;
+        let past = |block, idx| Node::Ins {
+            func: main,
+            block: BlockId(block),
+            idx,
+        };
+        assert_eq!(pdg.node_id(&past(0, 10_000)), None);
+        assert_eq!(
+            pdg.node_id(&Node::Term {
+                func: main,
+                block: BlockId(blocks)
+            }),
+            None
+        );
+        assert_eq!(pdg.node_id(&Node::CallCtl(FuncId(99))), None);
     }
 }

@@ -16,6 +16,11 @@
 //! [`SlaveVos::advance_cut`]). The master may have run far ahead by then,
 //! but its later writes stay invisible, so the clone is the same whenever
 //! the slave gets there. All subsequent accesses stay private.
+//!
+//! An overlay made by [`SlaveVos::new`] trims the master's history behind
+//! its cut. One made by [`SlaveVos::keeping_history`] never does: the
+//! master's world then serves every slave replayed against it, each with
+//! a cut of its own, so its whole history must stay.
 
 use crate::config::VosConfig;
 use crate::error::VosError;
@@ -38,6 +43,8 @@ pub struct SlaveVos {
     master: Arc<Vos>,
     /// The master version clones are taken at.
     cut: AtomicU64,
+    /// Whether the master's history behind the cut is dropped.
+    trim: bool,
     own: Mutex<OverlayState>,
 }
 
@@ -60,9 +67,20 @@ impl SlaveVos {
     /// initial world (the same configuration the master was built from,
     /// possibly with mutated inputs).
     pub fn new(master: Arc<Vos>, config: &VosConfig) -> Self {
+        Self::with_trim(master, config, true)
+    }
+
+    /// [`SlaveVos::new`], but the master's history is never trimmed, so
+    /// other overlays may read it as of any cut, now or later.
+    pub fn keeping_history(master: Arc<Vos>, config: &VosConfig) -> Self {
+        Self::with_trim(master, config, false)
+    }
+
+    fn with_trim(master: Arc<Vos>, config: &VosConfig, trim: bool) -> Self {
         SlaveVos {
             master,
             cut: AtomicU64::new(0),
+            trim,
             own: Mutex::new(OverlayState {
                 state: VosState::build_with_fd_start(config, Self::FD_START),
                 copied_paths: HashSet::new(),
@@ -75,10 +93,11 @@ impl SlaveVos {
     /// back): the slave has consumed the master syscall that left the
     /// world at that version. With several threads the cut follows the
     /// master's global syscall order, across every thread pair. History
-    /// older than the cut is no longer needed and is dropped now and then.
+    /// older than the cut is no longer needed and, unless the overlay
+    /// keeps it, is dropped now and then.
     pub fn advance_cut(&self, version: u64) {
         let before = self.cut.fetch_max(version, Ordering::Relaxed);
-        if version / FORGET_EVERY > before / FORGET_EVERY {
+        if self.trim && version / FORGET_EVERY > before / FORGET_EVERY {
             self.master.forget_until(version);
         }
     }
@@ -338,5 +357,26 @@ mod tests {
         assert_eq!(slave.file_contents("/shared.txt").unwrap(), want);
         // History up to the cut was dropped.
         assert!(master.with_state(|s| s.history_len()) < 2 * FORGET_EVERY as usize);
+    }
+
+    #[test]
+    fn overlays_that_keep_history_read_one_master_at_any_cut() {
+        let (master, _) = setup();
+        let cfg = VosConfig::new().file("/shared.txt", "from-config");
+        let (fd, _) = on_master(&master, Syscall::Open, &[sa("/shared.txt"), ia(2)]);
+        let versions: Vec<u64> = (0..3 * FORGET_EVERY)
+            .map(|_| on_master(&master, Syscall::Write, &[ia(fd), sa("x")]).1)
+            .collect();
+        let len = master.with_state(|s| s.history_len());
+        // A late cut moves past several trim points, and an early one
+        // still sees the master as it was then.
+        for n in [3 * FORGET_EVERY as usize, 1] {
+            let slave = SlaveVos::keeping_history(Arc::clone(&master), &cfg);
+            slave.advance_cut(versions[n - 1]);
+            slave.syscall(Syscall::Stat, &[sa("/shared.txt")]).unwrap();
+            let want = format!("from-config{}", "x".repeat(n));
+            assert_eq!(slave.file_contents("/shared.txt").unwrap(), want);
+        }
+        assert_eq!(master.with_state(|s| s.history_len()), len);
     }
 }

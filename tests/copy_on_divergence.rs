@@ -8,9 +8,14 @@
 //! sends "init"; the mutated slave (42) reads `/log` decoupled and must
 //! also find "init", exactly as a native run on 42 does. A slave that
 //! cloned `/log` from the master's live world would read "changed" and
-//! report a leak that does not exist.
+//! report a leak that does not exist. Slaves replayed against one
+//! recorded master all clone from that master's kept history, each as of
+//! its own cut.
 
-use ldx_dualex::{dual_execute_with, DualSpec, Schedule, SinkSpec, SourceSpec};
+use ldx_dualex::{
+    dual_execute_and_record, dual_execute_with, record, replay, DualReport, DualSpec, Schedule,
+    SinkSpec, SourceSpec,
+};
 use ldx_runtime::{run_program, ExecConfig, NativeHooks};
 use ldx_vos::{PeerBehavior, Vos, VosConfig};
 use std::sync::Arc;
@@ -59,29 +64,45 @@ fn the_mutated_run_really_sends_the_same_data() {
     );
 }
 
+fn spec() -> DualSpec {
+    DualSpec::with_source(SourceSpec::file("/secret")).sinks(SinkSpec::NetworkOut)
+}
+
+/// Runs the probe `RUNS` times through `run` and asserts no run reports
+/// the leak; `what` names the runs.
+fn no_false_leaks(what: &str, run: impl Fn() -> DualReport) {
+    let mut false_leaks = 0;
+    for _ in 0..RUNS {
+        let report = run();
+        assert_eq!(report.timeouts, 0, "{what}: a coupling wait timed out");
+        assert!(report.decoupled > 0, "{what}: the slave never read /log");
+        if report.leaked() {
+            false_leaks += 1;
+        }
+    }
+    assert_eq!(
+        false_leaks, 0,
+        "{what}: {false_leaks} of {RUNS} runs reported a leak"
+    );
+}
+
 #[test]
 fn decoupled_clones_never_see_the_masters_future() {
     let program = program();
-    let spec = DualSpec::with_source(SourceSpec::file("/secret")).sinks(SinkSpec::NetworkOut);
     for schedule in [Schedule::TwoThreads, Schedule::OneThread] {
-        let mut false_leaks = 0;
-        for _ in 0..RUNS {
-            let report = dual_execute_with(Arc::clone(&program), &world("41"), &spec, schedule);
-            assert_eq!(
-                report.timeouts, 0,
-                "{schedule:?}: a coupling wait timed out"
-            );
-            assert!(
-                report.decoupled > 0,
-                "{schedule:?}: the slave never read /log"
-            );
-            if report.leaked() {
-                false_leaks += 1;
-            }
-        }
-        assert_eq!(
-            false_leaks, 0,
-            "{schedule:?}: {false_leaks} of {RUNS} runs reported a leak"
-        );
+        no_false_leaks(&format!("{schedule:?}"), || {
+            dual_execute_with(Arc::clone(&program), &world("41"), &spec(), schedule)
+        });
+    }
+}
+
+#[test]
+fn replays_of_one_recording_never_see_the_masters_future() {
+    let program = program();
+    let alone = record(Arc::clone(&program), &world("41"), &spec());
+    let (_, kept) = dual_execute_and_record(Arc::clone(&program), &world("41"), &spec());
+    let kept = kept.expect("the probe has no spawn site");
+    for (what, recording) in [("recorded alone", alone), ("kept by a run", kept)] {
+        no_false_leaks(what, || replay(&recording, &spec()));
     }
 }

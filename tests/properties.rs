@@ -14,10 +14,15 @@
 //!   executions always terminate;
 //! * **schedule independence** — running the slave after the master on
 //!   one OS thread gives the report of running both concurrently, for
-//!   generated programs and for the corpus without Lx threads.
+//!   generated programs and for the corpus without Lx threads;
+//! * **replay equivalence** — slaves with different mutations replayed,
+//!   in any order, against one recorded master (from either schedule)
+//!   report what fresh dual executions do, and with the flight recorder on
+//!   a replay logs what a one-thread run logs.
 
 use ldx_dualex::{
-    dual_execute, dual_execute_with, DualReport, DualSpec, Mutation, Schedule, SinkSpec, SourceSpec,
+    dual_execute, dual_execute_and_record, dual_execute_with, record, replay, DualReport, DualSpec,
+    Mutation, Recording, Schedule, SinkSpec, SourceSpec,
 };
 use ldx_runtime::ExecConfig;
 use ldx_vos::VosConfig;
@@ -57,6 +62,78 @@ fn build(seed: u64) -> Arc<ldx_ir::IrProgram> {
     let src = random_program_source(seed, &GeneratorConfig::default());
     let resolved = ldx_lang::compile(&src).expect("generated programs compile");
     Arc::new(ldx_instrument::instrument(&ldx_ir::lower(&resolved)).into_program())
+}
+
+/// The mutations replayed against one recording.
+const REPLAYED: [Mutation; 4] = [
+    Mutation::OffByOne,
+    Mutation::BitFlip,
+    Mutation::Zero,
+    Mutation::Identity,
+];
+
+/// Recordings of `spec`'s master: one made alone (the one-thread
+/// schedule's), one kept by a two-thread run.
+fn recordings(program: &Arc<ldx_ir::IrProgram>, w: &VosConfig, spec: &DualSpec) -> [Recording; 2] {
+    let alone = record(Arc::clone(program), w, spec);
+    let (_, kept) = dual_execute_and_record(Arc::clone(program), w, spec);
+    [
+        alone,
+        kept.expect("a program without spawn sites keeps its recording"),
+    ]
+}
+
+/// Replays every spec against both recordings of the first one's master,
+/// forwards and backwards, and checks each report against a fresh dual
+/// execution; returns the first mismatch.
+fn replays_match_fresh_runs(
+    program: &Arc<ldx_ir::IrProgram>,
+    w: &VosConfig,
+    specs: &[DualSpec],
+) -> Result<(), String> {
+    let fresh: Vec<String> = specs
+        .iter()
+        .map(|s| verdict(&dual_execute(Arc::clone(program), w, s)))
+        .collect();
+    for (which, recording) in ["alone", "two-thread"]
+        .iter()
+        .zip(recordings(program, w, &specs[0]))
+    {
+        let forwards: Vec<usize> = (0..specs.len()).collect();
+        for order in [forwards.clone(), forwards.into_iter().rev().collect()] {
+            for i in order {
+                let replayed = verdict(&replay(&recording, &specs[i]));
+                if replayed != fresh[i] {
+                    return Err(format!(
+                        "{which} recording, {:?}:\nreplayed {replayed}\nfresh    {}",
+                        specs[i].sources, fresh[i]
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// With the flight recorder on, a replay against either recording logs
+/// what a one-thread run of the same spec logs.
+fn replayed_flight_log_matches(
+    program: &Arc<ldx_ir::IrProgram>,
+    w: &VosConfig,
+    spec: &DualSpec,
+) -> Result<(), String> {
+    let spec = spec.clone().recorded();
+    let one = dual_execute_with(Arc::clone(program), w, &spec, Schedule::OneThread);
+    for recording in recordings(program, w, &spec) {
+        let replayed = replay(&recording, &spec);
+        if replayed.flight != one.flight {
+            return Err(format!(
+                "{:?}: flight logs differ\nreplayed {:?}\none-thread {:?}",
+                spec.sources, replayed.flight, one.flight
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn spec(mutation: Mutation) -> DualSpec {
@@ -168,6 +245,19 @@ proptest! {
         });
         prop_assert_eq!(two, one, "seed {} input {}", seed, input);
     }
+
+    /// Slaves replayed against one recorded master report what fresh dual
+    /// executions report.
+    #[test]
+    fn replayed_reports_equal_fresh_reports(seed in 0u64..800, input in 0i64..500) {
+        let program = build(seed);
+        let w = world(&input.to_string());
+        let specs: Vec<DualSpec> = REPLAYED.iter().cloned().map(spec).collect();
+        let checked = replays_match_fresh_runs(&program, &w, &specs);
+        prop_assert!(checked.is_ok(), "seed {} input {}: {}", seed, input, checked.unwrap_err());
+        let logged = replayed_flight_log_matches(&program, &w, &specs[0]);
+        prop_assert!(logged.is_ok(), "seed {} input {}: {}", seed, input, logged.unwrap_err());
+    }
 }
 
 proptest! {
@@ -209,6 +299,32 @@ proptest! {
         prop_assert_eq!(p.syscall_diffs, r.syscall_diffs);
         prop_assert_eq!(p.decoupled, r.decoupled);
         prop_assert_eq!(p.timeouts + r.timeouts, 0);
+    }
+}
+
+/// The replay properties over every corpus program without Lx threads:
+/// its own spec, then every source under each replayed mutation.
+#[test]
+fn replayed_reports_equal_fresh_reports_on_the_corpus() {
+    let corpus = ldx_workloads::corpus();
+    for w in corpus.iter().filter(|w| w.suite != Suite::Concurrent) {
+        let program = w.program();
+        let base = w.dual_spec();
+        let mutated = REPLAYED.iter().map(|mutation| DualSpec {
+            sources: base
+                .sources
+                .iter()
+                .map(|s| s.clone().with_mutation(mutation.clone()))
+                .collect(),
+            ..base.clone()
+        });
+        let specs: Vec<DualSpec> = std::iter::once(base.clone()).chain(mutated).collect();
+        if let Err(e) = replays_match_fresh_runs(&program, &w.world, &specs) {
+            panic!("{}: {e}", w.name);
+        }
+        if let Err(e) = replayed_flight_log_matches(&program, &w.world, &base) {
+            panic!("{}: {e}", w.name);
+        }
     }
 }
 
