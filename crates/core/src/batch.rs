@@ -2,7 +2,7 @@
 //! of dual executions.
 //!
 //! The engine accepts [`BatchJob`]s — (instrumented program, world, spec)
-//! triples — and runs them concurrently on a pool of OS threads. Three
+//! triples — and runs them concurrently on a pool of OS threads. These
 //! properties drive the design:
 //!
 //! * **Bounded fan-out, one thread per job where others fill the CPUs.**
@@ -19,6 +19,17 @@
 //!   slave's threads are paced by the running master. The calling thread
 //!   is one of the workers, so a pool with one worker spawns no worker
 //!   thread.
+//! * **One master per group of jobs that differ only in their sources.**
+//!   Jobs with the same program (by `Arc`), an equal world and specs that
+//!   differ in their sources at most see the same master (paper §3). On
+//!   one worker they share one: one master with a live slave per job
+//!   ([`dual_execute_shared`], at most `available_parallelism()` slaves).
+//!   On wider pools every job runs its own master, as the other workers
+//!   already fill the CPUs. A program with a `spawn` site, a replay job,
+//!   and a job whose spec repeats one already in the group never share.
+//!   Each shared job's [`JobResult::wall`] is its share of the master's
+//!   run, and the `batch.shared_masters` counter counts the masters not
+//!   run.
 //! * **Replay jobs.** A job made by [`BatchJob::replay`] carries a
 //!   [`Recording`] of its master: it runs only the slave, against that
 //!   recording, on its worker's thread, whatever the worker count. So a
@@ -33,7 +44,8 @@
 //!   collector writes results into an index-addressed slot table, so
 //!   [`BatchReport::results`] is in submission order regardless of the
 //!   schedule. Dual execution itself is deterministic per job (for
-//!   single-Lx-thread programs), so a batch run and a sequential
+//!   single-Lx-thread programs), and a slave's report does not depend on
+//!   which other slaves share its master, so a batch run and a sequential
 //!   [`Analysis::run`] loop produce identical verdicts, causality
 //!   records, and table rows — `tests/batch_determinism.rs` locks this
 //!   in under 1-worker and oversubscribed pools.
@@ -42,7 +54,9 @@
 //! [`Analysis::attribute_sources`]: crate::Analysis::attribute_sources
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use ldx_dualex::{dual_execute_with, replay, DualReport, DualSpec, Recording, Schedule};
+use ldx_dualex::{
+    dual_execute_shared, dual_execute_with, replay, DualReport, DualSpec, Recording, Schedule,
+};
 use ldx_ir::IrProgram;
 use ldx_vos::VosConfig;
 use parking_lot::Mutex;
@@ -109,6 +123,22 @@ impl BatchJob {
     }
 }
 
+impl BatchJob {
+    /// Whether this job may run as another slave of `first`'s master: no
+    /// recording of either, the same program (by `Arc`), an equal world,
+    /// and specs that differ in their sources at most. A program with a
+    /// `spawn` site never shares: [`dual_execute_shared`] runs one slave
+    /// of it at a time.
+    fn joins(&self, first: &BatchJob) -> bool {
+        self.recording.is_none()
+            && first.recording.is_none()
+            && Arc::ptr_eq(&self.program, &first.program)
+            && self.spec.shares_master_with(&first.spec)
+            && self.world == first.world
+            && !self.program.spawns_threads()
+    }
+}
+
 /// The outcome of one [`BatchJob`], with scheduler telemetry.
 #[derive(Debug, Clone)]
 pub struct JobResult {
@@ -116,7 +146,9 @@ pub struct JobResult {
     pub label: String,
     /// The dual-execution causality report.
     pub report: DualReport,
-    /// Wall-clock time of the dual execution itself.
+    /// Wall-clock time of the dual execution itself. A job that shared
+    /// its master with others of its batch is charged an equal share of
+    /// that master's run, so the walls of a batch sum to its busy time.
     pub wall: Duration,
     /// Time the job spent queued before a worker picked it up.
     pub queue_latency: Duration,
@@ -202,7 +234,9 @@ impl BatchEngine {
         Self::new(usize::MAX)
     }
 
-    /// A width-1 pool: same code path, one job at a time, each on
+    /// A width-1 pool: same code path, one group of jobs sharing a master
+    /// at a time, on the calling thread: the master there and each job's
+    /// slave on a thread of its own, so a lone job runs on
     /// [`Schedule::TwoThreads`]. The determinism baseline.
     pub fn sequential() -> Self {
         Self::new(1)
@@ -238,32 +272,74 @@ impl BatchEngine {
     }
 
     /// Runs every job and returns the submission-ordered report.
+    ///
+    /// On one worker, jobs that can share a master (the same program
+    /// `Arc`, an equal world, specs that differ in their sources only, no
+    /// recording and no `spawn` site) run one master between them, with a
+    /// live slave per job ([`dual_execute_shared`]), at most
+    /// `available_parallelism()` of them; a repeated spec runs again,
+    /// master included. On wider pools every job is a task of its own.
     pub fn run(&self, jobs: Vec<BatchJob>) -> BatchReport {
         let started = Instant::now();
         let (workers, schedule) = self.plan(&jobs);
-        let (results, worker_busy) = Self::dispatch(workers, jobs, |ctx, job| {
-            let t0 = Instant::now();
-            let span = ldx_obs::span(ldx_obs::cat::BATCH, job.label.clone())
-                .arg("worker", ctx.worker as i64);
-            let report = match &job.recording {
-                Some(recording) => replay(recording, &job.spec),
-                None => dual_execute_with(job.program, &job.world, &job.spec, schedule),
-            };
-            drop(span);
-            JobResult {
-                label: job.label,
-                report,
-                wall: t0.elapsed(),
-                queue_latency: ctx.queue_latency,
-                worker: ctx.worker,
-            }
+        ldx_obs::counter_add("batch.jobs", jobs.len() as u64);
+        let n = jobs.len();
+        let groups: Vec<Vec<(usize, BatchJob)>> = if workers == 1 {
+            share_masters(jobs, available_parallelism())
+        } else {
+            jobs.into_iter().enumerate().map(|job| vec![job]).collect()
+        };
+        let shared = n - groups.len();
+        ldx_obs::counter_add("batch.shared_masters", shared as u64);
+        let (done, worker_busy) = Self::dispatch(workers, groups, |ctx, group| {
+            Self::run_group(&ctx, group, schedule)
         });
+        let mut slots: Vec<Option<JobResult>> = (0..n).map(|_| None).collect();
+        for (index, result) in done.into_iter().flatten() {
+            slots[index] = Some(result);
+        }
         BatchReport {
-            results,
+            results: slots
+                .into_iter()
+                .map(|slot| slot.expect("every submitted job completed"))
+                .collect(),
             workers,
             wall: started.elapsed(),
             worker_busy,
         }
+    }
+
+    /// Runs jobs that share one live master (one job: a plain dual
+    /// execution on `schedule`, or its replay); each is charged an equal
+    /// share of the run.
+    fn run_group(
+        ctx: &TaskCtx,
+        group: Vec<(usize, BatchJob)>,
+        schedule: Schedule,
+    ) -> Vec<(usize, JobResult)> {
+        let t0 = Instant::now();
+        let (_, first) = &group[0];
+        let span = ldx_obs::span(ldx_obs::cat::BATCH, first.label.clone())
+            .arg("worker", ctx.worker as i64)
+            .arg("jobs", group.len() as i64);
+        let reports = if let [(_, job)] = &group[..] {
+            vec![match &job.recording {
+                Some(recording) => replay(recording, &job.spec),
+                None => {
+                    dual_execute_with(Arc::clone(&job.program), &job.world, &job.spec, schedule)
+                }
+            }]
+        } else {
+            let specs: Vec<DualSpec> = group.iter().map(|(_, job)| job.spec.clone()).collect();
+            dual_execute_shared(Arc::clone(&first.program), &first.world, &specs)
+        };
+        drop(span);
+        let wall = t0.elapsed() / group.len() as u32;
+        group
+            .into_iter()
+            .zip(reports)
+            .map(|((index, job), report)| (index, ctx.result(job, report, wall)))
+            .collect()
     }
 
     /// Applies `f` to every item on the pool and returns the results in
@@ -279,6 +355,7 @@ impl BatchEngine {
         F: Fn(T) -> R + Sync,
     {
         let workers = self.width.min(available_parallelism() / 2).max(1);
+        ldx_obs::counter_add("batch.jobs", items.len() as u64);
         Self::dispatch(workers, items, |_ctx, item| f(item)).0
     }
 
@@ -292,7 +369,6 @@ impl BatchEngine {
         F: Fn(TaskCtx, T) -> R + Sync,
     {
         let n = items.len();
-        ldx_obs::counter_add("batch.jobs", n as u64);
         ldx_obs::counter_max("batch.workers", workers as u64);
         let injector = Injector::new();
         for (index, item) in items.into_iter().enumerate() {
@@ -354,6 +430,39 @@ impl BatchEngine {
 struct TaskCtx {
     worker: usize,
     queue_latency: Duration,
+}
+
+impl TaskCtx {
+    fn result(&self, job: BatchJob, report: DualReport, wall: Duration) -> JobResult {
+        JobResult {
+            label: job.label,
+            report,
+            wall,
+            queue_latency: self.queue_latency,
+            worker: self.worker,
+        }
+    }
+}
+
+/// Groups `jobs` (in submission order, tagged with their indices) by the
+/// master they can share: each job joins the first group whose first job
+/// it [joins](BatchJob::joins), unless that group holds `cap` jobs or a
+/// job with an equal spec, and otherwise starts a group of its own. An
+/// equal spec is a repeated run, asked for to run again, master included.
+fn share_masters(jobs: Vec<BatchJob>, cap: usize) -> Vec<Vec<(usize, BatchJob)>> {
+    let mut groups: Vec<Vec<(usize, BatchJob)>> = Vec::new();
+    for (index, job) in jobs.into_iter().enumerate() {
+        let open = groups.iter().position(|group| {
+            group.len() < cap
+                && job.joins(&group[0].1)
+                && group.iter().all(|(_, member)| member.spec != job.spec)
+        });
+        match open {
+            Some(g) => groups[g].push((index, job)),
+            None => groups.push(vec![(index, job)]),
+        }
+    }
+    groups
 }
 
 /// An index-tagged task in flight.

@@ -267,9 +267,19 @@ fn main() -> ExitCode {
     obs::counter_add("instrument.loops", instr.total_loops() as u64);
     obs::counter_max("instrument.max_cnt", instr.max_cnt);
 
+    // The explained chains need the flight log, so with `--explain` the
+    // run records it too: then one master recording serves the run and
+    // every attribution behind it. Only an experiment's `trace` prints it.
+    let traced = analysis.spec().record;
+    let explain = flags.contains(&"--explain");
+    if explain {
+        analysis = analysis.recorded();
+    }
     let report = analysis.run();
-    for line in report.trace_lines() {
-        println!("trace: {line}");
+    if traced {
+        for line in report.trace_lines() {
+            println!("trace: {line}");
+        }
     }
     println!(
         "shared={} decoupled={} syscall_diffs={} master_sinks={}",
@@ -278,10 +288,7 @@ fn main() -> ExitCode {
 
     // One attribution serves both flags, so every explained chain belongs
     // to the verdict printed beside it.
-    let explain = flags.contains(&"--explain");
-    let attributions = if explain {
-        analysis.clone().recorded().attribute_sources()
-    } else if flags.contains(&"--attribute") {
+    let attributions = if explain || flags.contains(&"--attribute") {
         analysis.attribute_sources()
     } else {
         Vec::new()

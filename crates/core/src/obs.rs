@@ -25,6 +25,7 @@ pub const DEFAULT_COUNTERS: &[&str] = &[
     "batch.steals",
     "batch.refills",
     "batch.workers",
+    "batch.shared_masters",
     "dualex.runs",
     "dualex.shared",
     "dualex.decoupled",

@@ -26,6 +26,11 @@
 //! starts from pairs whose queues hold such a log and whose master is done
 //! ([`Coupling::replaying`]).
 //!
+//! One master may drive several couplings, one per live slave: a
+//! [`Fanout`] hands every coupling's pair each entry, backedge and thread
+//! exit. Nothing else is shared between those slaves, so each coupling is
+//! exactly the coupling of a one-slave run.
+//!
 //! Every protocol decision either side makes is reported once, through
 //! [`Coupling::emit`].
 
@@ -452,12 +457,74 @@ pub(crate) struct SlaveStats {
 static NEXT_COUPLING_ID: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// The pair this OS thread resolved last: `(coupling id, Lx thread,
-    /// pair)`. Every Lx thread runs on its own OS thread, so after its
-    /// first syscall each role finds its pair here without touching the
-    /// shared map or the pair's reference count.
+    /// The pair this OS thread resolved last as a slave: `(coupling id,
+    /// Lx thread, pair)`. Every Lx thread runs on its own OS thread, so
+    /// after its first syscall a slave finds its pair here without
+    /// touching the shared map or the pair's reference count.
     static CACHED_PAIR: RefCell<Option<(u64, ThreadKey, Arc<Pair>)>> =
         const { RefCell::new(None) };
+
+    /// The same for a master: `(fan-out id, Lx thread, one pair per
+    /// coupling)`, so a master driving several couplings resolves its
+    /// thread's pairs once, not once per coupling and syscall.
+    static CACHED_PAIRS: RefCell<Option<(u64, ThreadKey, Pairs)>> =
+        const { RefCell::new(None) };
+}
+
+/// One thread's pair in each coupling of a [`Fanout`], in coupling order.
+type Pairs = Box<[Arc<Pair>]>;
+
+/// The couplings one master drives: one per live slave (or the single
+/// one of a recording), each with its own pairs, counters, taint sets,
+/// causality records and flight recorder. The master hands every one of
+/// them each entry, backedge and thread exit.
+pub(crate) struct Fanout {
+    /// Never reused, like a [`Coupling`] id (from the same counter).
+    id: u64,
+    couplings: Vec<Arc<Coupling>>,
+}
+
+impl Fanout {
+    pub fn new(couplings: Vec<Arc<Coupling>>) -> Self {
+        assert!(
+            !couplings.is_empty(),
+            "a master drives at least one coupling"
+        );
+        Fanout {
+            id: NEXT_COUPLING_ID.fetch_add(1, Ordering::Relaxed),
+            couplings,
+        }
+    }
+
+    pub fn couplings(&self) -> &[Arc<Coupling>] {
+        &self.couplings
+    }
+
+    /// Runs `f` on thread `t`'s pair in every coupling, in coupling order,
+    /// resolved once per Lx thread (see `CACHED_PAIRS`). `f` must not
+    /// resolve other pairs.
+    pub fn with_pairs<R>(&self, t: &ThreadKey, f: impl FnOnce(&[Arc<Pair>]) -> R) -> R {
+        CACHED_PAIRS.with(|slot| {
+            let hit = matches!(&*slot.borrow(), Some((id, key, _)) if *id == self.id && key == t);
+            if !hit {
+                let pairs = self.couplings.iter().map(|c| c.pair(t)).collect();
+                slot.replace(Some((self.id, t.clone(), pairs)));
+            }
+            f(&slot.borrow().as_ref().expect("pairs cached above").2)
+        })
+    }
+
+    /// Master: thread `t` finished. Hands every pair its last batch and
+    /// terminal progress, and drops this OS thread's cached pairs.
+    pub fn finish_thread(&self, t: &ThreadKey) {
+        self.with_pairs(t, |pairs| pairs.iter().for_each(|pair| pair.finish()));
+        CACHED_PAIRS.with(|slot| slot.replace(None));
+    }
+
+    /// Master: the whole execution finished, releasing every waiter.
+    pub fn finish_execution(&self) {
+        self.couplings.iter().for_each(|c| c.finish_execution());
+    }
 }
 
 /// All shared state of one dual execution.
@@ -630,8 +697,9 @@ impl Coupling {
     }
 
     /// Runs `f` on the pair cell for thread `t`. The calling OS thread
-    /// caches the pair it resolved last, so a role resolves its thread's
-    /// pair once per run. `f` must not resolve another pair.
+    /// caches the pair it resolved last, so a slave resolves its thread's
+    /// pair once per run (a master goes through its [`Fanout`]). `f` must
+    /// not resolve another pair.
     pub fn with_pair<R>(&self, t: &ThreadKey, f: impl FnOnce(&Pair) -> R) -> R {
         CACHED_PAIR.with(|slot| {
             let hit = matches!(&*slot.borrow(), Some((id, key, _)) if *id == self.id && key == t);

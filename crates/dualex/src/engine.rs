@@ -6,12 +6,14 @@
 //! flight lane and world, is a [`Recording`], and [`replay`] runs only a
 //! slave against one: the master's work is paid once however many slaves,
 //! each perturbing different sources, run against it. The one-thread
-//! schedule is exactly [`record`] then a replay; the two-thread schedule
-//! runs both halves at once, and [`dual_execute_and_record`] keeps its
+//! schedule is exactly [`record`] then a replay. The two-thread schedule
+//! runs both halves at once, and it is one case of a master driving k ≥ 1
+//! live slaves, each on a thread of its own and with a coupling of its own
+//! ([`dual_execute_shared`]); [`dual_execute_and_record`] keeps its
 //! recording too. Every report is built by the same tail: reconcile, end
 //! diff, flight log, counters.
 
-use crate::couple::{Coupling, Entry};
+use crate::couple::{Coupling, Entry, Fanout};
 use crate::master::MasterHooks;
 use crate::recorder::FlightLog;
 use crate::report::{CausalityKind, CausalityRecord, DualReport};
@@ -26,6 +28,7 @@ use ldx_vos::{SlaveVos, Vos, VosConfig};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::slice;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -65,8 +68,9 @@ pub enum Schedule {
 /// fd maps — is allocated per call and shared only between the threads
 /// this call runs on. The engine has one `static` and one thread-local,
 /// both in `couple.rs`: a counter that gives every `Coupling` a fresh
-/// id, and a per-OS-thread cache of the last thread pair resolved,
-/// keyed by that id and the Lx thread. A cached pair is only ever
+/// id, and per-OS-thread caches of the last thread pairs resolved (one
+/// for a slave, one for a master, whose pairs span its couplings), keyed
+/// by such an id and the Lx thread. A cached pair is only ever
 /// returned for the `Coupling` that created it, so any number of
 /// `dual_execute` calls may run concurrently from different threads, or
 /// one after another on the same thread — the contract the batch
@@ -86,7 +90,7 @@ pub fn dual_execute_with(
     schedule: Schedule,
 ) -> DualReport {
     match schedule {
-        Schedule::TwoThreads => two_threads(program, config, spec, false).0,
+        Schedule::TwoThreads => one_report(live(program, config, slice::from_ref(spec), false)).0,
         Schedule::OneThread => {
             let Recording { setup, master } = record(program, config, spec);
             replay_from(&setup, master, spec)
@@ -105,7 +109,42 @@ pub fn dual_execute_and_record(
     spec: &DualSpec,
 ) -> (DualReport, Option<Recording>) {
     let keep = !program.spawns_threads();
-    two_threads(program, config, spec, keep)
+    one_report(live(program, config, slice::from_ref(spec), keep))
+}
+
+/// Runs one master and, concurrently, a live slave per spec, and returns
+/// their reports in spec order: each equals the report of a
+/// [`dual_execute`] under that spec. The master runs once, on the calling
+/// thread, and every slave on a thread of its own, so a call keeps
+/// `specs.len() + 1` OS threads busy (plus one per Lx thread the program
+/// spawns, per role). The slaves share the master, not their state: each
+/// has its own overlay, counters, taint sets, causality records and
+/// flight recorder. [`dual_execute`] is this with one spec.
+///
+/// # Panics
+///
+/// If `specs` is empty, if two specs differ in more than their sources
+/// ([`DualSpec::shares_master_with`]), or if there are two or more specs
+/// and the program has a `spawn` site: the slaves' threads are paced by
+/// the master's, and that pacing is checked for one slave only.
+pub fn dual_execute_shared(
+    program: Arc<IrProgram>,
+    config: &VosConfig,
+    specs: &[DualSpec],
+) -> Vec<DualReport> {
+    assert!(
+        specs.len() <= 1 || !program.spawns_threads(),
+        "one master shares its run with several slaves only without a spawn site"
+    );
+    live(program, config, specs, false).0
+}
+
+/// The only report of a one-slave [`live`] run, with its recording.
+fn one_report(
+    (mut reports, recording): (Vec<DualReport>, Option<Recording>),
+) -> (DualReport, Option<Recording>) {
+    let report = reports.pop().expect("one slave, one report");
+    (report, recording)
 }
 
 /// A finished master execution of a program against a world, under a
@@ -154,14 +193,7 @@ impl Recording {
     /// Whether `spec` may be replayed against this recording: it differs
     /// from the recorded spec in its sources at most.
     pub fn accepts(&self, spec: &DualSpec) -> bool {
-        self.setup.accepts(spec)
-    }
-}
-
-impl Setup {
-    fn accepts(&self, spec: &DualSpec) -> bool {
-        let own = &self.spec;
-        spec.sinks == own.sinks && spec.exec == own.exec && spec.record == own.record
+        self.setup.spec.shares_master_with(spec)
     }
 }
 
@@ -182,12 +214,12 @@ pub fn record(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSpec) -> R
     let world = Arc::new(Vos::versioned(config));
     let sinks = ResolvedSinks::resolve(spec, &program);
     let master = MasterHooks {
-        coupling: Arc::clone(&coupling),
+        fanout: Fanout::new(vec![Arc::clone(&coupling)]),
         vos: Arc::clone(&world),
         locks: LockTable::new(),
         sinks: sinks.clone(),
     };
-    let (outcome, anchor) = run_master(&program, master, spec, None);
+    let (outcome, anchor) = run_master(&program, master, spec, &[]);
     let setup = Setup {
         program,
         config: config.clone(),
@@ -221,7 +253,7 @@ pub fn replay(recording: &Recording, spec: &DualSpec) -> DualReport {
 
 fn replay_from(setup: &Setup, master: Master, spec: &DualSpec) -> DualReport {
     assert!(
-        setup.accepts(spec),
+        setup.spec.shares_master_with(spec),
         "a replay may change only the recorded spec's sources"
     );
     let flow_id = setup
@@ -248,50 +280,89 @@ fn replay_from(setup: &Setup, master: Master, spec: &DualSpec) -> DualReport {
     report(&coupling, master.outcome, slave_result)
 }
 
-/// Runs master and slave concurrently: the master on the calling thread,
-/// the slave on a spawned one. With `keep`, the master's entries are
-/// logged and its history kept, and the run returns its recording.
-fn two_threads(
+/// Runs one master and a live slave per spec: the master on the calling
+/// thread, each slave on a spawned one with a coupling of its own. The
+/// specs differ in their sources at most, and the first one's sinks,
+/// limits and recording flag are the master's. With `keep`, the first
+/// coupling logs the master's entries and the run returns its recording.
+/// With several slaves, or `keep`, every overlay keeps the master's whole
+/// history: one slave trimming it could drop what a slower one, or a
+/// later replay, still reads.
+fn live(
     program: Arc<IrProgram>,
     config: &VosConfig,
-    spec: &DualSpec,
+    specs: &[DualSpec],
     keep: bool,
-) -> (DualReport, Option<Recording>) {
+) -> (Vec<DualReport>, Option<Recording>) {
     // Compile-time audit that the inputs cross thread boundaries safely
-    // (the scoped spawn below requires it, but spell the contract out).
+    // (the scoped spawns below require it, but spell the contract out).
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Arc<IrProgram>>();
     assert_send_sync::<VosConfig>();
     assert_send_sync::<DualSpec>();
-    let mut coupling = Coupling::new(spec.record);
-    coupling.keep_logs = keep;
-    let coupling = Arc::new(coupling);
+    let spec = specs.first().expect("at least one slave");
+    assert!(
+        specs.iter().all(|s| s.shares_master_with(spec)),
+        "slaves sharing a master may differ in their sources only"
+    );
+    let couplings: Vec<Arc<Coupling>> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let mut coupling = Coupling::new(s.record);
+            coupling.keep_logs = keep && i == 0;
+            Arc::new(coupling)
+        })
+        .collect();
     let world = Arc::new(Vos::versioned(config));
     let sinks = ResolvedSinks::resolve(spec, &program);
+    let history = keep || specs.len() > 1;
+    let slaves: Vec<SlaveHooks> = specs
+        .iter()
+        .zip(&couplings)
+        .map(|(s, coupling)| {
+            let overlay = if history {
+                SlaveVos::keeping_history(Arc::clone(&world), config)
+            } else {
+                SlaveVos::new(Arc::clone(&world), config)
+            };
+            slave_hooks(coupling, overlay, sinks.clone(), s, &program)
+        })
+        .collect();
     let master = MasterHooks {
-        coupling: Arc::clone(&coupling),
+        fanout: Fanout::new(couplings.clone()),
         vos: Arc::clone(&world),
         locks: LockTable::new(),
         sinks: sinks.clone(),
     };
-    let overlay = if keep {
-        SlaveVos::keeping_history(Arc::clone(&world), config)
-    } else {
-        SlaveVos::new(Arc::clone(&world), config)
-    };
-    let slave = slave_hooks(&coupling, overlay, sinks.clone(), spec, &program);
-    // A flow arrow links the master and slave spans of this run in the
-    // Chrome trace (ph "s" in the master's span, ph "f" in the slave's).
-    let flow_id = ldx_obs::tracing_enabled().then(ldx_obs::next_flow_id);
-    // The slave gets a thread of its own; the master runs on the calling
-    // thread, so a run spawns one thread, not two.
-    let ((master_result, anchor), slave_result) = std::thread::scope(|s| {
-        let slave = s.spawn(|| run_slave(&program, slave, spec, flow_id));
-        let master = run_master(&program, master, spec, flow_id);
-        (master, slave.join().expect("slave thread"))
+    // A flow arrow per slave links the master's span to that slave's in
+    // the Chrome trace (ph "s" in the master's span, ph "f" in the slave's).
+    let flow_ids: Vec<Option<u64>> = specs
+        .iter()
+        .map(|_| ldx_obs::tracing_enabled().then(ldx_obs::next_flow_id))
+        .collect();
+    // Each slave gets a thread of its own; the master runs on the calling
+    // thread, so a run with k slaves spawns k threads.
+    let program_ref = &program;
+    let ((master_result, anchor), slave_results) = std::thread::scope(|s| {
+        let handles: Vec<_> = slaves
+            .into_iter()
+            .zip(specs)
+            .zip(&flow_ids)
+            .map(|((slave, spec), &flow_id)| {
+                s.spawn(move || run_slave(program_ref, slave, spec, flow_id))
+            })
+            .collect();
+        let master = run_master(program_ref, master, spec, &flow_ids);
+        let slaves: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("slave thread"))
+            .collect();
+        (master, slaves)
     });
     let recording = keep.then(|| {
         ldx_obs::counter_add("dualex.recordings", 1);
+        let coupling = &couplings[0];
         Recording {
             master: Master {
                 logs: coupling.take_logs(),
@@ -299,7 +370,7 @@ fn two_threads(
                 outcome: master_result.clone(),
             },
             setup: Setup {
-                program,
+                program: Arc::clone(&program),
                 config: config.clone(),
                 spec: spec.clone(),
                 sinks,
@@ -309,7 +380,12 @@ fn two_threads(
             },
         }
     });
-    (report(&coupling, master_result, slave_result), recording)
+    let reports = couplings
+        .iter()
+        .zip(slave_results)
+        .map(|(coupling, slave_result)| report(coupling, master_result.clone(), slave_result))
+        .collect();
+    (reports, recording)
 }
 
 /// The slave's hooks on `coupling`, with `overlay` as its private world.
@@ -332,23 +408,25 @@ fn slave_hooks(
     }
 }
 
-/// Runs the master to completion and marks it finished, starting flow
-/// arrow `flow_id` in its span; returns its outcome and, when tracing,
-/// where in its span arrows start.
+/// Runs the master to completion and marks it finished, starting every
+/// flow arrow of `flow_ids` in its span; returns its outcome and, when
+/// tracing, where in its span arrows start.
 fn run_master(
     program: &Arc<IrProgram>,
     hooks: MasterHooks,
     spec: &DualSpec,
-    flow_id: Option<u64>,
+    flow_ids: &[Option<u64>],
 ) -> (Result<RunOutcome, Trap>, Option<FlowAnchor>) {
     let _s = ldx_obs::span(ldx_obs::cat::MASTER, "run");
     let anchor = ldx_obs::tracing_enabled().then(ldx_obs::flow_anchor);
-    if let Some((anchor, id)) = anchor.zip(flow_id) {
-        ldx_obs::flow_start_at(anchor, ldx_obs::cat::FLOW, "dual-run", id);
+    if let Some(anchor) = anchor {
+        for id in flow_ids.iter().flatten() {
+            ldx_obs::flow_start_at(anchor, ldx_obs::cat::FLOW, "dual-run", *id);
+        }
     }
-    let coupling = Arc::clone(&hooks.coupling);
-    let outcome = run_program(Arc::clone(program), Arc::new(hooks), spec.exec);
-    coupling.finish_execution();
+    let hooks = Arc::new(hooks);
+    let outcome = run_program(Arc::clone(program), Arc::clone(&hooks) as _, spec.exec);
+    hooks.fanout.finish_execution();
     (outcome, anchor)
 }
 

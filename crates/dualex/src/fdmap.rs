@@ -7,7 +7,10 @@
 //! the slave executes a file read, the file needs to be cloned, opened,
 //! and then seeked to the right position" (paper §4.2). This map tracks,
 //! for every descriptor the slave program holds, what it refers to and how
-//! far it has consumed it.
+//! far it has consumed it. It also learns what each master descriptor
+//! names, from the master's `open`, `connect` and `accept` entries the
+//! slave consumes, so a sink reached through different descriptors on the
+//! two sides can be compared by the resource they name.
 
 use ldx_lang::Syscall;
 use ldx_runtime::Value;
@@ -42,6 +45,12 @@ pub(crate) struct SlaveFdMap {
     pub accept_count: usize,
     /// Clients the overlay itself has accepted (reconstruction progress).
     pub overlay_accepts: usize,
+    /// What each master descriptor the slave has seen created names.
+    /// Master descriptor numbers are never reused, so entries never go
+    /// stale.
+    master: HashMap<i64, Resource>,
+    /// Clients the master accepted, as far as the slave has consumed.
+    master_accepts: usize,
 }
 
 impl SlaveFdMap {
@@ -61,6 +70,48 @@ impl SlaveFdMap {
                 index: self.accept_count,
             }),
             _ => None,
+        }
+    }
+
+    /// Learns what master descriptor `outcome` names, from a master
+    /// `open`, `connect` or `accept` with `args` (nothing for a failed or
+    /// another syscall).
+    pub fn on_master_new(&mut self, sys: Syscall, args: &[Value], outcome: &Value) {
+        let Value::Int(fd) = *outcome else {
+            return;
+        };
+        if fd < 0 {
+            return;
+        }
+        let resource = match (sys, args.first()) {
+            (Syscall::Accept, Some(Value::Int(port))) => {
+                self.master_accepts += 1;
+                Resource::Client {
+                    port: *port,
+                    index: self.master_accepts - 1,
+                }
+            }
+            _ => match self.created(sys, args) {
+                Some(resource) => resource,
+                None => return,
+            },
+        };
+        self.master.insert(fd, resource);
+    }
+
+    /// Whether master descriptor `master_fd` and slave descriptor `fd`
+    /// name the same resource: the same file opened with the same flags,
+    /// the same peer or the same client. Flags count, since they decide
+    /// what a write through the descriptor does (fail, truncate, append).
+    pub fn same_resource(&self, master_fd: i64, fd: i64) -> bool {
+        let (Some(master), Some(own)) = (self.master.get(&master_fd), self.map.get(&fd)) else {
+            return false;
+        };
+        match (master, &own.resource) {
+            (Resource::File { path: a, flags: fa }, Resource::File { path: b, flags: fb }) => {
+                fa == fb && ldx_vos::normalize_path(a) == ldx_vos::normalize_path(b)
+            }
+            (a, b) => a == b,
         }
     }
 
@@ -165,6 +216,32 @@ mod tests {
         };
         assert_eq!(index, 1);
         assert_eq!(m.accept_count, 2);
+    }
+
+    #[test]
+    fn master_descriptors_compare_by_the_resource_they_name() {
+        let mut m = SlaveFdMap::default();
+        let open_args = |path: &str, flags| [Value::str(path), Value::Int(flags)];
+        m.on_master_new(Syscall::Open, &open_args("/log", 2), &Value::Int(4));
+        m.on_master_new(Syscall::Open, &open_args("/other", 2), &Value::Int(5));
+        m.on_master_new(Syscall::Open, &open_args("/gone", 0), &Value::Int(-1));
+        let resource = m.created(Syscall::Open, &open_args("//log", 2)).unwrap();
+        m.on_new(1_000_004, resource, true);
+        assert!(m.same_resource(4, 1_000_004), "one file, one mode");
+        let truncating = m.created(Syscall::Open, &open_args("/log", 1)).unwrap();
+        m.on_new(1_000_005, truncating, true);
+        assert!(
+            !m.same_resource(4, 1_000_005),
+            "truncate and append are different writes"
+        );
+        assert!(!m.same_resource(5, 1_000_004));
+        assert!(!m.same_resource(-1, 1_000_004) && !m.same_resource(6, 1_000_004));
+        // Accepted clients compare by port and each side's accept order.
+        m.on_master_new(Syscall::Accept, &[Value::Int(80)], &Value::Int(7));
+        m.on_master_new(Syscall::Accept, &[Value::Int(80)], &Value::Int(8));
+        accept(&mut m, 9);
+        assert!(m.same_resource(7, 9) && !m.same_resource(8, 9));
+        assert_eq!(m.accept_count, 1, "master accepts are not the slave's");
     }
 
     #[test]

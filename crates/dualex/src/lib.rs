@@ -61,7 +61,8 @@ mod slave;
 mod spec;
 
 pub use engine::{
-    dual_execute, dual_execute_and_record, dual_execute_with, record, replay, Recording, Schedule,
+    dual_execute, dual_execute_and_record, dual_execute_shared, dual_execute_with, record, replay,
+    Recording, Schedule,
 };
 pub use mutation::Mutation;
 pub use recorder::{
@@ -533,6 +534,19 @@ mod tests {
         let spec = DualSpec::with_source(SourceSpec::file("/employee"));
         let recording = record(employee_program(), &employee_world(), &spec);
         replay(&recording, &spec.sinks(SinkSpec::FileOut));
+    }
+
+    #[test]
+    #[should_panic(expected = "only without a spawn site")]
+    fn slaves_of_a_spawning_program_do_not_share_a_master() {
+        let program = build(
+            r#"
+            fn worker(k) { return k; }
+            fn main() { join(spawn(&worker, 1)); }
+            "#,
+        );
+        let spec = DualSpec::default();
+        dual_execute_shared(program, &VosConfig::new(), &[spec.clone(), spec]);
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! the slave's queue a chunk at a time, or at once when the slave is
 //! parked (the slave also pulls the batch itself when it runs dry; see
 //! `dualex::couple`). At loop backedges it publishes its progress to a
-//! parked slave, so the slave can align. In the paper the master also
+//! parked slave, so the slave can align. One master may drive several
+//! couplings, one per live slave (a `Fanout`): each gets every entry,
+//! backedge and thread exit, so each slave sees the master it would see
+//! alone. In the paper the master also
 //! blocks at sinks to compare arguments in-line; this reproduction runs in
 //! *detection* mode — sink comparison happens when the slave reaches the
 //! aligned sink, or at end-of-run reconciliation for sinks the slave never
@@ -13,7 +16,7 @@
 //! master-side stall (deviation documented in DESIGN.md). The master never
 //! waits for the slave.
 
-use crate::couple::{At, Coupling, Entry, Pair};
+use crate::couple::{At, Entry, Fanout};
 use crate::recorder::{Decision, FlightEvent};
 use crate::report::Role;
 use crate::resolved::ResolvedSinks;
@@ -27,7 +30,7 @@ use std::sync::Arc;
 
 /// Master-side hooks.
 pub(crate) struct MasterHooks {
-    pub coupling: Arc<Coupling>,
+    pub fanout: Fanout,
     pub vos: Arc<Vos>,
     pub locks: LockTable,
     pub sinks: ResolvedSinks,
@@ -44,15 +47,20 @@ impl MasterHooks {
         is_sink: bool,
     ) {
         let entry = Entry::new(ctx, args, outcome, version, is_sink);
-        self.coupling
-            .with_pair(&ctx.thread, |pair| pair.enqueue(entry));
-        self.coupling.emit(
-            Role::Master,
-            Decision::Executed,
-            At::ctx(ctx),
-            is_sink,
-            None,
-        );
+        self.fanout.with_pairs(&ctx.thread, |pairs| {
+            let (last, others) = pairs.split_last().expect("one pair per coupling");
+            others.iter().for_each(|pair| pair.enqueue(entry.clone()));
+            last.enqueue(entry);
+        });
+        for coupling in self.fanout.couplings() {
+            coupling.emit(
+                Role::Master,
+                Decision::Executed,
+                At::ctx(ctx),
+                is_sink,
+                None,
+            );
+        }
     }
 }
 
@@ -100,16 +108,20 @@ impl SyscallHooks for MasterHooks {
         // master does: the slave's per-syscall alignment wait provides all
         // the ordering the protocol needs, so the master runs unthrottled
         // (detection mode).
-        self.coupling.with_pair(thread, |pair| pair.publish(key));
-        self.coupling.flight(Role::Master, || FlightEvent::Barrier {
-            thread: thread.clone(),
-            key: key.clone(),
-            delta: 0,
+        self.fanout.with_pairs(thread, |pairs| {
+            pairs.iter().for_each(|pair| pair.publish(key));
         });
+        for coupling in self.fanout.couplings() {
+            coupling.flight(Role::Master, || FlightEvent::Barrier {
+                thread: thread.clone(),
+                key: key.clone(),
+                delta: 0,
+            });
+        }
         Ok(())
     }
 
     fn thread_finished(&self, thread: &ThreadKey) {
-        self.coupling.with_pair(thread, Pair::finish);
+        self.fanout.finish_thread(thread);
     }
 }

@@ -11,7 +11,9 @@
 //!   entry at all once the master is provably past this key, means the
 //!   paths diverged: the slave executes **decoupled** against its private
 //!   overlay world (cloning touched resources, paper §7), and sink
-//!   instances on either side become causality records;
+//!   instances on either side become causality records (a sink's
+//!   descriptor argument compares by the resource it names, not by its
+//!   number);
 //! * if the master is **behind**, the slave blocks until it catches up.
 //!
 //! Source-matched input outcomes are mutated (this is where the
@@ -128,6 +130,30 @@ impl SlaveHooks {
         }
     }
 
+    /// Whether a sink's master and slave arguments differ only in the
+    /// descriptor `sys` takes first, and both descriptors name the same
+    /// resource.
+    fn same_sink_resource(&self, sys: Syscall, master: &[Value], slave: &[Value]) -> bool {
+        let takes_fd = matches!(
+            sys,
+            Syscall::Read
+                | Syscall::Write
+                | Syscall::Recv
+                | Syscall::Send
+                | Syscall::Seek
+                | Syscall::Close
+        );
+        if !takes_fd {
+            return false;
+        }
+        match (master.split_first(), slave.split_first()) {
+            (Some((Value::Int(m), m_rest)), Some((Value::Int(s), s_rest))) => {
+                m_rest == s_rest && self.fdmap.lock().same_resource(*m, *s)
+            }
+            _ => false,
+        }
+    }
+
     fn render_args(args: &[Value]) -> String {
         let parts: Vec<String> = args.iter().map(Value::stringify).collect();
         parts.join(", ")
@@ -189,6 +215,10 @@ impl SlaveHooks {
                 }
                 let e = inner.queue.pop_front().expect("front exists");
                 self.overlay.advance_cut(e.version);
+                if matches!(e.sys, Syscall::Open | Syscall::Connect | Syscall::Accept) {
+                    let mut fdmap = self.fdmap.lock();
+                    fdmap.on_master_new(e.sys, e.args(), &e.outcome);
+                }
                 if order == ProgressOrder::Behind {
                     // A master-only syscall the slave will never issue.
                     self.master_only(ctx, &e, CausalityKind::MasterOnlySink);
@@ -208,6 +238,12 @@ impl SlaveHooks {
                 // Same site, different arguments (Alg. 2 case 3).
                 if !is_sink {
                     return Align::Mismatched;
+                }
+                if self.same_sink_resource(ctx.sys, e.args(), args) {
+                    // The same data to the same resource, through a
+                    // descriptor of the slave's own: no difference. The
+                    // slave still performs it, on its own descriptor.
+                    return Align::Decoupled;
                 }
                 let diff = CausalityKind::ArgDiff {
                     master: Self::render_args(e.args()),

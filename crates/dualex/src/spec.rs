@@ -146,6 +146,14 @@ impl DualSpec {
         self.record = true;
         self
     }
+
+    /// Whether a master run under this spec serves a slave under `other`
+    /// too: the two differ in their sources at most. Sinks, limits and the
+    /// recording flag all shape what the master queues and logs; the
+    /// sources only shape what the slave perturbs.
+    pub fn shares_master_with(&self, other: &DualSpec) -> bool {
+        self.sinks == other.sinks && self.exec == other.exec && self.record == other.record
+    }
 }
 
 #[cfg(test)]
@@ -173,6 +181,19 @@ mod tests {
         assert_eq!(spec.sources[1].mutation, Mutation::Zero);
         assert_eq!(spec.sinks, SinkSpec::NetworkOut);
         assert!(spec.record);
+    }
+
+    #[test]
+    fn only_the_sources_may_differ_under_one_master() {
+        let base = DualSpec::with_source(SourceSpec::file("/a"));
+        let other = DualSpec::with_source(SourceSpec::file("/b").with_mutation(Mutation::Zero));
+        assert!(base.shares_master_with(&other));
+        assert!(base.shares_master_with(&DualSpec::default()));
+        assert!(!base.shares_master_with(&other.clone().sinks(SinkSpec::FileOut)));
+        assert!(!base.shares_master_with(&other.clone().recorded()));
+        let mut limited = other;
+        limited.exec.max_steps = 10;
+        assert!(!base.shares_master_with(&limited));
     }
 
     #[test]

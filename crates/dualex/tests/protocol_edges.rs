@@ -1,8 +1,10 @@
 //! Protocol edge cases: indirect-call frames, recursion, setjmp/longjmp
-//! divergence, resource tainting, and thread asymmetry.
+//! divergence, resource tainting, thread asymmetry, and live slaves of one
+//! master that run at different speeds.
 
 use ldx_dualex::{
-    dual_execute, CausalityKind, DualSpec, Mutation, SinkSpec, SourceMatcher, SourceSpec,
+    dual_execute, dual_execute_shared, CausalityKind, DualSpec, Mutation, SinkSpec, SourceMatcher,
+    SourceSpec,
 };
 use ldx_vos::{PeerBehavior, VosConfig};
 use std::sync::Arc;
@@ -472,4 +474,54 @@ fn aligned_syscalls_on_tainted_resources_count_once() {
     let slave = report.slave.as_ref().expect("slave runs");
     assert_eq!((report.shared, report.decoupled), (2, 6));
     assert_eq!(report.shared + report.decoupled, slave.stats.syscalls);
+}
+
+#[test]
+fn a_fast_slave_never_trims_history_a_slow_slave_still_reads() {
+    // Two live slaves of one master. The mutated one decouples at once
+    // and then computes for a while before its first decoupled access to
+    // /log, which must see /log as of its cut: "init", before the master
+    // truncated it and wrote it 3000 times. Meanwhile the identity slave
+    // shares every master syscall, so its cut runs far ahead; had it
+    // trimmed the master's history behind that cut, the slow slave's
+    // clone would see the writes and report a leak that does not exist.
+    let program = build(
+        r#"
+        fn main() {
+            let x = int(read(open("/secret", 0), 8));
+            let d = "init";
+            if (x > 41) {
+                let i = 0;
+                while (i < 100000) { i = i + 1; }
+                d = read(open("/log", 0), 64);
+            }
+            let fd = open("/log", 1);
+            for (let j = 0; j < 3000; j = j + 1) { write(fd, "x"); }
+            close(fd);
+            send(connect("out"), d);
+        }
+        "#,
+    );
+    let world = VosConfig::new()
+        .file("/secret", "41")
+        .file("/log", "init")
+        .peer("out", PeerBehavior::Echo);
+    let specs = [
+        spec_file("/secret", Mutation::OffByOne, SinkSpec::NetworkOut),
+        spec_file("/secret", Mutation::Identity, SinkSpec::NetworkOut),
+    ];
+    for run in 0..5 {
+        let reports = dual_execute_shared(Arc::clone(&program), &world, &specs);
+        let (mutated, identity) = (&reports[0], &reports[1]);
+        assert!(mutated.decoupled > 0, "run {run}: the slow slave read /log");
+        assert!(
+            !mutated.leaked(),
+            "run {run}: the slow slave saw the master's future: {:?}",
+            mutated.causality
+        );
+        assert!(!identity.leaked() && identity.decoupled == 0 && identity.syscall_diffs == 0);
+        let master_syscalls = identity.master.as_ref().map_or(0, |o| o.stats.syscalls);
+        assert_eq!(identity.shared, master_syscalls, "run {run}");
+        assert_eq!(mutated.timeouts + identity.timeouts, 0);
+    }
 }

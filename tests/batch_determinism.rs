@@ -7,8 +7,9 @@
 //! execution (that is Table 4's subject), not from the batch schedule.
 
 use ldx::{BatchEngine, BatchJob, InstrumentCache};
-use ldx_dualex::{dual_execute, DualReport};
+use ldx_dualex::{dual_execute, record, DualReport, DualSpec, Mutation};
 use ldx_workloads::{Suite, Workload};
+use std::sync::Arc;
 
 fn deterministic_corpus() -> Vec<Workload> {
     ldx_workloads::corpus()
@@ -124,6 +125,104 @@ fn flight_logs_never_interleave_across_batch_jobs() {
             "{}",
             s.label
         );
+    }
+}
+
+/// `spec` with every source under `mutation`.
+fn mutated(spec: &DualSpec, mutation: &Mutation) -> DualSpec {
+    let mut spec = spec.clone();
+    for source in &mut spec.sources {
+        source.mutation = mutation.clone();
+    }
+    spec
+}
+
+/// A batch that mixes jobs sharing a master, single jobs, a program with
+/// a `spawn` site (never shared) and a replay job reports, job by job,
+/// what a dedicated dual execution of each job's spec reports, under one
+/// worker and an oversubscribed pool, in submission order.
+#[test]
+fn a_mixed_batch_matches_dedicated_runs() {
+    let workloads = deterministic_corpus();
+    let mut jobs = Vec::new();
+    // Shared: three programs, each under three mutations, interleaved.
+    let shared: Vec<_> = workloads[..3].iter().map(|w| (w, w.program())).collect();
+    for mutation in [Mutation::OffByOne, Mutation::Identity, Mutation::Zero] {
+        for (w, program) in &shared {
+            let spec = mutated(&w.dual_spec(), &mutation);
+            jobs.push(BatchJob::new(
+                w.name,
+                Arc::clone(program),
+                w.world.clone(),
+                spec,
+            ));
+        }
+    }
+    // Single: a program of its own, and a repeat of a shared job's spec.
+    let single = &workloads[3];
+    jobs.push(BatchJob::new(
+        single.name,
+        single.program(),
+        single.world.clone(),
+        single.dual_spec(),
+    ));
+    jobs.push(jobs[0].clone());
+    // One program in two worlds, which never share a master.
+    let leak =
+        ldx::Analysis::for_source(r#"fn main() { send(connect("out"), read(open("/s", 0), 8)); }"#)
+            .unwrap()
+            .source(ldx::SourceSpec::file("/s"))
+            .sinks(ldx::SinkSpec::NetworkOut);
+    for (secret, mutation) in [("a", Mutation::OffByOne), ("b", Mutation::Zero)] {
+        let world = ldx::vos::VosConfig::new()
+            .file("/s", secret)
+            .peer("out", ldx::vos::PeerBehavior::Echo);
+        let mut job = leak.clone().world(world).batch_job("worlds");
+        job.spec = mutated(&job.spec, &mutation);
+        jobs.push(job);
+    }
+    // A spawn site, under two mutations.
+    let threaded = ldx::Analysis::for_source(
+        r#"fn work(n) { send(connect("out"), str(n)); }
+        fn main() { join(spawn(&work, int(read(open("/s", 0), 8)))); }"#,
+    )
+    .unwrap()
+    .world(
+        ldx::vos::VosConfig::new()
+            .file("/s", "7")
+            .peer("out", ldx::vos::PeerBehavior::Echo),
+    )
+    .source(ldx::SourceSpec::file("/s"))
+    .sinks(ldx::SinkSpec::NetworkOut);
+    for mutation in [Mutation::OffByOne, Mutation::Identity] {
+        let mut job = threaded.batch_job("threaded");
+        job.spec = mutated(&job.spec, &mutation);
+        jobs.push(job);
+    }
+    // A replay job against a recording of another program.
+    let replayed = &workloads[4];
+    let recording = record(replayed.program(), &replayed.world, &replayed.dual_spec());
+    let spec = mutated(&replayed.dual_spec(), &Mutation::BitFlip);
+    jobs.push(BatchJob::replay(replayed.name, Arc::new(recording), spec));
+
+    let dedicated: Vec<String> = jobs
+        .iter()
+        .map(|job| {
+            row(
+                &job.label,
+                &dual_execute(Arc::clone(&job.program), &job.world, &job.spec),
+            )
+        })
+        .collect();
+    for engine in [BatchEngine::sequential(), BatchEngine::new(usize::MAX)] {
+        let batch = engine.run(jobs.clone());
+        let rows: Vec<String> = batch
+            .results
+            .iter()
+            .map(|r| row(&r.label, &r.report))
+            .collect();
+        assert_eq!(rows, dedicated, "{} worker(s)", batch.workers);
+        assert!(batch.results.iter().all(|r| r.report.timeouts == 0));
     }
 }
 

@@ -10,11 +10,17 @@
 //! cloned `/log` from the master's live world would read "changed" and
 //! report a leak that does not exist. Slaves replayed against one
 //! recorded master all clone from that master's kept history, each as of
-//! its own cut.
+//! its own cut, and so do live slaves sharing one master.
+//!
+//! A second probe writes the same data to a file it opened through a
+//! descriptor of the slave's own (the file is tainted, so the slave's
+//! `open` runs on its overlay): the sink is compared by the resource the
+//! descriptors name (the file and the mode it was opened in), not by
+//! their numbers.
 
 use ldx_dualex::{
-    dual_execute_and_record, dual_execute_with, record, replay, DualReport, DualSpec, Schedule,
-    SinkSpec, SourceSpec,
+    dual_execute_and_record, dual_execute_shared, dual_execute_with, record, replay, CausalityKind,
+    Decision, DualReport, DualSpec, FlightEvent, Mutation, Schedule, SinkSpec, SourceSpec,
 };
 use ldx_runtime::{run_program, ExecConfig, NativeHooks};
 use ldx_vos::{PeerBehavior, Vos, VosConfig};
@@ -44,7 +50,11 @@ fn world(secret: &str) -> VosConfig {
 }
 
 fn program() -> Arc<ldx_ir::IrProgram> {
-    let resolved = ldx_lang::compile(PROBE).expect("the probe compiles");
+    compile(PROBE)
+}
+
+fn compile(source: &str) -> Arc<ldx_ir::IrProgram> {
+    let resolved = ldx_lang::compile(source).expect("the probe compiles");
     Arc::new(ldx_instrument::instrument(&ldx_ir::lower(&resolved)).into_program())
 }
 
@@ -70,7 +80,7 @@ fn spec() -> DualSpec {
 
 /// Runs the probe `RUNS` times through `run` and asserts no run reports
 /// the leak; `what` names the runs.
-fn no_false_leaks(what: &str, run: impl Fn() -> DualReport) {
+fn no_false_leaks(what: &str, mut run: impl FnMut() -> DualReport) {
     let mut false_leaks = 0;
     for _ in 0..RUNS {
         let report = run();
@@ -104,5 +114,121 @@ fn replays_of_one_recording_never_see_the_masters_future() {
     let kept = kept.expect("the probe has no spawn site");
     for (what, recording) in [("recorded alone", alone), ("kept by a run", kept)] {
         no_false_leaks(what, || replay(&recording, &spec()));
+    }
+}
+
+#[test]
+fn live_slaves_of_one_master_never_see_its_future() {
+    let program = program();
+    let identity =
+        DualSpec::with_source(SourceSpec::file("/secret").with_mutation(Mutation::Identity))
+            .sinks(SinkSpec::NetworkOut);
+    let specs = [spec(), identity];
+    let mut quiet = 0;
+    no_false_leaks("two live slaves", || {
+        let mut reports = dual_execute_shared(Arc::clone(&program), &world("41"), &specs);
+        let identity = reports.pop().expect("two reports");
+        assert_eq!(identity.timeouts, 0);
+        quiet += usize::from(!identity.leaked() && identity.decoupled == 0);
+        reports.pop().expect("two reports")
+    });
+    assert_eq!(
+        quiet, RUNS,
+        "the identity slave shares every master syscall"
+    );
+}
+
+/// Reads `/log` on the branch the mutation flips, then appends `data` to
+/// it: the slave's append runs through an overlay descriptor.
+fn append_after_a_tainting_read(data: &str) -> Arc<ldx_ir::IrProgram> {
+    compile(&format!(
+        r#"fn main() {{
+    let x = int(read(open("/secret", 0), 8));
+    if (x > 41) {{
+        read(open("/log", 0), 64);
+    }}
+    write(open("/log", 2), {data});
+}}"#
+    ))
+}
+
+fn file_out() -> DualSpec {
+    DualSpec::with_source(SourceSpec::file("/secret"))
+        .sinks(SinkSpec::FileOut)
+        .recorded()
+}
+
+#[test]
+fn a_sink_compares_descriptors_by_the_resource_they_name() {
+    let program = append_after_a_tainting_read(r#""same""#);
+    for schedule in [Schedule::TwoThreads, Schedule::OneThread] {
+        let report = dual_execute_with(Arc::clone(&program), &world("41"), &file_out(), schedule);
+        assert!(
+            !report.leaked(),
+            "{schedule:?}: the same append to /log is no causality: {:?}",
+            report.causality
+        );
+        assert_eq!(report.timeouts, 0);
+        // The slave still appends, on its own overlay descriptor.
+        let appended = report.flight.slave.iter().any(|event| {
+            matches!(
+                event,
+                FlightEvent::Syscall {
+                    decision: Decision::Decoupled,
+                    sys: ldx_lang::Syscall::Write,
+                    is_sink: true,
+                    ..
+                }
+            )
+        });
+        assert!(appended, "{schedule:?}: the slave's append did not run");
+    }
+}
+
+#[test]
+fn a_sink_with_different_data_is_still_an_argument_difference() {
+    let program = append_after_a_tainting_read("str(x)");
+    for schedule in [Schedule::TwoThreads, Schedule::OneThread] {
+        let report = dual_execute_with(Arc::clone(&program), &world("41"), &file_out(), schedule);
+        let diffs: Vec<(&str, &str)> = report
+            .causality
+            .iter()
+            .filter_map(|record| match &record.kind {
+                CausalityKind::ArgDiff { master, slave } => Some((master.as_str(), slave.as_str())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(diffs.len(), 1, "{schedule:?}: {:?}", report.causality);
+        let (master, slave) = diffs[0];
+        assert!(
+            master.ends_with(", 41") && slave.ends_with(", 42"),
+            "{master} vs {slave}"
+        );
+    }
+}
+
+#[test]
+fn a_sink_through_a_file_opened_in_another_mode_is_an_argument_difference() {
+    // The mutation turns the append into a truncating write of the same
+    // data: the file ends up different, so the write is a real flow.
+    let program = compile(
+        r#"fn main() {
+    let x = int(read(open("/secret", 0), 8));
+    let flags = 2;
+    if (x > 41) {
+        flags = 1;
+    }
+    write(open("/log", flags), "same");
+}"#,
+    );
+    for schedule in [Schedule::TwoThreads, Schedule::OneThread] {
+        let report = dual_execute_with(Arc::clone(&program), &world("41"), &file_out(), schedule);
+        let diffs = report
+            .causality
+            .iter()
+            .filter(|record| matches!(record.kind, CausalityKind::ArgDiff { .. }))
+            .count();
+        assert_eq!(diffs, 1, "{schedule:?}: {:?}", report.causality);
+        assert_eq!(report.timeouts, 0);
     }
 }

@@ -180,6 +180,119 @@ fn one_thread_batch_jobs_emit_both_spans_without_timeouts() {
     obs::reset();
 }
 
+/// `n` jobs of `analysis`' program and world whose specs differ in their
+/// sources' mutations only.
+fn mutated_jobs(analysis: &Analysis, n: usize) -> Vec<BatchJob> {
+    let mutations = [
+        ldx::Mutation::OffByOne,
+        ldx::Mutation::Zero,
+        ldx::Mutation::BitFlip,
+    ];
+    mutations[..n]
+        .iter()
+        .map(|mutation| {
+            let mut job = analysis.batch_job(format!("{mutation:?}"));
+            for source in &mut job.spec.sources {
+                source.mutation = mutation.clone();
+            }
+            job
+        })
+        .collect()
+}
+
+/// Jobs of one program and world whose specs differ in their sources
+/// only share one master: on one worker, one master span starts a flow
+/// arrow to each live slave's own thread. On two workers every job runs
+/// its own master. A program with a `spawn` site never shares.
+#[test]
+fn batch_jobs_share_masters_except_with_a_spawn_site() {
+    let _g = lock();
+    let multi_cpu = std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2;
+    let count = |events: &[obs::TraceEventSnapshot], cat: &str| {
+        events
+            .iter()
+            .filter(|e| e.cat == cat && e.name == "run")
+            .count()
+    };
+
+    obs::reset();
+    obs::enable_tracing(obs::DEFAULT_TRACE_CAPACITY);
+    obs::enable_metrics();
+    let report = BatchEngine::sequential().run(mutated_jobs(&leak_analysis(), 2));
+    assert!(report
+        .results
+        .iter()
+        .all(|r| r.report.leaked() && r.report.timeouts == 0));
+    let events = obs::trace_snapshot();
+    let masters = if multi_cpu { 1 } else { 2 };
+    assert_eq!(
+        obs::counter_value("batch.shared_masters"),
+        2 - masters as u64
+    );
+    assert_eq!(obs::counter_value("batch.jobs"), 2);
+    assert_eq!(obs::counter_value("dualex.runs"), 2);
+    assert_eq!(
+        (count(&events, "master"), count(&events, "slave")),
+        (masters, 2)
+    );
+    let starts: Vec<u64> = events
+        .iter()
+        .filter(|e| e.flow.is_some_and(|f| f.1))
+        .map(|e| e.tid)
+        .collect();
+    let finishes: Vec<u64> = events
+        .iter()
+        .filter(|e| e.flow.is_some_and(|f| !f.1))
+        .map(|e| e.tid)
+        .collect();
+    assert_eq!(
+        (starts.len(), finishes.len()),
+        (2, 2),
+        "one arrow per slave"
+    );
+    assert!(finishes.iter().all(|tid| !starts.contains(tid)));
+    assert_ne!(
+        finishes[0], finishes[1],
+        "each live slave runs on a thread of its own"
+    );
+    let shared_walls: std::time::Duration = report.results.iter().map(|r| r.wall).sum();
+    assert!(
+        shared_walls <= report.worker_busy[0],
+        "a shared master is charged once"
+    );
+
+    // Two workers (or one CPU, so one slave at a time): a master per job.
+    obs::reset();
+    obs::enable_metrics();
+    let report = BatchEngine::new(2).run(mutated_jobs(&leak_analysis(), 2));
+    assert!(report.results.iter().all(|r| r.report.leaked()));
+    assert_eq!(obs::counter_value("batch.shared_masters"), 0);
+    assert_eq!(obs::counter_value("dualex.runs"), 2);
+
+    let threaded = Analysis::for_source(
+        r#"fn work(s) { send(connect("out"), s); }
+        fn main() { join(spawn(&work, read(open("/s", 0), 16))); }"#,
+    )
+    .unwrap()
+    .world(
+        VosConfig::new()
+            .file("/s", "secret")
+            .peer("out", PeerBehavior::Echo),
+    )
+    .source(SourceSpec::file("/s"))
+    .sinks(SinkSpec::NetworkOut);
+    for engine in [BatchEngine::sequential(), BatchEngine::new(2)] {
+        obs::reset();
+        obs::enable_tracing(obs::DEFAULT_TRACE_CAPACITY);
+        obs::enable_metrics();
+        let report = engine.run(mutated_jobs(&threaded, 2));
+        assert!(report.results.iter().all(|r| r.report.leaked()));
+        assert_eq!(obs::counter_value("batch.shared_masters"), 0);
+        assert_eq!(count(&obs::trace_snapshot(), "master"), 2);
+    }
+    obs::reset();
+}
+
 #[test]
 fn metrics_registry_is_consistent_under_batch_engine() {
     let _g = lock();

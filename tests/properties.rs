@@ -18,8 +18,13 @@
 //! * **replay equivalence** — slaves with different mutations replayed,
 //!   in any order, against one recorded master (from either schedule)
 //!   report what fresh dual executions do, and with the flight recorder on
-//!   a replay logs what a one-thread run logs.
+//!   a replay logs what a one-thread run logs;
+//! * **shared-master equivalence** — every job of a batch whose jobs share
+//!   masters (live slaves of one master on one worker; a master per job on
+//!   two) reports what a dedicated dual execution of its spec does, trace
+//!   lines included when the flight recorder is on.
 
+use ldx::{BatchEngine, BatchJob};
 use ldx_dualex::{
     dual_execute, dual_execute_and_record, dual_execute_with, record, replay, DualReport, DualSpec,
     Mutation, Recording, Schedule, SinkSpec, SourceSpec,
@@ -134,6 +139,57 @@ fn replayed_flight_log_matches(
         }
     }
     Ok(())
+}
+
+/// What a report shows: its `verdict`, and its trace lines (empty with
+/// the flight recorder off).
+fn shown(r: &DualReport) -> String {
+    format!("{}\ntrace: {:?}", verdict(r), r.trace_lines())
+}
+
+/// Runs `jobs` as one batch at widths 1 and 2 (at width 1, jobs of one
+/// program, world and sinks share a master), and checks every report against a
+/// dedicated `dual_execute` of its job; returns the first mismatch.
+fn shared_masters_match_dedicated_runs(jobs: &[BatchJob]) -> Result<(), String> {
+    let dedicated: Vec<String> = jobs
+        .iter()
+        .map(|job| {
+            shown(&dual_execute(
+                Arc::clone(&job.program),
+                &job.world,
+                &job.spec,
+            ))
+        })
+        .collect();
+    for width in [1, 2] {
+        let batch = BatchEngine::new(width).run(jobs.to_vec());
+        for ((job, want), got) in jobs.iter().zip(&dedicated).zip(&batch.results) {
+            let got = shown(&got.report);
+            if got != *want {
+                return Err(format!(
+                    "width {width}, {} {:?}:\nbatched   {got}\ndedicated {want}",
+                    job.label, job.spec.sources
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One job per spec of `specs`, with the flight recorder off and on.
+fn jobs_for(
+    label: &str,
+    program: &Arc<ldx_ir::IrProgram>,
+    w: &VosConfig,
+    specs: &[DualSpec],
+) -> Vec<BatchJob> {
+    let with_trace = specs.iter().map(|s| s.clone().recorded());
+    specs
+        .iter()
+        .cloned()
+        .chain(with_trace)
+        .map(|s| BatchJob::new(label, Arc::clone(program), w.clone(), s))
+        .collect()
 }
 
 fn spec(mutation: Mutation) -> DualSpec {
@@ -258,6 +314,17 @@ proptest! {
         let logged = replayed_flight_log_matches(&program, &w, &specs[0]);
         prop_assert!(logged.is_ok(), "seed {} input {}: {}", seed, input, logged.unwrap_err());
     }
+
+    /// Jobs sharing a master in a batch report what dedicated dual
+    /// executions report.
+    #[test]
+    fn shared_master_reports_equal_dedicated_reports(seed in 0u64..800, input in 0i64..500) {
+        let program = build(seed);
+        let w = world(&input.to_string());
+        let specs: Vec<DualSpec> = REPLAYED.iter().cloned().map(spec).collect();
+        let checked = shared_masters_match_dedicated_runs(&jobs_for("gen", &program, &w, &specs));
+        prop_assert!(checked.is_ok(), "seed {} input {}: {}", seed, input, checked.unwrap_err());
+    }
 }
 
 proptest! {
@@ -325,6 +392,32 @@ fn replayed_reports_equal_fresh_reports_on_the_corpus() {
         if let Err(e) = replayed_flight_log_matches(&program, &w.world, &base) {
             panic!("{}: {e}", w.name);
         }
+    }
+}
+
+/// The shared-master property over every corpus program without Lx
+/// threads, all in one batch: its own spec, then every source under each
+/// replayed mutation, each with the flight recorder off and on.
+#[test]
+fn shared_master_reports_equal_dedicated_reports_on_the_corpus() {
+    let corpus = ldx_workloads::corpus();
+    let mut jobs = Vec::new();
+    for w in corpus.iter().filter(|w| w.suite != Suite::Concurrent) {
+        let program = w.program();
+        let base = w.dual_spec();
+        let mutated = REPLAYED.iter().map(|mutation| DualSpec {
+            sources: base
+                .sources
+                .iter()
+                .map(|s| s.clone().with_mutation(mutation.clone()))
+                .collect(),
+            ..base.clone()
+        });
+        let specs: Vec<DualSpec> = std::iter::once(base.clone()).chain(mutated).collect();
+        jobs.extend(jobs_for(w.name, &program, &w.world, &specs));
+    }
+    if let Err(e) = shared_masters_match_dedicated_runs(&jobs) {
+        panic!("{e}");
     }
 }
 
