@@ -31,7 +31,6 @@ pub const DEFAULT_COUNTERS: &[&str] = &[
     "dualex.decoupled",
     "dualex.syscall_diffs",
     "dualex.master_sinks",
-    "dualex.batch_pulls",
     "dualex.recordings",
     "dualex.replays",
     "dualex.reports_reused",

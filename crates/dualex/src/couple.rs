@@ -1,35 +1,31 @@
 //! Shared coupling state between the master and slave executions.
 //!
-//! This is the runtime realization of paper §4.2: per thread-pair, the
-//! master queues its syscall outcomes and publishes a *ready* progress
-//! key; the slave consumes aligned outcomes, skips (and counts)
-//! master-only entries, and decouples when no alignment can exist. The
-//! channel runs one way, master → slave: the master also publishes its
-//! progress at loop backedges (§5) while the slave is parked, and a
-//! terminal key on thread exit, so the slave never blocks forever, and it
-//! never waits for the slave.
+//! This is the runtime realization of paper §4.2: the master records each
+//! syscall outcome once, in an append-only log per Lx thread, and every
+//! slave reads that log through a cursor of its own. A slave consumes
+//! aligned outcomes, skips (and counts) master-only entries, and decouples
+//! when no alignment can exist. The channel runs one way, master → slave:
+//! the master also publishes its progress at loop backedges (§5) while a
+//! slave is parked, and a terminal key on thread exit, so a slave never
+//! blocks forever, and the master never waits for a slave.
 //!
-//! The per-pair queue has two levels. The master appends each outcome to
-//! an open batch, behind a lock and on a cache line of its own, and hands
-//! the batch to the shared [`EntryQueue`] when it fills a chunk, when it
-//! finds the slave parked, and when its thread finishes. So while the
-//! slave is busy, the master touches no state the slave uses. A slave
-//! whose queue is empty pulls the open batch itself, and parks only if
-//! that batch is empty too. `master_ready` moves only with entries (to the
-//! last key moved), or with a backedge publish or thread exit that first
-//! moved the whole batch, so it never names a key past an entry the slave
-//! cannot see. The master wakes a parked slave once per park: it clears
-//! `slave_parked` when it notifies.
+//! A log is a chain of chunks of [`CHUNK`] slots, each written once. The
+//! master writes a slot, then reads the log's `parked` flag; a slave at the
+//! end of the log sets the flag, then reads the slot (a fence on each side),
+//! so either the slave sees the entry or the master sees the slave parked
+//! and wakes it. It wakes a parked slave once per park: it clears the flag
+//! when it notifies. A slave takes no lock the master takes while entries
+//! are there. `master_ready` moves only when the master wakes a slave (to
+//! the key of the entry or backedge that woke it) or its thread exits, and
+//! a slave reads it under the log's lock after the slots, so it never names
+//! a key past an entry the slave cannot see.
 //!
-//! A run that keeps a recording also logs every entry its master queues,
-//! per pair and under the batch lock the master already holds; a replay
-//! starts from pairs whose queues hold such a log and whose master is done
-//! ([`Coupling::replaying`]).
-//!
-//! One master may drive several couplings, one per live slave: a
-//! [`Fanout`] hands every coupling's pair each entry, backedge and thread
-//! exit. Nothing else is shared between those slaves, so each coupling is
-//! exactly the coupling of a one-slave run.
+//! A chunk is freed once every cursor has passed it, unless the log keeps
+//! its head for a recording. A replay is a fresh set of cursors on those
+//! heads ([`Coupling::replaying`]); no entry is copied. One master may drive
+//! several couplings, one per live slave: they read its logs through cursors
+//! of their own, and nothing else is shared between them, so each coupling
+//! is exactly the coupling of a one-slave run.
 //!
 //! Every protocol decision either side makes is reported once, through
 //! [`Coupling::emit`].
@@ -43,17 +39,17 @@ use ldx_lang::Syscall;
 use ldx_runtime::{ProgressKey, SyscallCtx, ThreadKey, Value};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// How long any coupling wait may block before giving up (safety valve;
 /// orders of magnitude above any legitimate wait in the test suite).
 pub(crate) const MAX_WAIT: Duration = Duration::from_secs(30);
 
-/// One master syscall outcome, queued for the slave.
-#[derive(Debug, Clone)]
+/// One master syscall outcome, logged for the slaves.
+#[derive(Debug)]
 pub(crate) struct Entry {
     pub key: ProgressKey,
     /// The version of the master's world this syscall left behind (0 for
@@ -63,7 +59,7 @@ pub(crate) struct Entry {
     pub func: FuncId,
     pub site: SiteId,
     pub sys: Syscall,
-    /// The arguments, inline (see [`Entry::args`]), so queueing an
+    /// The arguments, inline (see [`Entry::args`]), so logging an
     /// outcome allocates nothing per entry.
     args: [Value; MAX_ARITY],
     arity: u8,
@@ -98,6 +94,16 @@ impl Entry {
         }
     }
 
+    /// The outcome, for a slave to own. A string is copied rather than
+    /// shared: bumping the master's reference count from the slave's
+    /// thread moves a cache line between the cores at every shared read.
+    pub fn outcome(&self) -> Value {
+        match &self.outcome {
+            Value::Str(s) => Value::str(&**s),
+            other => other.clone(),
+        }
+    }
+
     pub fn args(&self) -> &[Value] {
         &self.args[..usize::from(self.arity)]
     }
@@ -116,67 +122,339 @@ impl Entry {
 /// The most arguments a syscall takes (the largest [`Syscall::arity`]).
 pub(crate) const MAX_ARITY: usize = 2;
 
-/// Entries per chunk of an [`EntryQueue`], and the size at which the
-/// master hands its open batch over: 256 × 144 bytes is 36 KiB, well
-/// below glibc's default 128 KiB mmap threshold.
-const QUEUE_CHUNK: usize = 256;
+/// Slots per chunk of a [`ThreadLog`]: 256 × 152 bytes is 38 KiB, well
+/// below glibc's default 128 KiB mmap threshold. A master running far ahead
+/// logs thousands of entries; one growing buffer asked for blocks of
+/// hundreds of KiB, and once glibc frees such a block it raises its mmap
+/// threshold, so later ones come from the thread's arena and stay resident.
+const CHUNK: usize = 256;
 
-/// The slave's queued entries, in chunks of [`QUEUE_CHUNK`]. A master
-/// running far ahead can queue thousands of entries; one growing
-/// `VecDeque` asked for blocks of hundreds of KiB, and once glibc frees
-/// such a block it raises its mmap threshold, so later ones come from the
-/// thread's arena and stay resident (peak RSS rose with queue depth).
-/// Chunks are freed as the slave drains them; the last one is kept, so a
-/// queue that empties and refills at every handoff allocates nothing.
-#[derive(Debug, Default)]
-pub(crate) struct EntryQueue {
-    /// Only the last chunk may be empty.
-    chunks: VecDeque<VecDeque<Entry>>,
+/// A run of log slots, each written once by the master, and the link to
+/// the next run.
+pub(crate) struct Chunk {
+    slots: Box<[OnceLock<Entry>]>,
+    next: OnceLock<Arc<Chunk>>,
 }
 
-impl EntryQueue {
-    pub fn push_back(&mut self, entry: Entry) {
-        match self.chunks.back_mut() {
-            Some(chunk) if chunk.len() < QUEUE_CHUNK => chunk.push_back(entry),
-            _ => {
-                let mut chunk = VecDeque::with_capacity(QUEUE_CHUNK);
-                chunk.push_back(entry);
-                self.chunks.push_back(chunk);
-            }
+impl Chunk {
+    /// A chunk of `len` empty slots.
+    fn new(len: usize) -> Arc<Self> {
+        Arc::new(Chunk {
+            slots: (0..len).map(|_| OnceLock::new()).collect(),
+            next: OnceLock::new(),
+        })
+    }
+}
+
+impl Drop for Chunk {
+    /// Unlinks the chunks behind this one in a loop, each while it held the
+    /// only reference to the next: dropping `next` in place would recurse
+    /// once per chunk, and a long log would overflow the stack.
+    fn drop(&mut self) {
+        let mut next = self.next.take();
+        while let Some(mut chunk) = next.and_then(Arc::into_inner) {
+            next = chunk.next.take();
+        }
+    }
+}
+
+/// A reader's position in a [`ThreadLog`]. Holding its chunk keeps that
+/// chunk and every later one alive; passing a chunk frees it, unless
+/// another cursor or a recording still holds it. Each cursor sits on cache
+/// lines of its own, so k slaves reading one log never contend.
+#[repr(align(128))]
+pub(crate) struct Cursor {
+    chunk: Arc<Chunk>,
+    index: usize,
+}
+
+impl Cursor {
+    /// The next entry, if the master has logged it.
+    pub fn peek(&mut self) -> Option<&Entry> {
+        if self.index == self.chunk.slots.len() {
+            let next = Arc::clone(self.chunk.next.get()?);
+            self.chunk = next;
+            self.index = 0;
+        }
+        self.chunk.slots[self.index].get()
+    }
+
+    /// Takes the next entry, if the master has logged it.
+    pub fn pop(&mut self) -> Option<&Entry> {
+        self.peek()?;
+        self.index += 1;
+        self.chunk.slots[self.index - 1].get()
+    }
+}
+
+/// What the master published to its slaves, under the log's lock.
+#[derive(Debug, Default)]
+pub(crate) struct Published {
+    /// The master's progress as last published to a parked slave: the key
+    /// of the entry or backedge that woke it (terminal at thread exit). It
+    /// may lag the master, which only ever makes a slave wait longer, never
+    /// decouple early.
+    pub master_ready: Option<ProgressKey>,
+    pub done: bool,
+}
+
+/// The position the master writes next in its log, on cache lines of its
+/// own, so the master's appends touch no line a slave reads.
+#[repr(align(128))]
+struct Tail {
+    chunk: Arc<Chunk>,
+    len: usize,
+}
+
+/// One Lx thread's master log: its chunks, written only by the master, a
+/// cursor per reader, and what the master published.
+pub(crate) struct ThreadLog {
+    /// Locked only by the master (a replayed log's is never written).
+    tail: Mutex<Tail>,
+    /// One per reader: per live slave, or the one replayed slave.
+    cursors: Box<[Mutex<Cursor>]>,
+    pub published: Mutex<Published>,
+    cv: Condvar,
+    /// Set by a slave at the end of the log before it waits, and cleared by
+    /// the master when it notifies, so it wakes a slave once per park. A
+    /// slave whose wait times out leaves it set, costing the master one
+    /// spurious notify. A backedge publish reads the flag without a lock;
+    /// one that misses it delays the slave until the master's next append,
+    /// backedge or thread exit, since a timed wait that returns finds no
+    /// new entry and the same stale `master_ready` and parks again
+    /// (`MAX_WAIT` is the backstop).
+    parked: AtomicBool,
+}
+
+impl ThreadLog {
+    /// A log starting at `head`, with `readers` cursors there.
+    fn new(head: Arc<Chunk>, readers: usize) -> Self {
+        let cursor = || {
+            Mutex::new(Cursor {
+                chunk: Arc::clone(&head),
+                index: 0,
+            })
+        };
+        ThreadLog {
+            cursors: (0..readers).map(|_| cursor()).collect(),
+            tail: Mutex::new(Tail {
+                chunk: Arc::clone(&head),
+                len: 0,
+            }),
+            published: Mutex::default(),
+            cv: Condvar::new(),
+            parked: AtomicBool::new(false),
         }
     }
 
-    /// Moves every entry of `batch` to the back, in order. A full batch
-    /// moves whole, as one chunk, and `batch` starts a fresh one; a
-    /// shorter one is drained, so `batch` keeps its buffer.
-    pub fn append(&mut self, batch: &mut VecDeque<Entry>) {
-        if batch.len() < QUEUE_CHUNK {
-            batch.drain(..).for_each(|entry| self.push_back(entry));
+    /// Reader `reader`'s cursor. Only that reader's slave takes this lock
+    /// while the run lasts, so it is never contended.
+    pub fn cursor(&self, reader: usize) -> MutexGuard<'_, Cursor> {
+        self.cursors[reader].lock()
+    }
+
+    /// Master: logs an outcome, and wakes a parked slave, publishing the
+    /// outcome's key as its progress.
+    pub fn append(&self, entry: Entry) {
+        let mut tail = self.tail.lock();
+        if tail.len == tail.chunk.slots.len() {
+            let next = Chunk::new(CHUNK);
+            assert!(tail.chunk.next.set(Arc::clone(&next)).is_ok());
+            *tail = Tail {
+                chunk: next,
+                len: 0,
+            };
+        }
+        let slot = &tail.chunk.slots[tail.len];
+        assert!(slot.set(entry).is_ok(), "the master writes each slot once");
+        // The slot write before the flag read. This SeqCst fence pairs with
+        // the one in [`ThreadLog::park`], between a parking slave's flag
+        // write and its slot read: one of the two sides sees the other's
+        // write, so a parked slave is never left unwoken.
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) {
+            let mut published = self.published.lock();
+            published.master_ready = slot.get().map(|e| e.key.clone());
+            self.wake(published);
+        }
+        tail.len += 1;
+    }
+
+    /// Master: publishes backedge progress to a parked slave, and wakes
+    /// it. While no slave is parked this neither locks nor clones: a slave
+    /// reads `master_ready` only at the end of the log, and then it parks
+    /// before waiting.
+    pub fn publish(&self, key: &ProgressKey) {
+        if !self.parked.load(Ordering::SeqCst) {
             return;
         }
-        if self.chunks.back().is_some_and(VecDeque::is_empty) {
-            self.chunks.pop_back();
+        let mut published = self.published.lock();
+        published.master_ready = Some(key.clone());
+        self.wake(published);
+    }
+
+    /// Master: its thread finished (terminal progress).
+    pub fn finish(&self) {
+        let mut published = self.published.lock();
+        published.done = true;
+        published.master_ready = Some(ProgressKey::top());
+        self.parked.store(false, Ordering::SeqCst);
+        drop(published);
+        self.cv.notify_all();
+    }
+
+    /// Releases the log's lock, then notifies if a slave is parked,
+    /// clearing the flag so the next append does not notify again.
+    fn wake(&self, published: MutexGuard<'_, Published>) {
+        let parked = self.parked.swap(false, Ordering::SeqCst);
+        drop(published);
+        if parked {
+            self.cv.notify_all();
         }
-        let chunk = std::mem::replace(batch, VecDeque::with_capacity(QUEUE_CHUNK));
-        self.chunks.push_back(chunk);
     }
 
-    pub fn front(&self) -> Option<&Entry> {
-        self.chunks.front()?.front()
-    }
-
-    pub fn pop_front(&mut self) -> Option<Entry> {
-        let chunk = self.chunks.front_mut()?;
-        let entry = chunk.pop_front();
-        if chunk.is_empty() && self.chunks.len() > 1 {
-            self.chunks.pop_front();
+    /// Slave, at the end of `cursor` and holding the log's lock: waits up
+    /// to `timeout` unless an entry landed in the meantime. Returns whether
+    /// the wait timed out rather than being notified.
+    pub fn park(
+        &self,
+        published: &mut MutexGuard<'_, Published>,
+        cursor: &mut Cursor,
+        timeout: Duration,
+    ) -> bool {
+        self.parked.store(true, Ordering::Relaxed);
+        // Pairs with the fence in [`ThreadLog::append`].
+        fence(Ordering::SeqCst);
+        if cursor.peek().is_some() {
+            return false;
         }
-        entry
+        self.cv.wait_for(published, timeout).timed_out()
+    }
+}
+
+/// Source of [`MasterLogs`] ids. Ids are never reused, so a log cached for
+/// one dual execution is never returned to another, even one whose logs
+/// land at the same address.
+static NEXT_LOGS_ID: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The log this OS thread resolved last, as a master or as a slave:
+    /// `(logs id, Lx thread, log)`. Every Lx thread runs on its own OS
+    /// thread, so after its first syscall either role finds its log here
+    /// without touching the shared map or the log's reference count.
+    static CACHED_LOG: RefCell<Option<(u64, ThreadKey, Arc<ThreadLog>)>> =
+        const { RefCell::new(None) };
+}
+
+/// A recorded master's logs: each Lx thread's first chunk, in `ThreadKey`
+/// order.
+pub(crate) type Heads = Vec<(ThreadKey, Arc<Chunk>)>;
+
+/// Every Lx thread's log of one master run.
+pub(crate) struct MasterLogs {
+    id: u64,
+    /// Cursors per log: one per live slave, or the one replayed slave.
+    readers: usize,
+    /// Each log's first chunk, when the run keeps a recording.
+    heads: Option<Mutex<Heads>>,
+    logs: Mutex<HashMap<ThreadKey, Arc<ThreadLog>>>,
+    /// The whole master execution finished.
+    done: AtomicBool,
+}
+
+impl MasterLogs {
+    /// Logs for `readers` slaves; with `keep`, every log keeps its head.
+    pub fn new(readers: usize, keep: bool) -> Self {
+        MasterLogs {
+            id: NEXT_LOGS_ID.fetch_add(1, Ordering::Relaxed),
+            readers,
+            heads: keep.then(Mutex::default),
+            logs: Mutex::default(),
+            done: AtomicBool::new(false),
+        }
     }
 
-    /// Removes every entry, in order.
-    fn drain(&mut self) -> Vec<Entry> {
-        std::iter::from_fn(|| self.pop_front()).collect()
+    /// Fresh cursors, for one slave, on a finished master's logs.
+    fn replaying(heads: &Heads) -> Self {
+        let logs = heads.iter().map(|(thread, head)| {
+            let log = ThreadLog::new(Arc::clone(head), 1);
+            log.finish();
+            (thread.clone(), Arc::new(log))
+        });
+        MasterLogs {
+            logs: Mutex::new(logs.collect()),
+            done: AtomicBool::new(true),
+            ..MasterLogs::new(1, false)
+        }
+    }
+
+    /// Runs `f` on thread `t`'s log, resolved once per Lx thread (see
+    /// `CACHED_LOG`). `f` must not resolve another log.
+    pub fn with_log<R>(&self, t: &ThreadKey, f: impl FnOnce(&ThreadLog) -> R) -> R {
+        CACHED_LOG.with(|slot| {
+            let hit = matches!(&*slot.borrow(), Some((id, key, _)) if *id == self.id && key == t);
+            if !hit {
+                slot.replace(Some((self.id, t.clone(), self.log(t))));
+            }
+            f(&slot.borrow().as_ref().expect("log cached above").2)
+        })
+    }
+
+    /// Thread `t`'s log, created on first use by either side.
+    fn log(&self, t: &ThreadKey) -> Arc<ThreadLog> {
+        let mut logs = self.logs.lock();
+        if let Some(log) = logs.get(t) {
+            return Arc::clone(log);
+        }
+        let head = Chunk::new(CHUNK);
+        if let Some(heads) = &self.heads {
+            heads.lock().push((t.clone(), Arc::clone(&head)));
+        }
+        let log = Arc::new(ThreadLog::new(head, self.readers));
+        // If the master execution already finished, threads it never
+        // spawned must not be waited for.
+        if self.done.load(Ordering::SeqCst) {
+            log.finish();
+        }
+        logs.insert(t.clone(), Arc::clone(&log));
+        log
+    }
+
+    /// Every log, in `ThreadKey` order.
+    fn sorted(&self) -> Vec<(ThreadKey, Arc<ThreadLog>)> {
+        let logs = self.logs.lock();
+        let mut sorted: Vec<_> = logs
+            .iter()
+            .map(|(t, l)| (t.clone(), Arc::clone(l)))
+            .collect();
+        sorted.sort_by(|a, b| a.0.cmp(&b.0));
+        sorted
+    }
+
+    /// The kept heads, for a recording (empty unless the logs keep them).
+    pub fn heads(&self) -> Heads {
+        let mut heads = self
+            .heads
+            .as_ref()
+            .map(|h| h.lock().clone())
+            .unwrap_or_default();
+        heads.sort_by(|a, b| a.0.cmp(&b.0));
+        heads
+    }
+
+    /// Master: thread `t` finished. Publishes terminal progress and drops
+    /// this OS thread's cached log.
+    pub fn finish_thread(&self, t: &ThreadKey) {
+        self.with_log(t, ThreadLog::finish);
+        CACHED_LOG.with(|slot| slot.replace(None));
+    }
+
+    /// Master: the whole execution finished, releasing every waiter.
+    pub fn finish_execution(&self) {
+        self.done.store(true, Ordering::SeqCst);
+        for log in self.logs.lock().values() {
+            log.finish();
+        }
     }
 }
 
@@ -199,7 +477,7 @@ impl<'a> At<'a> {
         }
     }
 
-    /// The master syscall queued as `entry` on `thread`.
+    /// The master syscall logged as `entry` on `thread`.
     pub fn entry(thread: &'a ThreadKey, entry: &'a Entry) -> Self {
         At {
             thread,
@@ -220,204 +498,7 @@ pub(crate) enum Diff {
 /// How long one slave park lasts before the slave looks again.
 pub(crate) const PARK_WAIT: Duration = Duration::from_millis(2);
 
-/// Shared pair state (one per Lx thread pair): what the master handed
-/// over, and how far it has published.
-#[derive(Debug, Default)]
-pub(crate) struct PairInner {
-    /// The master's progress as last published. It may lag the master,
-    /// which only ever makes the slave wait longer, never decouple early,
-    /// and it never runs past an entry still in the open batch.
-    pub master_ready: Option<ProgressKey>,
-    pub queue: EntryQueue,
-    pub master_done: bool,
-}
-
-impl PairInner {
-    /// Moves `batch` to the back of the queue and publishes its last key
-    /// as ready; returns whether anything moved.
-    fn take(&mut self, batch: &mut VecDeque<Entry>) -> bool {
-        let Some(last) = batch.back() else {
-            return false;
-        };
-        self.master_ready = Some(last.key.clone());
-        self.queue.append(batch);
-        true
-    }
-}
-
-/// The master's open batch: outcomes queued since its last handoff. It
-/// sits on a cache line of its own, and the slave locks it only when its
-/// queue runs dry, so while the slave is busy the master's lock is
-/// uncontended.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct OpenBatch {
-    entries: Mutex<Open>,
-}
-
-/// What the open-batch lock guards.
-#[derive(Debug, Default)]
-pub(crate) struct Open {
-    batch: VecDeque<Entry>,
-    /// A copy of every entry the master queued, when its run keeps a
-    /// recording.
-    log: Option<Vec<Entry>>,
-}
-
-/// What a slave that ran dry found ([`Pair::pull`]).
-pub(crate) enum Pull<'a> {
-    /// The queue holds entries again: pulled from the open batch when
-    /// `pulled`, else handed over by the master in the meantime.
-    Refilled { pulled: bool },
-    /// Queue and open batch are both empty. Holds the batch lock, for
-    /// [`Pair::park`].
-    Dry(MutexGuard<'a, Open>),
-}
-
-/// A thread pair's synchronization cell. Lock order, on both sides: the
-/// open batch, then `inner`.
-#[derive(Debug, Default)]
-pub(crate) struct Pair {
-    open: OpenBatch,
-    pub inner: Mutex<PairInner>,
-    pub cv: Condvar,
-    /// Set by the slave for a condvar wait, while it holds both locks,
-    /// and cleared by whichever side ends the wait: the master when it
-    /// notifies, so it wakes the slave once per park. The master hands
-    /// over its batch on an enqueue that finds the flag set. A backedge
-    /// publish reads the flag without a lock; one that misses it delays
-    /// the slave until the master's next enqueue, backedge or thread
-    /// exit, since a timed wait that returns finds the same empty batch
-    /// and stale `master_ready` and parks again (`MAX_WAIT` is the
-    /// backstop).
-    pub slave_parked: AtomicBool,
-}
-
-impl Pair {
-    /// A pair whose master logs every entry it queues.
-    fn logging() -> Self {
-        let pair = Pair::default();
-        pair.open.entries.lock().log = Some(Vec::new());
-        pair
-    }
-
-    /// A pair for a replay: `log` queued, and the master done.
-    fn replayed(log: Vec<Entry>) -> Self {
-        let pair = Pair::default();
-        let mut inner = pair.inner.lock();
-        log.into_iter()
-            .for_each(|entry| inner.queue.push_back(entry));
-        inner.master_done = true;
-        inner.master_ready = Some(ProgressKey::top());
-        drop(inner);
-        pair
-    }
-
-    /// Master: appends an outcome to the open batch (and to the log, when
-    /// kept), and hands the batch over (waking the slave) when it fills a
-    /// chunk or the slave is parked. The slave parks under the batch lock,
-    /// so the flag read here cannot miss a park that could miss this entry.
-    pub fn enqueue(&self, entry: Entry) {
-        let mut open = self.open.entries.lock();
-        if let Some(log) = &mut open.log {
-            log.push(entry.clone());
-        }
-        open.batch.push_back(entry);
-        if open.batch.len() >= QUEUE_CHUNK || self.slave_parked.load(Ordering::SeqCst) {
-            let inner = self.hand_over(open);
-            self.wake_parked(inner);
-        }
-    }
-
-    /// Master: hands over the open batch and publishes backedge progress
-    /// to a parked slave, and wakes it. While the slave is not parked
-    /// this neither locks nor clones: the slave reads `master_ready` only
-    /// once queue and batch are empty, and then it parks before waiting.
-    pub fn publish(&self, key: &ProgressKey) {
-        if !self.slave_parked.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut inner = self.hand_over(self.open.entries.lock());
-        inner.master_ready = Some(key.clone());
-        self.wake_parked(inner);
-    }
-
-    /// Master: hands over the open batch and marks the master's thread as
-    /// finished (terminal progress).
-    pub fn finish(&self) {
-        let mut inner = self.hand_over(self.open.entries.lock());
-        inner.master_done = true;
-        inner.master_ready = Some(ProgressKey::top());
-        self.slave_parked.store(false, Ordering::SeqCst);
-        drop(inner);
-        self.cv.notify_all();
-    }
-
-    /// Moves the open batch (its lock taken first, the lock order) into
-    /// the queue; releases the batch lock and returns the pair lock.
-    fn hand_over(&self, mut open: MutexGuard<'_, Open>) -> MutexGuard<'_, PairInner> {
-        let mut inner = self.inner.lock();
-        inner.take(&mut open.batch);
-        inner
-    }
-
-    /// The master's entries, in order: the log it kept, or, for a master
-    /// that ran alone, everything it queued.
-    fn take_log(&self) -> Vec<Entry> {
-        let mut open = self.open.entries.lock();
-        match open.log.take() {
-            Some(log) => log,
-            None => self.hand_over(open).queue.drain(),
-        }
-    }
-
-    /// Releases the pair lock, then notifies if the slave is parked,
-    /// clearing the flag so the next handoff does not notify again.
-    fn wake_parked(&self, inner: MutexGuard<'_, PairInner>) {
-        let parked = self.slave_parked.swap(false, Ordering::SeqCst);
-        drop(inner);
-        if parked {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Slave, having found its queue empty: pulls the master's open batch
-    /// into the queue. Gives the pair lock up and retakes it after the
-    /// batch lock (the lock order), and returns it with what it found.
-    pub fn pull<'a>(
-        &'a self,
-        inner: MutexGuard<'a, PairInner>,
-    ) -> (MutexGuard<'a, PairInner>, Pull<'a>) {
-        drop(inner);
-        let mut open = self.open.entries.lock();
-        let mut inner = self.inner.lock();
-        let pulled = inner.take(&mut open.batch);
-        if pulled || inner.queue.front().is_some() {
-            return (inner, Pull::Refilled { pulled });
-        }
-        (inner, Pull::Dry(open))
-    }
-
-    /// Slave, having found queue and batch empty ([`Pull::Dry`]): parks
-    /// on the pair lock for up to `timeout`. The flag is set under the
-    /// batch lock, so the master's next enqueue sees it. Returns whether
-    /// the wait timed out rather than being notified.
-    pub fn park(
-        &self,
-        open: MutexGuard<'_, Open>,
-        inner: &mut MutexGuard<'_, PairInner>,
-        timeout: Duration,
-    ) -> bool {
-        self.slave_parked.store(true, Ordering::SeqCst);
-        drop(open);
-        let timed_out = self.cv.wait_for(inner, timeout).timed_out();
-        self.slave_parked.store(false, Ordering::SeqCst);
-        timed_out
-    }
-}
-
-/// Counters of one dual execution, written by [`Coupling::emit`] (the
-/// slave's pull count by the slave itself).
+/// Counters of one dual execution, written by [`Coupling::emit`].
 /// Each role's counters sit on their own cache lines, so the master's and
 /// the slave's increments never contend.
 #[derive(Debug, Default)]
@@ -447,96 +528,17 @@ pub(crate) struct SlaveStats {
     pub diffs: AtomicU64,
     /// Waits released by the stop signal or `MAX_WAIT`.
     pub timeouts: AtomicU64,
-    /// Open batches the slave pulled from the master when it ran dry.
-    pub pulls: AtomicU64,
 }
 
-/// Source of [`Coupling`] ids. Ids are never reused, so a pair handle
-/// cached for one dual execution is never returned to another, even one
-/// whose `Coupling` lands at the same address.
-static NEXT_COUPLING_ID: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// The pair this OS thread resolved last as a slave: `(coupling id,
-    /// Lx thread, pair)`. Every Lx thread runs on its own OS thread, so
-    /// after its first syscall a slave finds its pair here without
-    /// touching the shared map or the pair's reference count.
-    static CACHED_PAIR: RefCell<Option<(u64, ThreadKey, Arc<Pair>)>> =
-        const { RefCell::new(None) };
-
-    /// The same for a master: `(fan-out id, Lx thread, one pair per
-    /// coupling)`, so a master driving several couplings resolves its
-    /// thread's pairs once, not once per coupling and syscall.
-    static CACHED_PAIRS: RefCell<Option<(u64, ThreadKey, Pairs)>> =
-        const { RefCell::new(None) };
-}
-
-/// One thread's pair in each coupling of a [`Fanout`], in coupling order.
-type Pairs = Box<[Arc<Pair>]>;
-
-/// The couplings one master drives: one per live slave (or the single
-/// one of a recording), each with its own pairs, counters, taint sets,
-/// causality records and flight recorder. The master hands every one of
-/// them each entry, backedge and thread exit.
-pub(crate) struct Fanout {
-    /// Never reused, like a [`Coupling`] id (from the same counter).
-    id: u64,
-    couplings: Vec<Arc<Coupling>>,
-}
-
-impl Fanout {
-    pub fn new(couplings: Vec<Arc<Coupling>>) -> Self {
-        assert!(
-            !couplings.is_empty(),
-            "a master drives at least one coupling"
-        );
-        Fanout {
-            id: NEXT_COUPLING_ID.fetch_add(1, Ordering::Relaxed),
-            couplings,
-        }
-    }
-
-    pub fn couplings(&self) -> &[Arc<Coupling>] {
-        &self.couplings
-    }
-
-    /// Runs `f` on thread `t`'s pair in every coupling, in coupling order,
-    /// resolved once per Lx thread (see `CACHED_PAIRS`). `f` must not
-    /// resolve other pairs.
-    pub fn with_pairs<R>(&self, t: &ThreadKey, f: impl FnOnce(&[Arc<Pair>]) -> R) -> R {
-        CACHED_PAIRS.with(|slot| {
-            let hit = matches!(&*slot.borrow(), Some((id, key, _)) if *id == self.id && key == t);
-            if !hit {
-                let pairs = self.couplings.iter().map(|c| c.pair(t)).collect();
-                slot.replace(Some((self.id, t.clone(), pairs)));
-            }
-            f(&slot.borrow().as_ref().expect("pairs cached above").2)
-        })
-    }
-
-    /// Master: thread `t` finished. Hands every pair its last batch and
-    /// terminal progress, and drops this OS thread's cached pairs.
-    pub fn finish_thread(&self, t: &ThreadKey) {
-        self.with_pairs(t, |pairs| pairs.iter().for_each(|pair| pair.finish()));
-        CACHED_PAIRS.with(|slot| slot.replace(None));
-    }
-
-    /// Master: the whole execution finished, releasing every waiter.
-    pub fn finish_execution(&self) {
-        self.couplings.iter().for_each(|c| c.finish_execution());
-    }
-}
-
-/// All shared state of one dual execution.
+/// All state of one slave's dual execution: the master's logs it reads,
+/// and its own counters, taint sets, causality records and flight recorder.
 pub(crate) struct Coupling {
-    id: u64,
-    pairs: Mutex<HashMap<ThreadKey, Arc<Pair>>>,
-    pub master_exec_done: AtomicBool,
+    pub logs: Arc<MasterLogs>,
+    /// The cursor of each log this coupling's slave reads.
+    pub reader: usize,
     /// The slave starts only once the master has finished (a replay), so
     /// it must never wait for it.
     pub master_first: bool,
-    /// Every pair logs its master's entries, for a recording.
-    pub keep_logs: bool,
     pub records: Mutex<Vec<CausalityRecord>>,
     pub stats: CouplingStats,
     /// Paths with diverged state (paper §7 resource tainting).
@@ -549,14 +551,14 @@ pub(crate) struct Coupling {
 }
 
 impl Coupling {
-    /// Creates coupling state; `record` enables the flight recorder.
-    pub fn new(record: bool) -> Self {
+    /// A coupling whose slave reads `logs` through cursor `reader`;
+    /// `record` enables the flight recorder.
+    pub fn reading(logs: Arc<MasterLogs>, reader: usize, record: bool) -> Self {
+        assert!(reader < logs.readers, "one cursor per reader");
         Coupling {
-            id: NEXT_COUPLING_ID.fetch_add(1, Ordering::Relaxed),
-            pairs: Mutex::new(HashMap::new()),
-            master_exec_done: AtomicBool::new(false),
+            logs,
+            reader,
             master_first: false,
-            keep_logs: false,
             records: Mutex::new(Vec::new()),
             stats: CouplingStats::default(),
             tainted_paths: Mutex::new(HashSet::new()),
@@ -565,20 +567,20 @@ impl Coupling {
         }
     }
 
-    /// Coupling state for a slave replayed against a finished master: one
-    /// pair per entry log, each done, and the flight recorder (when
+    /// A coupling of its own logs, for one slave.
+    #[cfg(test)]
+    pub fn new(record: bool) -> Self {
+        Coupling::reading(Arc::new(MasterLogs::new(1, false)), 0, record)
+    }
+
+    /// Coupling state for a slave replayed against a finished master:
+    /// fresh cursors on the recorded `heads`, and the flight recorder (when
     /// `record`) resumed from the master's `lane`.
-    pub fn replaying(record: bool, lane: FlightLog, logs: Vec<(ThreadKey, Vec<Entry>)>) -> Self {
-        let pairs = logs
-            .into_iter()
-            .map(|(thread, log)| (thread, Arc::new(Pair::replayed(log))))
-            .collect();
+    pub fn replaying(record: bool, lane: &FlightLog, heads: &Heads) -> Self {
         Coupling {
-            pairs: Mutex::new(pairs),
-            master_exec_done: AtomicBool::new(true),
             master_first: true,
-            recorder: record.then(|| FlightRecorder::resume(DEFAULT_FLIGHT_CAPACITY, lane)),
-            ..Coupling::new(false)
+            recorder: record.then(|| FlightRecorder::resume(DEFAULT_FLIGHT_CAPACITY, lane.clone())),
+            ..Coupling::reading(Arc::new(MasterLogs::replaying(heads)), 0, false)
         }
     }
 
@@ -684,60 +686,6 @@ impl Coupling {
             .unwrap_or_default()
     }
 
-    /// Every pair's master entries ([`Pair::take_log`]), in `ThreadKey`
-    /// order.
-    pub fn take_logs(&self) -> Vec<(ThreadKey, Vec<Entry>)> {
-        let pairs = self.pairs.lock();
-        let mut logs: Vec<_> = pairs
-            .iter()
-            .map(|(thread, pair)| (thread.clone(), pair.take_log()))
-            .collect();
-        logs.sort_by(|a, b| a.0.cmp(&b.0));
-        logs
-    }
-
-    /// Runs `f` on the pair cell for thread `t`. The calling OS thread
-    /// caches the pair it resolved last, so a slave resolves its thread's
-    /// pair once per run (a master goes through its [`Fanout`]). `f` must
-    /// not resolve another pair.
-    pub fn with_pair<R>(&self, t: &ThreadKey, f: impl FnOnce(&Pair) -> R) -> R {
-        CACHED_PAIR.with(|slot| {
-            let hit = matches!(&*slot.borrow(), Some((id, key, _)) if *id == self.id && key == t);
-            if !hit {
-                slot.replace(Some((self.id, t.clone(), self.pair(t))));
-            }
-            f(&slot.borrow().as_ref().expect("pair cached above").2)
-        })
-    }
-
-    /// The pair cell for thread `t`, created on first use by either side.
-    fn pair(&self, t: &ThreadKey) -> Arc<Pair> {
-        let mut pairs = self.pairs.lock();
-        if let Some(p) = pairs.get(t) {
-            return Arc::clone(p);
-        }
-        let p = Arc::new(if self.keep_logs {
-            Pair::logging()
-        } else {
-            Pair::default()
-        });
-        // If the master execution already finished, threads it never
-        // spawned must not be waited for.
-        if self.master_exec_done.load(Ordering::SeqCst) {
-            p.finish();
-        }
-        pairs.insert(t.clone(), Arc::clone(&p));
-        p
-    }
-
-    /// Marks the master execution as finished, releasing every waiter.
-    pub fn finish_execution(&self) {
-        self.master_exec_done.store(true, Ordering::SeqCst);
-        for pair in self.pairs.lock().values() {
-            pair.finish();
-        }
-    }
-
     /// Marks a filesystem path as tainted, recording the first divergence
     /// on each path as a flight event (in the slave lane: only the slave's
     /// decoupled execution taints).
@@ -769,22 +717,18 @@ impl Coupling {
         !tainted.is_empty() && tainted.contains(&ldx_vos::normalize_path(path).join("/"))
     }
 
-    /// Drains every unconsumed master entry at the end of the run, queued
-    /// or still in the open batch: master-only syscall differences,
-    /// including master-only sinks.
-    /// Pairs are drained in `ThreadKey` order so records and flight
-    /// events land deterministically.
+    /// Drains every master entry this coupling's slave left unread at the
+    /// end of the run: master-only syscall differences, including
+    /// master-only sinks. Logs are drained in `ThreadKey` order so records
+    /// and flight events land deterministically.
     pub fn reconcile(&self) {
-        let pairs = self.pairs.lock();
-        let mut ordered: Vec<(&ThreadKey, &Arc<Pair>)> = pairs.iter().collect();
-        ordered.sort_by(|a, b| a.0.cmp(b.0));
-        for (thread, pair) in ordered {
-            let mut inner = pair.hand_over(pair.open.entries.lock());
-            while let Some(entry) = inner.queue.pop_front() {
+        for (thread, log) in self.logs.sorted() {
+            let mut cursor = log.cursor(self.reader);
+            while let Some(entry) = cursor.pop() {
                 self.emit(
                     Role::Master,
                     Decision::MasterOnly,
-                    At::entry(thread, &entry),
+                    At::entry(&thread, entry),
                     entry.is_sink,
                     Some(entry.unmatched(CausalityKind::MasterOnlySink)),
                 );
@@ -824,231 +768,234 @@ mod tests {
         }
     }
 
-    fn open_len(pair: &Pair) -> usize {
-        pair.open.entries.lock().batch.len()
+    /// A log of one reader.
+    fn fresh_log() -> Arc<ThreadLog> {
+        Arc::new(ThreadLog::new(Chunk::new(CHUNK), 1))
     }
 
-    fn queued_sites(pair: &Pair) -> Vec<u32> {
-        let inner = pair.inner.lock();
-        let chunks = inner.queue.chunks.iter();
-        chunks.flatten().map(|e| e.site.0).collect()
+    fn append_sites(log: &ThreadLog, sites: std::ops::Range<u32>) {
+        sites.for_each(|i| log.append(entry(i, false)));
     }
 
-    /// Consumes up to `n` entries the way a slave does: from the queue,
-    /// pulling the open batch when the queue runs dry, never parking.
-    /// Returns the sites consumed, in order.
-    fn consume(pair: &Pair, n: usize) -> Vec<u32> {
-        let mut sites = Vec::new();
-        let mut inner = pair.inner.lock();
-        while sites.len() < n {
-            if let Some(e) = inner.queue.pop_front() {
-                sites.push(e.site.0);
+    /// Reads up to `n` entries through reader 0's cursor, never parking.
+    /// Returns the sites read, in order.
+    fn consume(log: &ThreadLog, n: usize) -> Vec<u32> {
+        let mut cursor = log.cursor(0);
+        std::iter::from_fn(|| cursor.pop().map(|e| e.site.0))
+            .take(n)
+            .collect()
+    }
+
+    /// The sites a fresh cursor at `head` reads.
+    fn sites_from(head: &Arc<Chunk>) -> Vec<u32> {
+        let mut cursor = Cursor {
+            chunk: Arc::clone(head),
+            index: 0,
+        };
+        std::iter::from_fn(|| cursor.pop().map(|e| e.site.0)).collect()
+    }
+
+    /// Reads `log` through cursor `reader` the way a slave does: hands
+    /// `each` every entry the cursor reaches, and parks at the end of the
+    /// log, until `released` holds of what the master published and how
+    /// many entries were read. Each park waits up to 5 s, so only a
+    /// notification ends it in time. Returns how many parks timed out.
+    fn read_until(
+        log: &ThreadLog,
+        reader: usize,
+        released: impl Fn(&Published, usize) -> bool,
+        mut each: impl FnMut(&Entry),
+    ) -> u32 {
+        let (mut timeouts, mut read) = (0, 0);
+        let mut cursor = log.cursor(reader);
+        loop {
+            while let Some(e) = cursor.pop() {
+                each(e);
+                read += 1;
+            }
+            let mut published = log.published.lock();
+            if cursor.peek().is_some() {
                 continue;
             }
-            let (guard, pull) = pair.pull(inner);
-            inner = guard;
-            if let Pull::Dry(_) = pull {
-                break;
-            }
-        }
-        sites
-    }
-
-    /// Waits on `pair` the way the slave does, pulling when its queue is
-    /// dry and parking when the open batch is dry too, until `released`
-    /// holds. Each park waits up to 5 s, so only a notification ends it
-    /// in time. Returns how many parks timed out instead.
-    fn wait_until(pair: &Pair, released: impl Fn(&PairInner) -> bool) -> u32 {
-        let mut timeouts = 0;
-        let mut inner = pair.inner.lock();
-        loop {
-            if released(&inner) {
+            if released(&published, read) {
                 return timeouts;
             }
-            let (guard, pull) = pair.pull(inner);
-            inner = guard;
-            if let Pull::Dry(open) = pull {
-                if !released(&inner) {
-                    timeouts += u32::from(pair.park(open, &mut inner, Duration::from_secs(5)));
-                }
-            }
+            let timed_out = log.park(&mut published, &mut cursor, Duration::from_secs(5));
+            timeouts += u32::from(timed_out);
         }
     }
 
-    /// Parks a waiter on `pair` the way the slave does until `released`
-    /// holds, and runs `wake` once it is parked; fails (instead of
-    /// hanging) if the waiter is not released by a notification.
+    /// Parks a slave on `log` until `released` holds, and runs `wake` once
+    /// it is parked; fails (instead of hanging) if the slave is not
+    /// released by a notification.
     fn released_by(
         what: &str,
-        released: impl Fn(&PairInner) -> bool + Send + 'static,
-        wake: impl FnOnce(&Pair),
+        log: Arc<ThreadLog>,
+        released: impl Fn(&Published, usize) -> bool + Send + 'static,
+        wake: impl FnOnce(&ThreadLog),
     ) {
-        let pair = Arc::new(Pair::default());
         let (tx, rx) = mpsc::channel();
-        let waiter = Arc::clone(&pair);
-        let waiter = std::thread::spawn(move || {
-            let timeouts = wait_until(&waiter, released);
+        let slave = Arc::clone(&log);
+        let slave = std::thread::spawn(move || {
+            let timeouts = read_until(&slave, 0, released, |_| {});
             tx.send(timeouts).expect("test is waiting");
         });
-        while !pair.slave_parked.load(Ordering::SeqCst) {
+        while !log.parked.load(Ordering::SeqCst) {
             std::thread::yield_now();
         }
-        wake(&pair);
+        wake(&log);
         assert_eq!(
             rx.recv_timeout(Duration::from_secs(10)),
             Ok(0),
             "{what} lost the wakeup of a parked slave"
         );
-        waiter.join().expect("waiter thread");
-        assert!(!pair.slave_parked.load(Ordering::SeqCst));
+        slave.join().expect("slave thread");
+        assert!(!log.parked.load(Ordering::SeqCst));
     }
 
     /// Whether the master has published progress at or past `key`.
-    fn ready_at(inner: &PairInner, key: &ProgressKey) -> bool {
-        let ready = inner.master_ready.as_ref();
+    fn ready_at(published: &Published, key: &ProgressKey) -> bool {
+        let ready = published.master_ready.as_ref();
         ready.is_some_and(|r| r.cmp_progress(key) != ProgressOrder::Behind)
     }
 
     #[test]
     fn every_master_update_wakes_a_parked_slave() {
-        let queued = |inner: &PairInner| inner.queue.front().is_some();
-        released_by("enqueue", queued, |p| p.enqueue(entry(0, false)));
-        released_by("finish", |inner| inner.master_done, Pair::finish);
-        // A backedge publish with nothing to hand over: the slave waits
-        // out a syscall-free loop on `master_ready` alone.
+        released_by(
+            "append",
+            fresh_log(),
+            |_, read| read > 0,
+            |log| log.append(entry(0, false)),
+        );
+        released_by("finish", fresh_log(), |p, _| p.done, ThreadLog::finish);
+        // A backedge publish with nothing logged: the slave waits out a
+        // syscall-free loop on `master_ready` alone.
         released_by(
             "empty publish",
-            |inner| ready_at(inner, &key(1)),
-            |p| {
-                p.publish(&key(1));
-            },
+            fresh_log(),
+            |p, _| ready_at(p, &key(1)),
+            |log| log.publish(&key(1)),
         );
-        // A publish hands over whatever the open batch holds first.
+        // A slave that read the master's entries waits on the backedge
+        // after them.
+        let log = fresh_log();
+        append_sites(&log, 0..3);
         released_by(
             "publish",
-            move |inner| queued(inner) && ready_at(inner, &key(1)),
-            |p| {
-                p.open.entries.lock().batch.push_back(entry(0, false));
-                p.publish(&key(1));
-            },
+            log,
+            |p, read| read == 3 && ready_at(p, &key(5)),
+            |log| log.publish(&key(5)),
         );
     }
 
     #[test]
-    fn entries_stay_fifo_across_handoffs_and_pulls() {
-        let pair = Pair::default();
-        let n = 3 * QUEUE_CHUNK as u32 + 10;
+    fn entries_stay_fifo_across_chunks() {
+        let log = fresh_log();
+        let n = 3 * CHUNK as u32 + 10;
         let mut seen = Vec::new();
         for i in 0..n {
-            pair.enqueue(entry(i, false));
+            log.append(entry(i, false));
             if i % 89 == 0 {
-                // The slave parked: the next enqueue hands the batch over.
-                pair.slave_parked.store(true, Ordering::SeqCst);
+                // The slave parked: the next append wakes it.
+                log.parked.store(true, Ordering::SeqCst);
             }
             if i % 300 == 299 {
-                seen.extend(consume(&pair, 40));
+                seen.extend(consume(&log, 40));
             }
         }
-        assert!(open_len(&pair) > 0, "the last entries are still open");
-        seen.extend(consume(&pair, usize::MAX));
+        seen.extend(consume(&log, usize::MAX));
         assert_eq!(seen, (0..n).collect::<Vec<_>>());
     }
 
     #[test]
-    fn a_full_batch_moves_to_the_queue_whole() {
-        let pair = Pair::default();
-        let last = QUEUE_CHUNK as u32 - 1;
-        (0..last).for_each(|i| pair.enqueue(entry(i, false)));
-        let buffer = pair.open.entries.lock().batch.as_slices().0.as_ptr();
-        pair.enqueue(entry(last, false));
-        assert_eq!(open_len(&pair), 0);
-        let inner = pair.inner.lock();
-        assert_eq!(inner.queue.chunks.len(), 1, "the empty chunk was replaced");
-        assert_eq!(inner.queue.chunks[0].len(), QUEUE_CHUNK);
-        let moved = inner.queue.chunks[0].as_slices().0.as_ptr();
-        assert_eq!(moved, buffer, "the batch's buffer became the chunk");
-        assert_eq!(inner.master_ready, Some(entry(last, false).key));
+    fn a_full_chunk_links_a_fresh_one() {
+        let log = fresh_log();
+        append_sites(&log, 0..CHUNK as u32);
+        let first = Arc::clone(&log.tail.lock().chunk);
+        assert!(first.next.get().is_none(), "a chunk fills before it links");
+        log.append(entry(CHUNK as u32, false));
+        let tail = log.tail.lock();
+        assert!(Arc::ptr_eq(first.next.get().expect("linked"), &tail.chunk));
+        assert_eq!(tail.len, 1);
+        drop(tail);
+        assert_eq!(consume(&log, usize::MAX).len(), CHUNK + 1);
     }
 
     #[test]
-    fn a_dry_slave_pulls_the_open_batch_without_a_master_step() {
-        let pair = Pair::default();
-        (0..3).for_each(|i| pair.enqueue(entry(i, false)));
-        {
-            let inner = pair.inner.lock();
-            assert!(inner.queue.front().is_none() && inner.master_ready.is_none());
-        }
-        let (inner, pull) = pair.pull(pair.inner.lock());
-        assert!(matches!(pull, Pull::Refilled { pulled: true }));
-        assert_eq!(inner.master_ready, Some(entry(2, false).key));
-        drop(inner);
-        assert_eq!(queued_sites(&pair), [0, 1, 2]);
-        assert_eq!(open_len(&pair), 0);
-        assert_eq!(consume(&pair, usize::MAX), [0, 1, 2]);
-        let (_, pull) = pair.pull(pair.inner.lock());
-        assert!(matches!(pull, Pull::Dry(_)));
+    fn a_slave_reads_each_entry_without_a_master_step() {
+        let log = fresh_log();
+        append_sites(&log, 0..3);
+        assert!(log.published.lock().master_ready.is_none());
+        assert_eq!(consume(&log, usize::MAX), [0, 1, 2]);
+        assert!(log.cursor(0).peek().is_none());
     }
 
     #[test]
     fn master_ready_never_passes_an_unseen_entry() {
-        let pair = Pair::default();
-        for i in 0..2 * QUEUE_CHUNK as u32 + 50 {
+        // Reader 0 reads like a slave; reader 1 checks what a slave can see.
+        let log = ThreadLog::new(Chunk::new(CHUNK), 2);
+        let mut visible = 0;
+        for i in 0..2 * CHUNK as u32 + 50 {
             match i % 11 {
-                // The slave parks, so the master hands over at its next step.
-                3 => pair.slave_parked.store(true, Ordering::SeqCst),
-                // A backedge between entries `i` and `i + 1`.
-                5 => pair.publish(&key(2 * u64::from(i) + 1)),
-                7 => drop(consume(&pair, 4)),
+                // A slave parks, and the master passes the backedge between
+                // entries `i - 1` and `i`.
+                5 => {
+                    log.parked.store(true, Ordering::SeqCst);
+                    log.publish(&key(2 * u64::from(i) - 1));
+                }
+                7 => drop(consume(&log, 4)),
                 _ => {}
             }
-            pair.enqueue(entry(i, false));
-            let open = pair.open.entries.lock();
-            let inner = pair.inner.lock();
-            if let Some(ready) = &inner.master_ready {
-                for e in open.batch.iter() {
-                    assert_eq!(ready.cmp_progress(&e.key), ProgressOrder::Behind, "at {i}");
-                }
+            log.append(entry(i, false));
+            let mut cursor = log.cursor(1);
+            while cursor.pop().is_some() {
+                visible += 1;
+            }
+            assert_eq!(visible, i + 1, "entry {i} is visible once logged");
+            if let Some(ready) = &log.published.lock().master_ready {
+                // The next entry the master logs is still ahead of it.
+                let unseen = key(2 * u64::from(i + 1));
+                assert_eq!(ready.cmp_progress(&unseen), ProgressOrder::Behind, "at {i}");
             }
         }
     }
 
     #[test]
     fn the_master_wakes_a_parked_slave_once() {
-        let pair = Pair::default();
-        pair.slave_parked.store(true, Ordering::SeqCst);
-        pair.enqueue(entry(0, false));
-        // The notifying handoff cleared the flag: later steps neither hand
-        // over nor notify until the slave parks again.
-        assert!(!pair.slave_parked.load(Ordering::SeqCst));
-        pair.enqueue(entry(1, false));
-        pair.publish(&key(3));
-        assert_eq!(queued_sites(&pair), [0]);
-        assert_eq!(open_len(&pair), 1);
-        assert_eq!(pair.inner.lock().master_ready, Some(entry(0, false).key));
+        let log = fresh_log();
+        log.parked.store(true, Ordering::SeqCst);
+        log.append(entry(0, false));
+        // The notifying append cleared the flag: later steps neither lock
+        // nor notify until a slave parks again.
+        assert!(!log.parked.load(Ordering::SeqCst));
+        log.append(entry(1, false));
+        log.publish(&key(3));
+        assert_eq!(log.published.lock().master_ready, Some(entry(0, false).key));
+        assert_eq!(consume(&log, usize::MAX), [0, 1]);
     }
 
     #[test]
     fn a_slave_that_parks_while_the_master_enqueues_is_released() {
         for i in 0..200u32 {
-            let pair = Arc::new(Pair::default());
+            let log = fresh_log();
             let start = Arc::new(Barrier::new(2));
             let master = {
-                let (pair, start) = (Arc::clone(&pair), Arc::clone(&start));
+                let (log, start) = (Arc::clone(&log), Arc::clone(&start));
                 std::thread::spawn(move || {
                     start.wait();
-                    // Enqueue at a varied moment around the slave's park.
+                    // Append at a varied moment around the slave's park.
                     for _ in 0..(i % 20) * 50 {
                         std::hint::spin_loop();
                     }
-                    pair.enqueue(entry(0, false));
+                    log.append(entry(0, false));
                 })
             };
             let (tx, rx) = mpsc::channel();
             let slave = {
-                let pair = Arc::clone(&pair);
+                let log = Arc::clone(&log);
                 std::thread::spawn(move || {
                     start.wait();
-                    let timeouts = wait_until(&pair, |inner| inner.queue.front().is_some());
+                    let timeouts = read_until(&log, 0, |_, read| read > 0, |_| {});
                     tx.send(timeouts).expect("test is waiting");
                 })
             };
@@ -1056,7 +1003,7 @@ mod tests {
             assert_eq!(
                 released,
                 Ok(0),
-                "iteration {i}: slave not released by the enqueue"
+                "iteration {i}: slave not released by the append"
             );
             master.join().expect("master thread");
             slave.join().expect("slave thread");
@@ -1064,55 +1011,154 @@ mod tests {
     }
 
     #[test]
-    fn a_fresh_coupling_never_sees_a_stale_pair() {
+    fn a_slave_caught_up_at_every_append_is_woken_by_it() {
+        // Ping-pong: the master appends one entry, then waits until the
+        // slave has read it, so every round races the slave's park at the
+        // end of the log against an append, at a varied moment. A lost
+        // wakeup shows as a round the slave sleeps through: a later append
+        // would hide it, so the master gives up instead.
+        let log = fresh_log();
+        let read = Arc::new(AtomicU64::new(0));
+        let slave = {
+            let (log, read) = (Arc::clone(&log), Arc::clone(&read));
+            std::thread::spawn(move || {
+                read_until(
+                    &log,
+                    0,
+                    |p, _| p.done,
+                    |_| {
+                        read.fetch_add(1, Ordering::SeqCst);
+                    },
+                )
+            })
+        };
+        let mut stalled = None;
+        for i in 0..30_000u32 {
+            for _ in 0..i % 32 {
+                std::hint::spin_loop();
+            }
+            log.append(entry(i, false));
+            let deadline = std::time::Instant::now() + Duration::from_secs(4);
+            while read.load(Ordering::SeqCst) <= u64::from(i) {
+                if std::time::Instant::now() > deadline {
+                    stalled = Some(i);
+                    break;
+                }
+                std::thread::yield_now();
+            }
+            if stalled.is_some() {
+                break;
+            }
+        }
+        log.finish();
+        let timeouts = slave.join().expect("slave thread");
+        assert_eq!(stalled, None, "the slave slept through an append");
+        assert_eq!(timeouts, 0);
+    }
+
+    #[test]
+    fn two_cursors_at_different_speeds_each_see_every_entry_in_order() {
+        let logs = Arc::new(MasterLogs::new(2, false));
+        let n = 3 * CHUNK as u32 + 7;
+        let readers: Vec<_> = (0..2)
+            .map(|reader| {
+                let logs = Arc::clone(&logs);
+                std::thread::spawn(move || {
+                    let mut sites = Vec::new();
+                    let timeouts = logs.with_log(&ThreadKey::root(), |log| {
+                        let done = |p: &Published, _| p.done;
+                        read_until(log, reader, done, |e| {
+                            sites.push(e.site.0);
+                            // Reader 1 lags, so the two part ways.
+                            if reader == 1 && e.site.0 % 16 == 0 {
+                                std::thread::sleep(Duration::from_micros(200));
+                            }
+                        })
+                    });
+                    (sites, timeouts)
+                })
+            })
+            .collect();
+        logs.with_log(&ThreadKey::root(), |log| {
+            for i in 0..n {
+                log.append(entry(i, false));
+                if i % 64 == 0 {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        logs.finish_thread(&ThreadKey::root());
+        for reader in readers {
+            let (sites, timeouts) = reader.join().expect("reader thread");
+            assert_eq!(sites, (0..n).collect::<Vec<_>>());
+            assert_eq!(timeouts, 0);
+        }
+    }
+
+    #[test]
+    fn a_drained_chunk_is_freed_unless_a_recording_holds_the_head() {
+        for keep in [false, true] {
+            let logs = MasterLogs::new(1, keep);
+            let t = ThreadKey::root();
+            let first = logs.with_log(&t, |log| {
+                append_sites(log, 0..CHUNK as u32 + 1);
+                Arc::downgrade(&log.cursor(0).chunk)
+            });
+            assert!(first.upgrade().is_some(), "unread, so held by the cursor");
+            logs.with_log(&t, |log| consume(log, CHUNK + 1));
+            assert_eq!(first.upgrade().is_some(), keep, "keep: {keep}");
+        }
+    }
+
+    #[test]
+    fn a_long_chain_of_chunks_drops_on_a_small_stack() {
+        let dropped = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let head = Chunk::new(0);
+                let mut tail = Arc::clone(&head);
+                for _ in 0..100_000 {
+                    let next = Chunk::new(0);
+                    assert!(tail.next.set(Arc::clone(&next)).is_ok());
+                    tail = next;
+                }
+                let last = Arc::downgrade(&tail);
+                drop(tail);
+                drop(head);
+                last.upgrade().is_none()
+            })
+            .expect("spawn a thread")
+            .join();
+        assert_eq!(dropped.ok(), Some(true));
+    }
+
+    #[test]
+    fn a_fresh_coupling_never_sees_a_stale_log() {
         let t = ThreadKey::root();
         for _ in 0..8 {
             let c = Coupling::new(false);
-            c.with_pair(&t, |p| {
-                let inner = p.inner.lock();
-                assert!(!inner.master_done);
-                assert!(inner.queue.front().is_none());
+            c.logs.with_log(&t, |log| {
+                assert!(!log.published.lock().done);
+                assert!(log.cursor(0).peek().is_none());
             });
-            c.with_pair(&t, |p| p.enqueue(entry(0, false)));
-            c.finish_execution();
-            c.with_pair(&t, |p| assert!(p.inner.lock().master_done));
+            c.logs.with_log(&t, |log| log.append(entry(0, false)));
+            c.logs.finish_execution();
+            c.logs
+                .with_log(&t, |log| assert!(log.published.lock().done));
         }
     }
 
     #[test]
-    fn the_entry_queue_is_fifo_across_chunks_and_keeps_one_chunk() {
-        let mut q = EntryQueue::default();
-        let n = 2 * QUEUE_CHUNK as u32 + 3;
-        for _ in 0..2 {
-            (0..n).for_each(|i| q.push_back(entry(i, false)));
-            assert_eq!(q.chunks.len(), 3);
-            assert!(q.chunks.iter().all(|c| c.capacity() < 2 * QUEUE_CHUNK));
-            for i in 0..n {
-                assert_eq!(q.front().map(|e| e.site), Some(SiteId(i)));
-                assert_eq!(q.pop_front().map(|e| e.site), Some(SiteId(i)));
-            }
-            assert!(q.front().is_none() && q.pop_front().is_none());
-            assert_eq!(q.chunks.len(), 1, "a drained queue keeps its last chunk");
-        }
-        // Emptying and refilling one entry at a time stays in that chunk.
-        let capacity = q.chunks[0].capacity();
-        for i in 0..3 * QUEUE_CHUNK as u32 {
-            q.push_back(entry(i, false));
-            assert_eq!(q.pop_front().map(|e| e.site), Some(SiteId(i)));
-            assert_eq!(q.chunks.len(), 1);
-        }
-        assert_eq!(q.chunks[0].capacity(), capacity);
-    }
-
-    #[test]
-    fn queued_entries_stay_small() {
-        // Every entry stays queued until the slave pops it, and a master
-        // running ahead can queue thousands. The arguments are inline
-        // (`MAX_ARITY` values), so an entry owns no heap block of its own:
-        // 48 bytes of key, 48 of arguments, 24 of outcome, 24 of the rest.
+    fn logged_entries_stay_small() {
+        // Every entry stays logged until the last cursor passes its chunk,
+        // and a master running ahead can log thousands. The arguments are
+        // inline (`MAX_ARITY` values), so an entry owns no heap block of
+        // its own: 48 bytes of key, 48 of arguments, 24 of outcome, 24 of
+        // the rest, and a slot adds its 8-byte once-flag.
         assert!(std::mem::size_of::<ProgressKey>() <= 48);
         assert!(std::mem::size_of::<Value>() <= 24);
         assert!(std::mem::size_of::<Entry>() <= 144);
+        assert!(std::mem::size_of::<OnceLock<Entry>>() <= 152);
     }
 
     #[test]
@@ -1152,38 +1198,36 @@ mod tests {
     }
 
     #[test]
-    fn pair_publish_and_finish() {
-        let c = Coupling::new(false);
-        let t = ThreadKey::root();
-        let p = c.pair(&t);
+    fn log_publish_and_finish() {
+        let log = fresh_log();
         // Only a parked slave reads backedge progress: without one, a
-        // publish leaves the pair untouched.
-        p.publish(&ProgressKey::start());
-        assert!(p.inner.lock().master_ready.is_none());
-        p.slave_parked.store(true, Ordering::SeqCst);
-        p.publish(&ProgressKey::start());
-        assert!(p.inner.lock().master_ready.is_some());
-        p.finish();
-        let inner = p.inner.lock();
-        assert!(inner.master_done);
-        assert!(inner.master_ready.as_ref().unwrap().is_top());
+        // publish leaves the log untouched.
+        log.publish(&ProgressKey::start());
+        assert!(log.published.lock().master_ready.is_none());
+        log.parked.store(true, Ordering::SeqCst);
+        log.publish(&ProgressKey::start());
+        assert!(log.published.lock().master_ready.is_some());
+        log.finish();
+        let published = log.published.lock();
+        assert!(published.done);
+        assert!(published.master_ready.as_ref().unwrap().is_top());
     }
 
     #[test]
-    fn pair_created_after_execution_end_is_released() {
-        let c = Coupling::new(false);
-        c.finish_execution();
-        let p = c.pair(&ThreadKey::root().child(3));
-        assert!(p.inner.lock().master_done);
+    fn a_log_created_after_execution_end_is_released() {
+        let logs = MasterLogs::new(1, false);
+        logs.finish_execution();
+        let log = logs.log(&ThreadKey::root().child(3));
+        assert!(log.published.lock().done);
     }
 
     #[test]
-    fn finish_execution_releases_existing_pairs() {
-        let c = Coupling::new(false);
-        let p = c.pair(&ThreadKey::root());
-        assert!(!p.inner.lock().master_done);
-        c.finish_execution();
-        assert!(p.inner.lock().master_done);
+    fn finish_execution_releases_existing_logs() {
+        let logs = MasterLogs::new(1, false);
+        let log = logs.log(&ThreadKey::root());
+        assert!(!log.published.lock().done);
+        logs.finish_execution();
+        assert!(log.published.lock().done);
     }
 
     #[test]
@@ -1194,84 +1238,98 @@ mod tests {
         assert!(!c.path_tainted("/a"));
     }
 
-    fn sites(log: &[Entry]) -> Vec<u32> {
-        log.iter().map(|e| e.site.0).collect()
-    }
-
     #[test]
-    fn a_logging_pair_keeps_every_entry_it_hands_over() {
-        let c = Coupling {
-            keep_logs: true,
-            ..Coupling::new(false)
-        };
+    fn a_kept_log_holds_every_entry_its_slave_read() {
+        let logs = MasterLogs::new(1, true);
         let t = ThreadKey::root();
-        let n = QUEUE_CHUNK as u32 + 5;
+        let n = CHUNK as u32 + 5;
         let all: Vec<u32> = (0..n).collect();
-        c.with_pair(&t, |p| {
-            (0..n).for_each(|i| p.enqueue(entry(i, false)));
-            assert_eq!(consume(p, usize::MAX), all);
+        logs.with_log(&t, |log| {
+            append_sites(log, 0..n);
+            assert_eq!(consume(log, usize::MAX), all);
         });
-        let logs = c.take_logs();
-        assert_eq!(logs.len(), 1);
-        assert_eq!(sites(&logs[0].1), all);
+        let heads = logs.heads();
+        assert_eq!(heads.len(), 1);
+        assert_eq!(sites_from(&heads[0].1), all);
     }
 
     #[test]
-    fn a_master_that_ran_alone_leaves_its_queues_as_its_logs() {
-        let c = Coupling::new(false);
+    fn two_replays_of_one_recording_read_the_same_chunks() {
+        let logs = MasterLogs::new(1, true);
         let (root, child) = (ThreadKey::root(), ThreadKey::root().child(0));
-        let n = QUEUE_CHUNK as u32 + 5;
+        let n = CHUNK as u32 + 5;
         for t in [&child, &root] {
-            c.with_pair(t, |p| (0..n).for_each(|i| p.enqueue(entry(i, false))));
+            logs.with_log(t, |log| append_sites(log, 0..n));
         }
-        c.finish_execution();
-        let logs = c.take_logs();
-        let threads: Vec<&ThreadKey> = logs.iter().map(|(t, _)| t).collect();
+        logs.finish_execution();
+        let heads = logs.heads();
+        let threads: Vec<&ThreadKey> = heads.iter().map(|(t, _)| t).collect();
         assert_eq!(threads, [&root, &child], "in ThreadKey order");
-        assert!(logs
-            .iter()
-            .all(|(_, log)| sites(log) == (0..n).collect::<Vec<_>>()));
+        let lane = FlightLog::default();
+        let replays = [0, 1].map(|_| Coupling::replaying(false, &lane, &heads));
+        for (t, head) in &heads {
+            for c in &replays {
+                c.logs.with_log(t, |log| {
+                    assert!(Arc::ptr_eq(&log.cursor(0).chunk, head));
+                    assert_eq!(consume(log, usize::MAX), (0..n).collect::<Vec<_>>());
+                });
+            }
+        }
+        assert_eq!(
+            sites_from(&heads[0].1).len(),
+            n as usize,
+            "replays copy nothing"
+        );
     }
 
     #[test]
-    fn a_replaying_coupling_starts_with_finished_pairs() {
+    fn a_replaying_coupling_starts_with_finished_logs() {
+        let logs = MasterLogs::new(1, true);
         let root = ThreadKey::root();
-        let log = vec![entry(0, false), entry(1, true)];
-        let c = Coupling::replaying(false, FlightLog::default(), vec![(root.clone(), log)]);
-        assert!(c.master_first);
-        c.with_pair(&root, |p| {
-            let inner = p.inner.lock();
-            assert!(inner.master_done);
-            assert!(inner.master_ready.as_ref().is_some_and(ProgressKey::is_top));
+        logs.with_log(&root, |log| {
+            log.append(entry(0, false));
+            log.append(entry(1, true));
         });
-        assert_eq!(queued_sites(&c.pair(&root)), [0, 1]);
+        let c = Coupling::replaying(false, &FlightLog::default(), &logs.heads());
+        assert!(c.master_first);
+        c.logs.with_log(&root, |log| {
+            let published = log.published.lock();
+            assert!(published.done);
+            assert!(published
+                .master_ready
+                .as_ref()
+                .is_some_and(ProgressKey::is_top));
+            drop(published);
+            assert_eq!(consume(log, usize::MAX), [0, 1]);
+        });
         // A thread the recorded master never ran is done too.
-        assert!(c.pair(&root.child(0)).inner.lock().master_done);
+        assert!(c.logs.log(&root.child(0)).published.lock().done);
     }
 
     #[test]
     fn reconcile_counts_master_only_entries() {
         let c = Coupling::new(false);
-        let p = c.pair(&ThreadKey::root());
-        p.enqueue(entry(0, false));
-        p.enqueue(entry(1, true));
+        c.logs.with_log(&ThreadKey::root(), |log| {
+            log.append(entry(0, false));
+            log.append(entry(1, true));
+        });
         c.reconcile();
         assert_eq!(c.stats.slave.diffs.load(Ordering::Relaxed), 1);
         assert_eq!(c.records.lock().len(), 1);
     }
 
     #[test]
-    fn reconcile_drains_the_queue_then_the_open_batch() {
+    fn reconcile_drains_what_the_slave_left_unread() {
         let c = Coupling::new(true);
-        let p = c.pair(&ThreadKey::root());
-        p.enqueue(entry(0, false));
-        p.slave_parked.store(true, Ordering::SeqCst);
-        p.enqueue(entry(1, false));
-        p.enqueue(entry(2, true));
-        p.enqueue(entry(3, false));
-        assert_eq!((queued_sites(&p), open_len(&p)), (vec![0, 1], 2));
+        c.logs.with_log(&ThreadKey::root(), |log| {
+            log.append(entry(0, false));
+            log.append(entry(1, false));
+            assert_eq!(consume(log, 1), [0]);
+            log.append(entry(2, true));
+            log.append(entry(3, false));
+        });
         c.reconcile();
-        assert_eq!(c.stats.slave.diffs.load(Ordering::Relaxed), 3);
+        assert_eq!(c.stats.slave.diffs.load(Ordering::Relaxed), 2);
         assert_eq!(c.records.lock().len(), 1);
         let log = c.take_flight_log();
         let sites: Vec<u32> = log
@@ -1286,7 +1344,9 @@ mod tests {
                 other => panic!("unexpected event {other:?}"),
             })
             .collect();
-        assert_eq!(sites, [0, 1, 2, 3]);
-        assert_eq!(open_len(&p), 0);
+        assert_eq!(sites, [1, 2, 3]);
+        assert!(c
+            .logs
+            .with_log(&ThreadKey::root(), |log| log.cursor(0).peek().is_none()));
     }
 }

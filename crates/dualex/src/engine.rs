@@ -1,19 +1,20 @@
 //! The dual-execution orchestrator.
 //!
 //! A dual run has two halves. The master runs against a fresh versioned
-//! world and queues its syscall outcomes per thread pair; the slave
-//! consumes them. A finished master, kept with its entry logs, outcome,
-//! flight lane and world, is a [`Recording`], and [`replay`] runs only a
-//! slave against one: the master's work is paid once however many slaves,
-//! each perturbing different sources, run against it. The one-thread
-//! schedule is exactly [`record`] then a replay. The two-thread schedule
-//! runs both halves at once, and it is one case of a master driving k ≥ 1
-//! live slaves, each on a thread of its own and with a coupling of its own
+//! world and logs its syscall outcomes once per Lx thread; the slave reads
+//! them through cursors of its own. A finished master, kept with its logs,
+//! outcome, flight lane and world, is a [`Recording`], and [`replay`] runs
+//! only a slave against one, on fresh cursors: the master's work is paid
+//! once however many slaves, each perturbing different sources, run
+//! against it. The one-thread schedule is exactly [`record`] then a
+//! replay. The two-thread schedule runs both halves at once, and it is one
+//! case of a master driving k ≥ 1 live slaves, each on a thread of its own,
+//! with a coupling and a cursor per log of its own
 //! ([`dual_execute_shared`]); [`dual_execute_and_record`] keeps its
 //! recording too. Every report is built by the same tail: reconcile, end
 //! diff, flight log, counters.
 
-use crate::couple::{Coupling, Entry, Fanout};
+use crate::couple::{Coupling, Heads, MasterLogs};
 use crate::master::MasterHooks;
 use crate::recorder::FlightLog;
 use crate::report::{CausalityKind, CausalityRecord, DualReport};
@@ -34,7 +35,7 @@ use std::sync::Arc;
 
 /// How a dual execution places its two executions on OS threads. Both
 /// schedules give the same report for a program without Lx threads: the
-/// slave's decisions depend only on the master's queue, and its clones
+/// slave's decisions depend only on the master's log, and its clones
 /// of the master's world are taken as of the cut (see `ldx_vos::SlaveVos`),
 /// not at the moment it gets there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,10 +46,10 @@ pub enum Schedule {
     /// the master is behind. One long run overlaps its two interpreters.
     TwoThreads,
     /// The master runs to completion, then the slave, both on the calling
-    /// thread: [`record`], then a replay of the recording, which takes the
-    /// master's entries by move. The slave finds the whole queue and every
-    /// pair done, so it never waits and no thread is spawned or woken: the
-    /// cheaper choice when other jobs already keep the CPUs busy.
+    /// thread: [`record`], then a [`replay`] of the recording. The slave
+    /// finds every log whole and done, so it never waits and no thread is
+    /// spawned or woken: the cheaper choice when other jobs already keep the
+    /// CPUs busy.
     OneThread,
 }
 
@@ -67,11 +68,10 @@ pub enum Schedule {
 /// coupling state — the `Coupling` channel, both worlds, lock tables,
 /// fd maps — is allocated per call and shared only between the threads
 /// this call runs on. The engine has one `static` and one thread-local,
-/// both in `couple.rs`: a counter that gives every `Coupling` a fresh
-/// id, and per-OS-thread caches of the last thread pairs resolved (one
-/// for a slave, one for a master, whose pairs span its couplings), keyed
-/// by such an id and the Lx thread. A cached pair is only ever
-/// returned for the `Coupling` that created it, so any number of
+/// both in `couple.rs`: a counter that gives every master's set of logs a
+/// fresh id, and a per-OS-thread cache of the last log resolved, by a
+/// master or a slave, keyed by such an id and the Lx thread. A cached log
+/// is only ever returned for the run that created it, so any number of
 /// `dual_execute` calls may run concurrently from different threads, or
 /// one after another on the same thread — the contract the batch
 /// scheduler in `ldx::batch` relies on. A call on
@@ -91,16 +91,13 @@ pub fn dual_execute_with(
 ) -> DualReport {
     match schedule {
         Schedule::TwoThreads => one_report(live(program, config, slice::from_ref(spec), false)).0,
-        Schedule::OneThread => {
-            let Recording { setup, master } = record(program, config, spec);
-            replay_from(&setup, master, spec)
-        }
+        Schedule::OneThread => replay(&record(program, config, spec), spec),
     }
 }
 
 /// [`dual_execute`] that also keeps the master as a [`Recording`], for
-/// [`replay`]s with other sources. The master logs a copy of each entry
-/// it queues, and the slave leaves the master's history whole. A program
+/// [`replay`]s with other sources. Its logs keep their heads, so no chunk
+/// is freed, and the slave leaves the master's history whole. A program
 /// with a `spawn` site gets no recording: its slave's threads are paced by
 /// a running master, so a replay could not follow them.
 pub fn dual_execute_and_record(
@@ -148,16 +145,19 @@ fn one_report(
 }
 
 /// A finished master execution of a program against a world, under a
-/// spec's sinks, limits and recording flag: each thread pair's entry log,
-/// the master's outcome, sink count and flight lane, and its versioned
-/// world with the whole history. Any number of slaves perturbing other
-/// sources can [`replay`] against it, concurrently too.
+/// spec's sinks, limits and recording flag: each Lx thread's log, held
+/// from its head, the master's outcome, sink count and flight lane, and its
+/// versioned world with the whole history. Any number of slaves perturbing
+/// other sources can [`replay`] against it, concurrently too: each reads
+/// the logs through fresh cursors, and none copies an entry.
 pub struct Recording {
     setup: Setup,
-    master: Master,
+    logs: Heads,
+    lane: FlightLog,
+    outcome: Result<RunOutcome, Trap>,
 }
 
-/// The part of a [`Recording`] every replay reads.
+/// What the recorded master ran under.
 struct Setup {
     program: Arc<IrProgram>,
     config: VosConfig,
@@ -169,14 +169,6 @@ struct Setup {
     master_sinks: u64,
     /// Where replays' flow arrows start: in the master's span, when traced.
     anchor: Option<FlowAnchor>,
-}
-
-/// The part of a [`Recording`] a replay consumes.
-#[derive(Clone)]
-struct Master {
-    logs: Vec<(ThreadKey, Vec<Entry>)>,
-    lane: FlightLog,
-    outcome: Result<RunOutcome, Trap>,
 }
 
 impl Recording {
@@ -201,8 +193,8 @@ impl fmt::Debug for Recording {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Recording")
             .field("spec", &self.setup.spec)
-            .field("master", &self.master.outcome)
-            .field("pairs", &self.master.logs.len())
+            .field("master", &self.outcome)
+            .field("logs", &self.logs.len())
             .finish_non_exhaustive()
     }
 }
@@ -210,11 +202,12 @@ impl fmt::Debug for Recording {
 /// Runs the master of `spec` alone, to completion, on the calling thread,
 /// and keeps it as a [`Recording`].
 pub fn record(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSpec) -> Recording {
-    let coupling = Arc::new(Coupling::new(spec.record));
+    let logs = Arc::new(MasterLogs::new(1, true));
+    let coupling = Arc::new(Coupling::reading(Arc::clone(&logs), 0, spec.record));
     let world = Arc::new(Vos::versioned(config));
     let sinks = ResolvedSinks::resolve(spec, &program);
     let master = MasterHooks {
-        fanout: Fanout::new(vec![Arc::clone(&coupling)]),
+        couplings: vec![Arc::clone(&coupling)],
         vos: Arc::clone(&world),
         locks: LockTable::new(),
         sinks: sinks.clone(),
@@ -229,29 +222,26 @@ pub fn record(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSpec) -> R
         master_sinks: coupling.stats.master.sinks.load(Ordering::Relaxed),
         anchor,
     };
-    let master = Master {
-        logs: coupling.take_logs(),
+    ldx_obs::counter_add("dualex.recordings", 1);
+    Recording {
+        setup,
+        logs: logs.heads(),
         lane: coupling.take_flight_log(),
         outcome,
-    };
-    ldx_obs::counter_add("dualex.recordings", 1);
-    Recording { setup, master }
+    }
 }
 
 /// Runs a slave under `spec` against `recording`, on the calling thread,
 /// and returns the report a dual execution under `spec` gives. The slave
-/// finds every entry queued and every pair done, so it never waits. Its
-/// span gets a flow arrow of its own from the recorded master's span
-/// (when both are traced).
+/// reads the recorded logs through fresh cursors and finds every one done,
+/// so it never waits. Its span gets a flow arrow of its own from the
+/// recorded master's span (when both are traced).
 ///
 /// # Panics
 ///
 /// If the recording does not [accept](Recording::accepts) `spec`.
 pub fn replay(recording: &Recording, spec: &DualSpec) -> DualReport {
-    replay_from(&recording.setup, recording.master.clone(), spec)
-}
-
-fn replay_from(setup: &Setup, master: Master, spec: &DualSpec) -> DualReport {
+    let setup = &recording.setup;
     assert!(
         setup.spec.shares_master_with(spec),
         "a replay may change only the recorded spec's sources"
@@ -264,7 +254,11 @@ fn replay_from(setup: &Setup, master: Master, spec: &DualSpec) -> DualReport {
             ldx_obs::flow_start_at(anchor, ldx_obs::cat::FLOW, "dual-run", id);
             id
         });
-    let coupling = Arc::new(Coupling::replaying(spec.record, master.lane, master.logs));
+    let coupling = Arc::new(Coupling::replaying(
+        spec.record,
+        &recording.lane,
+        &recording.logs,
+    ));
     let master_sinks = &coupling.stats.master.sinks;
     master_sinks.store(setup.master_sinks, Ordering::Relaxed);
     let overlay = SlaveVos::keeping_history(Arc::clone(&setup.world), &setup.config);
@@ -277,14 +271,14 @@ fn replay_from(setup: &Setup, master: Master, spec: &DualSpec) -> DualReport {
     );
     let slave_result = run_slave(&setup.program, slave, spec, flow_id);
     ldx_obs::counter_add("dualex.replays", 1);
-    report(&coupling, master.outcome, slave_result)
+    report(&coupling, recording.outcome.clone(), slave_result)
 }
 
 /// Runs one master and a live slave per spec: the master on the calling
-/// thread, each slave on a spawned one with a coupling of its own. The
-/// specs differ in their sources at most, and the first one's sinks,
-/// limits and recording flag are the master's. With `keep`, the first
-/// coupling logs the master's entries and the run returns its recording.
+/// thread, each slave on a spawned one with a coupling and a cursor per log
+/// of its own. The specs differ in their sources at most, and the first
+/// one's sinks, limits and recording flag are the master's. With `keep`,
+/// the logs keep their heads and the run returns its recording.
 /// With several slaves, or `keep`, every overlay keeps the master's whole
 /// history: one slave trimming it could drop what a slower one, or a
 /// later replay, still reads.
@@ -305,14 +299,11 @@ fn live(
         specs.iter().all(|s| s.shares_master_with(spec)),
         "slaves sharing a master may differ in their sources only"
     );
+    let logs = Arc::new(MasterLogs::new(specs.len(), keep));
     let couplings: Vec<Arc<Coupling>> = specs
         .iter()
         .enumerate()
-        .map(|(i, s)| {
-            let mut coupling = Coupling::new(s.record);
-            coupling.keep_logs = keep && i == 0;
-            Arc::new(coupling)
-        })
+        .map(|(i, s)| Arc::new(Coupling::reading(Arc::clone(&logs), i, s.record)))
         .collect();
     let world = Arc::new(Vos::versioned(config));
     let sinks = ResolvedSinks::resolve(spec, &program);
@@ -330,7 +321,7 @@ fn live(
         })
         .collect();
     let master = MasterHooks {
-        fanout: Fanout::new(couplings.clone()),
+        couplings: couplings.clone(),
         vos: Arc::clone(&world),
         locks: LockTable::new(),
         sinks: sinks.clone(),
@@ -364,11 +355,9 @@ fn live(
         ldx_obs::counter_add("dualex.recordings", 1);
         let coupling = &couplings[0];
         Recording {
-            master: Master {
-                logs: coupling.take_logs(),
-                lane: coupling.master_flight_log(),
-                outcome: master_result.clone(),
-            },
+            logs: logs.heads(),
+            lane: coupling.master_flight_log(),
+            outcome: master_result.clone(),
             setup: Setup {
                 program: Arc::clone(&program),
                 config: config.clone(),
@@ -426,7 +415,7 @@ fn run_master(
     }
     let hooks = Arc::new(hooks);
     let outcome = run_program(Arc::clone(program), Arc::clone(&hooks) as _, spec.exec);
-    hooks.fanout.finish_execution();
+    hooks.logs().finish_execution();
     (outcome, anchor)
 }
 
@@ -491,15 +480,10 @@ fn report(
     };
 
     // Mirror the coupling counters into the process-wide registry (the
-    // registry sums across batch jobs). Batch pulls are a cost of the
-    // schedule, not of the verdict, so they are left out of the report.
+    // registry sums across batch jobs).
     if ldx_obs::metrics_enabled() {
         for (name, value) in [
             ("dualex.runs", 1),
-            (
-                "dualex.batch_pulls",
-                stats.slave.pulls.load(Ordering::Relaxed),
-            ),
             ("dualex.shared", report.shared),
             ("dualex.decoupled", report.decoupled),
             ("dualex.syscall_diffs", report.syscall_diffs),

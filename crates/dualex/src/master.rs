@@ -1,14 +1,13 @@
 //! The master execution's syscall wrapper (paper Algorithm 2).
 //!
 //! The master runs against the real virtual world and records every
-//! syscall outcome into its thread pair's open batch, which it hands to
-//! the slave's queue a chunk at a time, or at once when the slave is
-//! parked (the slave also pulls the batch itself when it runs dry; see
-//! `dualex::couple`). At loop backedges it publishes its progress to a
-//! parked slave, so the slave can align. One master may drive several
-//! couplings, one per live slave (a `Fanout`): each gets every entry,
-//! backedge and thread exit, so each slave sees the master it would see
-//! alone. In the paper the master also
+//! syscall outcome once, in its Lx thread's log, which every slave reads
+//! through a cursor of its own (see `dualex::couple`). At loop backedges it
+//! publishes its progress to a parked slave, so the slave can align. One
+//! master may drive several couplings, one per live slave: each reads the
+//! same logs and gets the master's `Executed` decisions and backedges in
+//! its own flight lane, so each slave sees the master it would see alone.
+//! In the paper the master also
 //! blocks at sinks to compare arguments in-line; this reproduction runs in
 //! *detection* mode — sink comparison happens when the slave reaches the
 //! aligned sink, or at end-of-run reconciliation for sinks the slave never
@@ -16,7 +15,7 @@
 //! master-side stall (deviation documented in DESIGN.md). The master never
 //! waits for the slave.
 
-use crate::couple::{At, Entry, Fanout};
+use crate::couple::{At, Coupling, Entry, MasterLogs};
 use crate::recorder::{Decision, FlightEvent};
 use crate::report::Role;
 use crate::resolved::ResolvedSinks;
@@ -30,15 +29,22 @@ use std::sync::Arc;
 
 /// Master-side hooks.
 pub(crate) struct MasterHooks {
-    pub fanout: Fanout,
+    /// One per live slave (or the single one of a recording), all reading
+    /// the same logs.
+    pub couplings: Vec<Arc<Coupling>>,
     pub vos: Arc<Vos>,
     pub locks: LockTable,
     pub sinks: ResolvedSinks,
 }
 
 impl MasterHooks {
-    /// Queues a syscall that left the master's world at `version`.
-    fn enqueue(
+    /// The logs every coupling reads.
+    pub fn logs(&self) -> &MasterLogs {
+        &self.couplings[0].logs
+    }
+
+    /// Logs a syscall that left the master's world at `version`.
+    fn append(
         &self,
         ctx: &SyscallCtx,
         args: &[Value],
@@ -47,12 +53,8 @@ impl MasterHooks {
         is_sink: bool,
     ) {
         let entry = Entry::new(ctx, args, outcome, version, is_sink);
-        self.fanout.with_pairs(&ctx.thread, |pairs| {
-            let (last, others) = pairs.split_last().expect("one pair per coupling");
-            others.iter().for_each(|pair| pair.enqueue(entry.clone()));
-            last.enqueue(entry);
-        });
-        for coupling in self.fanout.couplings() {
+        self.logs().with_log(&ctx.thread, |log| log.append(entry));
+        for coupling in &self.couplings {
             coupling.emit(
                 Role::Master,
                 Decision::Executed,
@@ -75,13 +77,13 @@ impl SyscallHooks for MasterHooks {
             Syscall::Lock => {
                 let id = args[0].as_int()?;
                 self.locks.lock(id, &ctx.thread, &ctx.stop);
-                self.enqueue(ctx, args, Value::Int(0), 0, false);
+                self.append(ctx, args, Value::Int(0), 0, false);
                 Ok(SysOutcome::Value(Value::Int(0)))
             }
             Syscall::Unlock => {
                 let id = args[0].as_int()?;
                 self.locks.unlock(id);
-                self.enqueue(ctx, args, Value::Int(0), 0, false);
+                self.append(ctx, args, Value::Int(0), 0, false);
                 Ok(SysOutcome::Value(Value::Int(0)))
             }
             Syscall::Spawn | Syscall::Join | Syscall::Exit | Syscall::Setjmp | Syscall::Longjmp => {
@@ -89,7 +91,7 @@ impl SyscallHooks for MasterHooks {
                 // §4.2); a longjmp is preceded by an artificial sink (§6)
                 // so a jump difference across the executions is reported.
                 let is_sink = ctx.sys == Syscall::Longjmp;
-                self.enqueue(ctx, args, Value::Int(0), 0, is_sink);
+                self.append(ctx, args, Value::Int(0), 0, is_sink);
                 Ok(SysOutcome::DoLocal)
             }
             sys => {
@@ -97,7 +99,7 @@ impl SyscallHooks for MasterHooks {
                 let sys_args = to_sys_args(args)?;
                 let (ret, version) = self.vos.syscall_versioned(sys, &sys_args)?;
                 let outcome = from_sys_ret(ret);
-                self.enqueue(ctx, args, outcome.clone(), version, is_sink);
+                self.append(ctx, args, outcome.clone(), version, is_sink);
                 Ok(SysOutcome::Value(outcome))
             }
         }
@@ -108,10 +110,8 @@ impl SyscallHooks for MasterHooks {
         // master does: the slave's per-syscall alignment wait provides all
         // the ordering the protocol needs, so the master runs unthrottled
         // (detection mode).
-        self.fanout.with_pairs(thread, |pairs| {
-            pairs.iter().for_each(|pair| pair.publish(key));
-        });
-        for coupling in self.fanout.couplings() {
+        self.logs().with_log(thread, |log| log.publish(key));
+        for coupling in &self.couplings {
             coupling.flight(Role::Master, || FlightEvent::Barrier {
                 thread: thread.clone(),
                 key: key.clone(),
@@ -122,6 +122,6 @@ impl SyscallHooks for MasterHooks {
     }
 
     fn thread_finished(&self, thread: &ThreadKey) {
-        self.fanout.finish_thread(thread);
+        self.logs().finish_thread(thread);
     }
 }

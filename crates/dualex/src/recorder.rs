@@ -61,7 +61,7 @@ pub fn key_scalar(key: &ProgressKey) -> u64 {
 /// What the interposition layer decided for one syscall (Alg. 2 cases).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
-    /// The master executed the syscall and enqueued its outcome.
+    /// The master executed the syscall and logged its outcome.
     Executed,
     /// The slave copied the master's aligned outcome.
     Shared,

@@ -1,7 +1,8 @@
 //! The slave execution's syscall wrapper.
 //!
 //! For every syscall the slave checks its alignment against the master's
-//! outcome queue using the progress key (paper §4.2):
+//! outcome log, read through its own cursor, using the progress key (paper
+//! §4.2):
 //!
 //! * **behind entries** (master-only syscalls) are skipped and counted as
 //!   syscall differences — master-only *sinks* become causality records;
@@ -19,7 +20,7 @@
 //! Source-matched input outcomes are mutated (this is where the
 //! counterfactual perturbation enters the slave).
 
-use crate::couple::{At, Coupling, Diff, Entry, Pair, Pull, MAX_WAIT, PARK_WAIT};
+use crate::couple::{At, Coupling, Diff, Entry, ThreadLog, MAX_WAIT, PARK_WAIT};
 use crate::fdmap::{FdInfo, Resource, SlaveFdMap};
 use crate::mutation::Mutation;
 use crate::recorder::{excerpt, key_scalar, Decision, FlightEvent, ResourceId};
@@ -33,7 +34,6 @@ use ldx_runtime::{
 use ldx_vos::{SlaveVos, SysArg, SysRet};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -61,8 +61,9 @@ fn master_delta(master: Option<&ProgressKey>, slave: &ProgressKey) -> u64 {
 /// Result of the alignment check. Every decision but the final
 /// share-or-decouple one has already been emitted.
 enum Align {
-    /// Aligned with this master entry (same key, site and arguments).
-    Aligned(Entry),
+    /// Aligned with a master entry (same key, site and arguments): its
+    /// outcome.
+    Aligned(Value),
     /// The same site with different arguments: a non-sink syscall
     /// difference (a sink's was recorded as causality).
     Mismatched,
@@ -160,20 +161,20 @@ impl SlaveHooks {
     }
 
     /// The alignment state machine, instrumented. When observability is
-    /// on and the slave actually blocked, the wait is reported to the
+    /// on and the slave actually waited, the wait is reported to the
     /// stall profiler (keyed by the barrier's static site) together with
     /// the master/slave progress-counter delta observed at release.
     fn align(&self, ctx: &SyscallCtx, args: &[Value], is_sink: bool) -> Align {
-        self.coupling.with_pair(&ctx.thread, |pair| {
+        self.coupling.logs.with_log(&ctx.thread, |log| {
             let mut waits: u64 = 0;
             if !ldx_obs::enabled() {
-                return self.align_inner(pair, ctx, args, is_sink, &mut waits);
+                return self.align_inner(log, ctx, args, is_sink, &mut waits);
             }
             let t0_ns = ldx_obs::now_ns();
-            let out = self.align_inner(pair, ctx, args, is_sink, &mut waits);
+            let out = self.align_inner(log, ctx, args, is_sink, &mut waits);
             if waits > 0 {
                 let ns = ldx_obs::now_ns().saturating_sub(t0_ns);
-                let delta = master_delta(pair.inner.lock().master_ready.as_ref(), &ctx.key);
+                let delta = master_delta(log.published.lock().master_ready.as_ref(), &ctx.key);
                 ldx_obs::stall_record(&format!("f{}:s{}", ctx.func.0, ctx.site.0), ns, delta);
                 ldx_obs::record_complete(
                     ldx_obs::cat::BARRIER_WAIT,
@@ -193,16 +194,16 @@ impl SlaveHooks {
     /// accounting.
     fn align_inner(
         &self,
-        pair: &Pair,
+        log: &ThreadLog,
         ctx: &SyscallCtx,
         args: &[Value],
         is_sink: bool,
         waits: &mut u64,
     ) -> Align {
         let start = Instant::now();
-        let mut inner = pair.inner.lock();
+        let mut cursor = log.cursor(self.coupling.reader);
         loop {
-            if let Some(front) = inner.queue.front() {
+            if let Some(front) = cursor.peek() {
                 let order = front.key.cmp_progress(&ctx.key);
                 let same_site = front.site == ctx.site && front.sys == ctx.sys;
                 if matches!(order, ProgressOrder::Ahead | ProgressOrder::Divergent) {
@@ -213,7 +214,7 @@ impl SlaveHooks {
                     }
                     return Align::Decoupled;
                 }
-                let e = inner.queue.pop_front().expect("front exists");
+                let e = cursor.pop().expect("front exists");
                 self.overlay.advance_cut(e.version);
                 if matches!(e.sys, Syscall::Open | Syscall::Connect | Syscall::Accept) {
                     let mut fdmap = self.fdmap.lock();
@@ -221,19 +222,19 @@ impl SlaveHooks {
                 }
                 if order == ProgressOrder::Behind {
                     // A master-only syscall the slave will never issue.
-                    self.master_only(ctx, &e, CausalityKind::MasterOnlySink);
+                    self.master_only(ctx, e, CausalityKind::MasterOnlySink);
                     continue;
                 }
                 if !same_site {
                     // Same key, different site (Alg. 2 case 2).
-                    self.master_only(ctx, &e, CausalityKind::PathDiffAtSink);
+                    self.master_only(ctx, e, CausalityKind::PathDiffAtSink);
                     if is_sink {
                         self.slave_only_sink(ctx);
                     }
                     return Align::Decoupled;
                 }
                 if e.args() == args {
-                    return Align::Aligned(e);
+                    return Align::Aligned(e.outcome());
                 }
                 // Same site, different arguments (Alg. 2 case 3).
                 if !is_sink {
@@ -252,39 +253,34 @@ impl SlaveHooks {
                 self.emit(Decision::Compared, ctx, true, Some(Diff::Sink(diff)));
                 return Align::Decoupled;
             }
-            // Queue empty: pull the master's open batch; if that is empty
-            // too, decide by the master's published progress.
-            let (guard, pull) = pair.pull(inner);
-            inner = guard;
-            let open = match pull {
-                Pull::Dry(open) => open,
-                Pull::Refilled { pulled } => {
-                    let pulls = &self.coupling.stats.slave.pulls;
-                    pulls.fetch_add(u64::from(pulled), Ordering::Relaxed);
-                    continue;
-                }
-            };
-            let master_past = inner.master_done
-                || inner
+            // The end of the log: decide by the master's published
+            // progress, read after the slots so that it names no key past
+            // an entry this cursor cannot see.
+            let mut published = log.published.lock();
+            if cursor.peek().is_some() {
+                continue;
+            }
+            let master_past = published.done
+                || published
                     .master_ready
                     .as_ref()
                     .is_some_and(|r| !matches!(r.cmp_progress(&ctx.key), ProgressOrder::Behind));
             if master_past {
-                drop(open);
+                drop(published);
                 if is_sink {
                     self.slave_only_sink(ctx);
                 }
                 return Align::Decoupled;
             }
-            // A slave running after its finished master finds every pair
+            // A slave running after its finished master finds every log
             // done, so reaching a park is a protocol error, reported at once.
             if self.coupling.master_first || ctx.stop.should_stop() || start.elapsed() > MAX_WAIT {
-                drop(open);
+                drop(published);
                 self.emit(Decision::Timeout, ctx, is_sink, None);
                 return Align::Decoupled;
             }
             *waits += 1;
-            pair.park(open, &mut inner, PARK_WAIT);
+            log.park(&mut published, &mut cursor, PARK_WAIT);
         }
     }
 
@@ -606,9 +602,7 @@ impl SyscallHooks for SlaveHooks {
                     self.align(ctx, args, is_sink)
                 };
                 let mut outcome = match alignment {
-                    Align::Aligned(Entry { outcome: v, .. })
-                        if !self.touches_tainted(sys, args) =>
-                    {
+                    Align::Aligned(v) if !self.touches_tainted(sys, args) => {
                         self.share(ctx, is_sink);
                         // Observe shared outcomes so the descriptor shadow
                         // stays accurate.
@@ -681,8 +675,8 @@ impl SyscallHooks for SlaveHooks {
         // The slave never blocks here: its next syscall's alignment wait
         // provides the ordering (detection mode; see DESIGN.md).
         self.coupling.flight(Role::Slave, || {
-            let delta = self.coupling.with_pair(thread, |pair| {
-                master_delta(pair.inner.lock().master_ready.as_ref(), key)
+            let delta = self.coupling.logs.with_log(thread, |log| {
+                master_delta(log.published.lock().master_ready.as_ref(), key)
             });
             FlightEvent::Barrier {
                 thread: thread.clone(),
@@ -701,7 +695,7 @@ mod tests {
     use ldx_ir::FuncId;
     use ldx_runtime::{FrameKey, LoopUid, StopSignal};
     use ldx_vos::{Vos, VosConfig};
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{mpsc, Barrier};
     use std::time::Duration;
 
@@ -743,8 +737,8 @@ mod tests {
     fn align_with_stop(master_ready: Option<ProgressKey>, key: ProgressKey) -> (Align, u64) {
         let coupling = Arc::new(Coupling::new(true));
         let (hooks, main) = slave_hooks(&coupling);
-        coupling.with_pair(&ThreadKey::root(), |pair| {
-            pair.inner.lock().master_ready = master_ready;
+        coupling.logs.with_log(&ThreadKey::root(), |log| {
+            log.published.lock().master_ready = master_ready;
         });
         let stop = StopSignal::new();
         stop.request_exit(0);
@@ -767,7 +761,7 @@ mod tests {
 
     #[test]
     fn align_releases_on_stop_as_a_timeout() {
-        // The master has neither queued nor published anything and is not
+        // The master has neither logged nor published anything and is not
         // done, so only the stop signal can release the wait.
         let (aligned, timeouts) = align_with_stop(None, ProgressKey::start());
         assert!(matches!(aligned, Align::Decoupled));
@@ -776,8 +770,8 @@ mod tests {
 
     #[test]
     fn a_slave_after_its_finished_master_never_waits() {
-        // On the one-thread schedule every pair is done before the slave
-        // starts. A slave that would park anyway (here: nothing queued or
+        // On the one-thread schedule every log is done before the slave
+        // starts. A slave that would park anyway (here: nothing logged or
         // published, and no stop signal) reports a timeout at once.
         let mut coupling = Coupling::new(false);
         coupling.master_first = true;
@@ -836,7 +830,9 @@ mod tests {
                         std::hint::spin_loop();
                     }
                     while !done.load(Ordering::SeqCst) {
-                        coupling.with_pair(&ThreadKey::root(), |pair| pair.publish(&ahead));
+                        coupling
+                            .logs
+                            .with_log(&ThreadKey::root(), |log| log.publish(&ahead));
                         std::thread::yield_now();
                     }
                 })

@@ -149,7 +149,7 @@ impl DualSpec {
 
     /// Whether a master run under this spec serves a slave under `other`
     /// too: the two differ in their sources at most. Sinks, limits and the
-    /// recording flag all shape what the master queues and logs; the
+    /// recording flag all shape what the master logs; the
     /// sources only shape what the slave perturbs.
     pub fn shares_master_with(&self, other: &DualSpec) -> bool {
         self.sinks == other.sinks && self.exec == other.exec && self.record == other.record

@@ -357,7 +357,6 @@ fn exported_metrics_carry_required_keys() {
         "batch.steals",
         "dualex.runs",
         "dualex.shared",
-        "dualex.batch_pulls",
     ] {
         assert!(json.contains(&format!("\"{key}\"")), "missing {key}");
     }
