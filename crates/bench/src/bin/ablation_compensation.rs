@@ -8,8 +8,8 @@
 //! but no compensation, no loop barriers, no fresh frames) — and compares
 //! false reports and alignment quality.
 //!
-//! The (instrumented, naive) pairs run as one flat batch on the
-//! work-stealing pool; the instrumentation cache supplies both compiled
+//! The (instrumented, naive) pairs run as one flat batch on the batch
+//! engine's pool; the instrumentation cache supplies both compiled
 //! forms from one parse each.
 //!
 //! Run: `cargo run -p ldx-bench --bin ablation_compensation`

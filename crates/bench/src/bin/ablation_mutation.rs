@@ -6,8 +6,8 @@
 //! off-by-one." Here, every corpus workload with a leaking spec is re-run
 //! under each strategy; the table reports how many leaks each one detects.
 //!
-//! The `workloads × strategies` grid runs as one flat batch on the
-//! work-stealing pool; submission-ordered results are re-chunked into
+//! The `workloads × strategies` grid runs as one flat batch on the batch
+//! engine's pool; submission-ordered results are re-chunked into
 //! rows, so the table is byte-identical to a sequential run.
 //!
 //! Run: `cargo run -p ldx-bench --bin ablation_mutation`

@@ -20,8 +20,8 @@
 //! LDX cases, and LDX detects 100% of the planted cases with no false
 //! positives (Table 2's benign column).
 //!
-//! Rows are independent, so they run on the batch engine's work-stealing
-//! pool (`ldx::BatchEngine`); a shared `InstrumentCache` compiles each
+//! Rows are independent, so they run on the batch engine's pool
+//! (`ldx::BatchEngine`); a shared `InstrumentCache` compiles each
 //! distinct source once for the instrumented + plain forms. Results are
 //! collected in submission order, so the table bytes are identical to a
 //! sequential run.

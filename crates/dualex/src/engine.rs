@@ -6,8 +6,8 @@
 //! outcome, flight lane and world, is a [`Recording`], and [`replay`] runs
 //! only a slave against one, on fresh cursors: the master's work is paid
 //! once however many slaves, each perturbing different sources, run
-//! against it. The one-thread schedule is exactly [`record`] then a
-//! replay. The two-thread schedule runs both halves at once, and it is one
+//! against it. A dual run on one thread is exactly [`record`] then a
+//! replay. [`dual_execute`] runs both halves at once, and it is one
 //! case of a master driving k ≥ 1 live slaves, each on a thread of its own,
 //! with a coupling and a cursor per log of its own
 //! ([`dual_execute_shared`]); [`dual_execute_and_record`] keeps its
@@ -33,29 +33,14 @@ use std::slice;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// How a dual execution places its two executions on OS threads. Both
-/// schedules give the same report for a program without Lx threads: the
-/// slave's decisions depend only on the master's log, and its clones
-/// of the master's world are taken as of the cut (see `ldx_vos::SlaveVos`),
-/// not at the moment it gets there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
-    /// The master and the slave run concurrently, each on its own OS
-    /// thread (the paper's "two separate CPUs"): the master on the
-    /// calling thread, the slave on a spawned one. The slave waits where
-    /// the master is behind. One long run overlaps its two interpreters.
-    TwoThreads,
-    /// The master runs to completion, then the slave, both on the calling
-    /// thread: [`record`], then a [`replay`] of the recording. The slave
-    /// finds every log whole and done, so it never waits and no thread is
-    /// spawned or woken: the cheaper choice when other jobs already keep the
-    /// CPUs busy.
-    OneThread,
-}
-
 /// Runs the master and the slave concurrently (each on its own OS thread,
-/// like the paper's "two separate CPUs") and returns the causality report:
-/// [`dual_execute_with`] on [`Schedule::TwoThreads`].
+/// like the paper's "two separate CPUs") and returns the causality report.
+/// The master runs on the calling thread and the slave on a spawned one,
+/// waiting where the master is behind. `replay(&record(..))` gives the
+/// same report on one thread for a program without Lx threads: the
+/// slave's decisions depend only on the master's log, and its clones of
+/// the master's world are taken as of the cut (see `ldx_vos::SlaveVos`),
+/// not at the moment it gets there.
 ///
 /// The master executes against a fresh world built from `config`; the
 /// slave shares the master's aligned syscall outcomes, perturbs the
@@ -74,25 +59,12 @@ pub enum Schedule {
 /// is only ever returned for the run that created it, so any number of
 /// `dual_execute` calls may run concurrently from different threads, or
 /// one after another on the same thread — the contract the batch
-/// scheduler in `ldx::batch` relies on. A call on
-/// [`Schedule::TwoThreads`] keeps **two** OS threads busy (plus one per
-/// Lx thread the program spawns); one on [`Schedule::OneThread`] runs on
-/// the calling thread. Schedulers should budget accordingly.
+/// scheduler in `ldx::batch` relies on. A call keeps **two** OS threads
+/// busy (plus one per Lx thread the program spawns); a [`replay`] of a
+/// [`record`] runs on the calling thread. Schedulers should budget
+/// accordingly.
 pub fn dual_execute(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSpec) -> DualReport {
-    dual_execute_with(program, config, spec, Schedule::TwoThreads)
-}
-
-/// [`dual_execute`] on the given schedule.
-pub fn dual_execute_with(
-    program: Arc<IrProgram>,
-    config: &VosConfig,
-    spec: &DualSpec,
-    schedule: Schedule,
-) -> DualReport {
-    match schedule {
-        Schedule::TwoThreads => one_report(live(program, config, slice::from_ref(spec), false)).0,
-        Schedule::OneThread => replay(&record(program, config, spec), spec),
-    }
+    one_report(live(program, config, slice::from_ref(spec), false)).0
 }
 
 /// [`dual_execute`] that also keeps the master as a [`Recording`], for

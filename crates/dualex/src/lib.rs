@@ -61,8 +61,7 @@ mod slave;
 mod spec;
 
 pub use engine::{
-    dual_execute, dual_execute_and_record, dual_execute_shared, dual_execute_with, record, replay,
-    Recording, Schedule,
+    dual_execute, dual_execute_and_record, dual_execute_shared, record, replay, Recording,
 };
 pub use mutation::Mutation;
 pub use recorder::{

@@ -19,8 +19,8 @@
 //! their numbers.
 
 use ldx_dualex::{
-    dual_execute_and_record, dual_execute_shared, dual_execute_with, record, replay, CausalityKind,
-    Decision, DualReport, DualSpec, FlightEvent, Mutation, Schedule, SinkSpec, SourceSpec,
+    dual_execute, dual_execute_and_record, dual_execute_shared, record, replay, CausalityKind,
+    Decision, DualReport, DualSpec, FlightEvent, Mutation, SinkSpec, SourceSpec,
 };
 use ldx_runtime::{run_program, ExecConfig, NativeHooks};
 use ldx_vos::{PeerBehavior, Vos, VosConfig};
@@ -41,6 +41,17 @@ const PROBE: &str = r#"fn main() {
 }"#;
 
 const RUNS: usize = 200;
+
+/// A way to run one dual execution.
+type Run = fn(Arc<ldx_ir::IrProgram>, &VosConfig, &DualSpec) -> DualReport;
+
+/// The two ways: master and slave at once on two threads, and the slave
+/// after the master on one.
+const SCHEDULES: [(&str, Run); 2] = [("two threads", dual_execute), ("one thread", one_thread)];
+
+fn one_thread(program: Arc<ldx_ir::IrProgram>, config: &VosConfig, spec: &DualSpec) -> DualReport {
+    replay(&record(program, config, spec), spec)
+}
 
 fn world(secret: &str) -> VosConfig {
     VosConfig::new()
@@ -99,9 +110,9 @@ fn no_false_leaks(what: &str, mut run: impl FnMut() -> DualReport) {
 #[test]
 fn decoupled_clones_never_see_the_masters_future() {
     let program = program();
-    for schedule in [Schedule::TwoThreads, Schedule::OneThread] {
-        no_false_leaks(&format!("{schedule:?}"), || {
-            dual_execute_with(Arc::clone(&program), &world("41"), &spec(), schedule)
+    for (schedule, run) in SCHEDULES {
+        no_false_leaks(schedule, || {
+            run(Arc::clone(&program), &world("41"), &spec())
         });
     }
 }
@@ -161,11 +172,11 @@ fn file_out() -> DualSpec {
 #[test]
 fn a_sink_compares_descriptors_by_the_resource_they_name() {
     let program = append_after_a_tainting_read(r#""same""#);
-    for schedule in [Schedule::TwoThreads, Schedule::OneThread] {
-        let report = dual_execute_with(Arc::clone(&program), &world("41"), &file_out(), schedule);
+    for (schedule, run) in SCHEDULES {
+        let report = run(Arc::clone(&program), &world("41"), &file_out());
         assert!(
             !report.leaked(),
-            "{schedule:?}: the same append to /log is no causality: {:?}",
+            "{schedule}: the same append to /log is no causality: {:?}",
             report.causality
         );
         assert_eq!(report.timeouts, 0);
@@ -181,15 +192,15 @@ fn a_sink_compares_descriptors_by_the_resource_they_name() {
                 }
             )
         });
-        assert!(appended, "{schedule:?}: the slave's append did not run");
+        assert!(appended, "{schedule}: the slave's append did not run");
     }
 }
 
 #[test]
 fn a_sink_with_different_data_is_still_an_argument_difference() {
     let program = append_after_a_tainting_read("str(x)");
-    for schedule in [Schedule::TwoThreads, Schedule::OneThread] {
-        let report = dual_execute_with(Arc::clone(&program), &world("41"), &file_out(), schedule);
+    for (schedule, run) in SCHEDULES {
+        let report = run(Arc::clone(&program), &world("41"), &file_out());
         let diffs: Vec<(&str, &str)> = report
             .causality
             .iter()
@@ -198,7 +209,7 @@ fn a_sink_with_different_data_is_still_an_argument_difference() {
                 _ => None,
             })
             .collect();
-        assert_eq!(diffs.len(), 1, "{schedule:?}: {:?}", report.causality);
+        assert_eq!(diffs.len(), 1, "{schedule}: {:?}", report.causality);
         let (master, slave) = diffs[0];
         assert!(
             master.ends_with(", 41") && slave.ends_with(", 42"),
@@ -221,14 +232,14 @@ fn a_sink_through_a_file_opened_in_another_mode_is_an_argument_difference() {
     write(open("/log", flags), "same");
 }"#,
     );
-    for schedule in [Schedule::TwoThreads, Schedule::OneThread] {
-        let report = dual_execute_with(Arc::clone(&program), &world("41"), &file_out(), schedule);
+    for (schedule, run) in SCHEDULES {
+        let report = run(Arc::clone(&program), &world("41"), &file_out());
         let diffs = report
             .causality
             .iter()
             .filter(|record| matches!(record.kind, CausalityKind::ArgDiff { .. }))
             .count();
-        assert_eq!(diffs, 1, "{schedule:?}: {:?}", report.causality);
+        assert_eq!(diffs, 1, "{schedule}: {:?}", report.causality);
         assert_eq!(report.timeouts, 0);
     }
 }

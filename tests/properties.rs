@@ -26,8 +26,8 @@
 
 use ldx::{BatchEngine, BatchJob};
 use ldx_dualex::{
-    dual_execute, dual_execute_and_record, dual_execute_with, record, replay, DualReport, DualSpec,
-    Mutation, Recording, Schedule, SinkSpec, SourceSpec,
+    dual_execute, dual_execute_and_record, record, replay, DualReport, DualSpec, Mutation,
+    Recording, SinkSpec, SourceSpec,
 };
 use ldx_runtime::ExecConfig;
 use ldx_vos::VosConfig;
@@ -35,7 +35,16 @@ use ldx_workloads::{random_program_source, GeneratorConfig, Suite};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-const SCHEDULES: [Schedule; 2] = [Schedule::TwoThreads, Schedule::OneThread];
+/// A way to run one dual execution.
+type Run = fn(Arc<ldx_ir::IrProgram>, &VosConfig, &DualSpec) -> DualReport;
+
+/// The two ways: master and slave at once on two threads, and the slave
+/// after the master on one.
+const SCHEDULES: [(&str, Run); 2] = [("two threads", dual_execute), ("one thread", one_thread)];
+
+fn one_thread(program: Arc<ldx_ir::IrProgram>, config: &VosConfig, spec: &DualSpec) -> DualReport {
+    replay(&record(program, config, spec), spec)
+}
 
 /// Everything a report says about the two executions (the flight log
 /// aside: its progress deltas are how far the master had run ahead).
@@ -128,7 +137,7 @@ fn replayed_flight_log_matches(
     spec: &DualSpec,
 ) -> Result<(), String> {
     let spec = spec.clone().recorded();
-    let one = dual_execute_with(Arc::clone(program), w, &spec, Schedule::OneThread);
+    let one = one_thread(Arc::clone(program), w, &spec);
     for recording in recordings(program, w, &spec) {
         let replayed = replay(&recording, &spec);
         if replayed.flight != one.flight {
@@ -274,17 +283,12 @@ proptest! {
         let out_original = native_out(&original);
         let out_mutated = native_out(&mutated);
 
-        for schedule in SCHEDULES {
-            let report = dual_execute_with(
-                Arc::clone(&program),
-                &world(&original),
-                &spec(Mutation::OffByOne),
-                schedule,
-            );
+        for (schedule, run) in SCHEDULES {
+            let report = run(Arc::clone(&program), &world(&original), &spec(Mutation::OffByOne));
             prop_assert_eq!(
                 report.leaked(),
                 out_original != out_mutated,
-                "seed {} input {} {:?}: outputs {:?} vs {:?}, records {:?}",
+                "seed {} input {} {}: outputs {:?} vs {:?}, records {:?}",
                 seed, input, schedule, out_original, out_mutated, report.causality
             );
         }
@@ -296,9 +300,7 @@ proptest! {
         let program = build(seed);
         let w = world(&input.to_string());
         let s = spec(Mutation::OffByOne);
-        let [two, one] = SCHEDULES.map(|schedule| {
-            verdict(&dual_execute_with(Arc::clone(&program), &w, &s, schedule))
-        });
+        let [two, one] = SCHEDULES.map(|(_, run)| verdict(&run(Arc::clone(&program), &w, &s)));
         prop_assert_eq!(two, one, "seed {} input {}", seed, input);
     }
 
@@ -427,14 +429,8 @@ fn shared_master_reports_equal_dedicated_reports_on_the_corpus() {
 fn one_thread_report_equals_two_thread_report_on_the_corpus() {
     let corpus = ldx_workloads::corpus();
     for w in corpus.iter().filter(|w| w.suite != Suite::Concurrent) {
-        let [two, one] = SCHEDULES.map(|schedule| {
-            verdict(&dual_execute_with(
-                w.program(),
-                &w.world,
-                &w.dual_spec(),
-                schedule,
-            ))
-        });
+        let [two, one] =
+            SCHEDULES.map(|(_, run)| verdict(&run(w.program(), &w.world, &w.dual_spec())));
         assert_eq!(two, one, "{}", w.name);
     }
 }
