@@ -10,25 +10,29 @@
 //! blocks forever, and the master never waits for a slave.
 //!
 //! A log is a chain of chunks of [`CHUNK`] slots, each written once. The
-//! master writes a slot, then reads the log's `parked` flag; a slave at the
-//! end of the log sets the flag, then reads the slot (a fence on each side),
-//! so either the slave sees the entry or the master sees the slave parked
-//! and wakes it. It wakes a parked slave once per park: it clears the flag
-//! when it notifies. A slave takes no lock the master takes while entries
-//! are there. `master_ready` moves only when the master wakes a slave (to
-//! the key of the entry or backedge that woke it) or its thread exits, and
-//! a slave reads it under the log's lock after the slots, so it never names
-//! a key past an entry the slave cannot see.
+//! master writes a slot, then reads every reader's `parked` flag; a slave at
+//! the end of the log sets its flag, then reads the slot (a fence on each
+//! side), so either the slave sees the entry or the master sees the slave
+//! parked and wakes it. It wakes a parked slave once per park: it clears
+//! the flags when it notifies, and a slave that does not wait (its re-check
+//! found an entry, or its wait timed out) clears its own. A slave takes no
+//! lock the master takes while entries are there. `master_ready` moves
+//! only when the master wakes a slave (to the key of the entry or backedge
+//! that woke it) or its thread exits, and a slave reads it under the log's
+//! lock after the slots, so it never names a key past an entry the slave
+//! cannot see.
 //!
 //! A chunk is freed once every cursor has passed it, unless the log keeps
 //! its head for a recording. A replay is a fresh set of cursors on those
-//! heads ([`Coupling::replaying`]); no entry is copied. One master may drive
-//! several couplings, one per live slave: they read its logs through cursors
-//! of their own, and nothing else is shared between them, so each coupling
-//! is exactly the coupling of a one-slave run.
+//! heads ([`Coupling::replaying`]); no entry is copied. A [`Coupling`] holds
+//! one slave's state only: the cursor it reads the logs through, its
+//! counters, taint sets, causality records and flight recorder. The master
+//! writes none of it, so k live slaves of one master (or none, for a
+//! recording) each have exactly the coupling of a one-slave run.
 //!
-//! Every protocol decision either side makes is reported once, through
-//! [`Coupling::emit`].
+//! Every slave decision, and every master entry its slave left unread, is
+//! reported once, through [`Coupling::emit`]. The master's own decisions
+//! are in its own flight lane (see `dualex::master`).
 
 use crate::recorder::{
     ByteDiff, Decision, FlightEvent, FlightLog, FlightRecorder, ResourceId, DEFAULT_FLIGHT_CAPACITY,
@@ -207,50 +211,63 @@ struct Tail {
 }
 
 /// One Lx thread's master log: its chunks, written only by the master, a
-/// cursor per reader, and what the master published.
+/// cursor and a park flag per reader, and what the master published.
 pub(crate) struct ThreadLog {
     /// Locked only by the master (a replayed log's is never written).
     tail: Mutex<Tail>,
     /// One per reader: per live slave, or the one replayed slave.
-    cursors: Box<[Mutex<Cursor>]>,
+    readers: Box<[Reader]>,
     pub published: Mutex<Published>,
     cv: Condvar,
-    /// Set by a slave at the end of the log before it waits, and cleared by
-    /// the master when it notifies, so it wakes a slave once per park. A
-    /// slave whose wait times out leaves it set, costing the master one
-    /// spurious notify. A backedge publish reads the flag without a lock;
-    /// one that misses it delays the slave until the master's next append,
-    /// backedge or thread exit, since a timed wait that returns finds no
-    /// new entry and the same stale `master_ready` and parks again
-    /// (`MAX_WAIT` is the backstop).
+}
+
+/// One reader of a [`ThreadLog`]: its cursor, and its park flag, which
+/// lies outside the cursor's cache lines so that the master's reads of it
+/// never pull in the line a reading slave writes.
+struct Reader {
+    cursor: Mutex<Cursor>,
+    /// Set by the slave at the end of the log before it waits, under the
+    /// log's lock, and cleared by the master when it notifies, so it wakes
+    /// a slave once per park. The slave clears it itself under the lock when
+    /// it does not wait (its re-check found an entry) or its wait timed out,
+    /// so the master's next step takes no lock for it. A backedge publish
+    /// reads the flag without a lock; one that misses it delays the slave
+    /// until the master's next append, backedge or thread exit, since a
+    /// timed wait that returns finds no new entry and the same stale
+    /// `master_ready` and parks again (`MAX_WAIT` is the backstop).
     parked: AtomicBool,
 }
 
 impl ThreadLog {
     /// A log starting at `head`, with `readers` cursors there.
     fn new(head: Arc<Chunk>, readers: usize) -> Self {
-        let cursor = || {
-            Mutex::new(Cursor {
+        let reader = || Reader {
+            cursor: Mutex::new(Cursor {
                 chunk: Arc::clone(&head),
                 index: 0,
-            })
+            }),
+            parked: AtomicBool::new(false),
         };
         ThreadLog {
-            cursors: (0..readers).map(|_| cursor()).collect(),
+            readers: (0..readers).map(|_| reader()).collect(),
             tail: Mutex::new(Tail {
                 chunk: Arc::clone(&head),
                 len: 0,
             }),
             published: Mutex::default(),
             cv: Condvar::new(),
-            parked: AtomicBool::new(false),
         }
     }
 
     /// Reader `reader`'s cursor. Only that reader's slave takes this lock
     /// while the run lasts, so it is never contended.
     pub fn cursor(&self, reader: usize) -> MutexGuard<'_, Cursor> {
-        self.cursors[reader].lock()
+        self.readers[reader].cursor.lock()
+    }
+
+    /// Whether any reader is parked.
+    fn any_parked(&self, order: Ordering) -> bool {
+        self.readers.iter().any(|r| r.parked.load(order))
     }
 
     /// Master: logs an outcome, and wakes a parked slave, publishing the
@@ -272,7 +289,7 @@ impl ThreadLog {
         // write and its slot read: one of the two sides sees the other's
         // write, so a parked slave is never left unwoken.
         fence(Ordering::SeqCst);
-        if self.parked.load(Ordering::Relaxed) {
+        if self.any_parked(Ordering::Relaxed) {
             let mut published = self.published.lock();
             published.master_ready = slot.get().map(|e| e.key.clone());
             self.wake(published);
@@ -285,7 +302,7 @@ impl ThreadLog {
     /// reads `master_ready` only at the end of the log, and then it parks
     /// before waiting.
     pub fn publish(&self, key: &ProgressKey) {
-        if !self.parked.load(Ordering::SeqCst) {
+        if !self.any_parked(Ordering::SeqCst) {
             return;
         }
         let mut published = self.published.lock();
@@ -298,37 +315,43 @@ impl ThreadLog {
         let mut published = self.published.lock();
         published.done = true;
         published.master_ready = Some(ProgressKey::top());
-        self.parked.store(false, Ordering::SeqCst);
+        for reader in &self.readers {
+            reader.parked.store(false, Ordering::SeqCst);
+        }
         drop(published);
         self.cv.notify_all();
     }
 
     /// Releases the log's lock, then notifies if a slave is parked,
-    /// clearing the flag so the next append does not notify again.
+    /// clearing every flag so the next append does not notify again.
     fn wake(&self, published: MutexGuard<'_, Published>) {
-        let parked = self.parked.swap(false, Ordering::SeqCst);
+        let parked = self.readers.iter().fold(false, |any, reader| {
+            reader.parked.swap(false, Ordering::SeqCst) | any
+        });
         drop(published);
         if parked {
             self.cv.notify_all();
         }
     }
 
-    /// Slave, at the end of `cursor` and holding the log's lock: waits up
-    /// to `timeout` unless an entry landed in the meantime. Returns whether
-    /// the wait timed out rather than being notified.
+    /// Slave `reader`, at the end of `cursor` and holding the log's lock:
+    /// waits up to `timeout` unless an entry landed in the meantime.
+    /// Returns whether the wait timed out rather than being notified. Its
+    /// flag is clear on return.
     pub fn park(
         &self,
+        reader: usize,
         published: &mut MutexGuard<'_, Published>,
         cursor: &mut Cursor,
         timeout: Duration,
     ) -> bool {
-        self.parked.store(true, Ordering::Relaxed);
+        let parked = &self.readers[reader].parked;
+        parked.store(true, Ordering::Relaxed);
         // Pairs with the fence in [`ThreadLog::append`].
         fence(Ordering::SeqCst);
-        if cursor.peek().is_some() {
-            return false;
-        }
-        self.cv.wait_for(published, timeout).timed_out()
+        let timed_out = cursor.peek().is_none() && self.cv.wait_for(published, timeout).timed_out();
+        parked.store(false, Ordering::Relaxed);
+        timed_out
     }
 }
 
@@ -498,27 +521,10 @@ pub(crate) enum Diff {
 /// How long one slave park lasts before the slave looks again.
 pub(crate) const PARK_WAIT: Duration = Duration::from_millis(2);
 
-/// Counters of one dual execution, written by [`Coupling::emit`].
-/// Each role's counters sit on their own cache lines, so the master's and
-/// the slave's increments never contend.
-#[derive(Debug, Default)]
-pub(crate) struct CouplingStats {
-    pub master: MasterStats,
-    pub slave: SlaveStats,
-}
-
-/// Counters the master writes while the executions run.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-pub(crate) struct MasterStats {
-    /// Sink instances the master executed.
-    pub sinks: AtomicU64,
-}
-
 /// Counters the slave writes while the executions run (and
-/// [`Coupling::reconcile`] once both have finished).
+/// [`Coupling::reconcile`] once both have finished), through
+/// [`Coupling::emit`].
 #[derive(Debug, Default)]
-#[repr(align(128))]
 pub(crate) struct SlaveStats {
     /// Outcomes shared master → slave.
     pub shared: AtomicU64,
@@ -540,7 +546,7 @@ pub(crate) struct Coupling {
     /// it must never wait for it.
     pub master_first: bool,
     pub records: Mutex<Vec<CausalityRecord>>,
-    pub stats: CouplingStats,
+    pub stats: SlaveStats,
     /// Paths with diverged state (paper §7 resource tainting).
     pub tainted_paths: Mutex<HashSet<String>>,
     /// Lock ids with diverged synchronization (paper §7).
@@ -560,7 +566,7 @@ impl Coupling {
             reader,
             master_first: false,
             records: Mutex::new(Vec::new()),
-            stats: CouplingStats::default(),
+            stats: SlaveStats::default(),
             tainted_paths: Mutex::new(HashSet::new()),
             tainted_locks: Mutex::new(HashSet::new()),
             recorder: record.then(|| FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY)),
@@ -574,20 +580,19 @@ impl Coupling {
     }
 
     /// Coupling state for a slave replayed against a finished master:
-    /// fresh cursors on the recorded `heads`, and the flight recorder (when
-    /// `record`) resumed from the master's `lane`.
-    pub fn replaying(record: bool, lane: &FlightLog, heads: &Heads) -> Self {
+    /// fresh cursors on the recorded `heads`.
+    pub fn replaying(record: bool, heads: &Heads) -> Self {
         Coupling {
             master_first: true,
-            recorder: record.then(|| FlightRecorder::resume(DEFAULT_FLIGHT_CAPACITY, lane.clone())),
-            ..Coupling::reading(Arc::new(MasterLogs::replaying(heads)), 0, false)
+            ..Coupling::reading(Arc::new(MasterLogs::replaying(heads)), 0, record)
         }
     }
 
-    /// Reports one protocol decision: bumps its counter, fires its
-    /// `ldx-obs` instant, records the causality `diff` exposes, and
-    /// appends the event to `role`'s lane when recording. With recording
-    /// off nothing is cloned unless `diff` is a causality record.
+    /// Reports one slave decision, or a master entry its slave left unread:
+    /// bumps its counter, fires its `ldx-obs` instant, records the
+    /// causality `diff` exposes, and appends the event to `role`'s lane
+    /// when recording. With recording off nothing is cloned unless `diff`
+    /// is a causality record.
     pub fn emit(
         &self,
         role: Role,
@@ -598,16 +603,15 @@ impl Coupling {
     ) {
         let stats = &self.stats;
         let (counter, instant) = match decision {
-            Decision::Executed => (is_sink.then_some(&stats.master.sinks), None),
-            Decision::Shared => (Some(&stats.slave.shared), Some("aligned-reuse")),
+            Decision::Shared => (Some(&stats.shared), Some("aligned-reuse")),
             // A sink that compared equal shares the outcome.
             Decision::Compared => (
-                diff.is_none().then_some(&stats.slave.shared),
+                diff.is_none().then_some(&stats.shared),
                 Some("sink-compare"),
             ),
-            Decision::Decoupled => (Some(&stats.slave.decoupled), Some("decoupled")),
-            Decision::Timeout => (Some(&stats.slave.timeouts), Some("timeout")),
-            Decision::MasterOnly | Decision::SlaveOnly => (None, None),
+            Decision::Decoupled => (Some(&stats.decoupled), Some("decoupled")),
+            Decision::Timeout => (Some(&stats.timeouts), Some("timeout")),
+            Decision::Executed | Decision::MasterOnly | Decision::SlaveOnly => (None, None),
         };
         if let Some(counter) = counter {
             counter.fetch_add(1, Ordering::Relaxed);
@@ -634,7 +638,7 @@ impl Coupling {
         });
         match diff {
             Some(Diff::Syscall) => {
-                stats.slave.diffs.fetch_add(1, Ordering::Relaxed);
+                stats.diffs.fetch_add(1, Ordering::Relaxed);
             }
             Some(Diff::Sink(kind)) => {
                 if let CausalityKind::ArgDiff { master, slave } = &kind {
@@ -675,14 +679,6 @@ impl Coupling {
         self.recorder
             .as_ref()
             .map(FlightRecorder::drain)
-            .unwrap_or_default()
-    }
-
-    /// A copy of the master lane so far (empty when recording is off).
-    pub fn master_flight_log(&self) -> FlightLog {
-        self.recorder
-            .as_ref()
-            .map(FlightRecorder::master_log)
             .unwrap_or_default()
     }
 
@@ -820,7 +816,7 @@ mod tests {
             if released(&published, read) {
                 return timeouts;
             }
-            let timed_out = log.park(&mut published, &mut cursor, Duration::from_secs(5));
+            let timed_out = log.park(reader, &mut published, &mut cursor, Duration::from_secs(5));
             timeouts += u32::from(timed_out);
         }
     }
@@ -840,9 +836,7 @@ mod tests {
             let timeouts = read_until(&slave, 0, released, |_| {});
             tx.send(timeouts).expect("test is waiting");
         });
-        while !log.parked.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
+        wait_parked(&log, 0);
         wake(&log);
         assert_eq!(
             rx.recv_timeout(Duration::from_secs(10)),
@@ -850,7 +844,25 @@ mod tests {
             "{what} lost the wakeup of a parked slave"
         );
         slave.join().expect("slave thread");
-        assert!(!log.parked.load(Ordering::SeqCst));
+        assert!(!parked(&log, 0));
+    }
+
+    /// Whether reader `reader` of `log` is parked.
+    fn parked(log: &ThreadLog, reader: usize) -> bool {
+        log.readers[reader].parked.load(Ordering::SeqCst)
+    }
+
+    /// Marks reader `reader` of `log` parked, as a slave does before it
+    /// waits.
+    fn set_parked(log: &ThreadLog, reader: usize) {
+        log.readers[reader].parked.store(true, Ordering::SeqCst);
+    }
+
+    /// Returns once reader `reader` of `log` is parked.
+    fn wait_parked(log: &ThreadLog, reader: usize) {
+        while !parked(log, reader) {
+            std::thread::yield_now();
+        }
     }
 
     /// Whether the master has published progress at or past `key`.
@@ -897,7 +909,7 @@ mod tests {
             log.append(entry(i, false));
             if i % 89 == 0 {
                 // The slave parked: the next append wakes it.
-                log.parked.store(true, Ordering::SeqCst);
+                set_parked(&log, 0);
             }
             if i % 300 == 299 {
                 seen.extend(consume(&log, 40));
@@ -940,7 +952,7 @@ mod tests {
                 // A slave parks, and the master passes the backedge between
                 // entries `i - 1` and `i`.
                 5 => {
-                    log.parked.store(true, Ordering::SeqCst);
+                    set_parked(&log, 0);
                     log.publish(&key(2 * u64::from(i) - 1));
                 }
                 7 => drop(consume(&log, 4)),
@@ -963,11 +975,11 @@ mod tests {
     #[test]
     fn the_master_wakes_a_parked_slave_once() {
         let log = fresh_log();
-        log.parked.store(true, Ordering::SeqCst);
+        set_parked(&log, 0);
         log.append(entry(0, false));
         // The notifying append cleared the flag: later steps neither lock
         // nor notify until a slave parks again.
-        assert!(!log.parked.load(Ordering::SeqCst));
+        assert!(!parked(&log, 0));
         log.append(entry(1, false));
         log.publish(&key(3));
         assert_eq!(log.published.lock().master_ready, Some(entry(0, false).key));
@@ -1162,6 +1174,20 @@ mod tests {
     }
 
     #[test]
+    fn a_park_flag_lies_off_its_cursors_cache_lines() {
+        // The master reads every reader's flag at each append; a reading
+        // slave writes its cursor at each entry.
+        let log = fresh_log();
+        let reader = &log.readers[0];
+        let cursor = &reader.cursor as *const Mutex<Cursor> as usize;
+        let flag = &reader.parked as *const AtomicBool as usize;
+        let lines = cursor..cursor + std::mem::size_of::<Mutex<Cursor>>();
+        assert!(!lines.contains(&flag));
+        assert_eq!(cursor % 128, 0);
+        assert_eq!(lines.len() % 128, 0);
+    }
+
+    #[test]
     fn every_syscalls_arguments_fit_inline() {
         for sys in Syscall::ALL {
             assert!(
@@ -1188,13 +1214,60 @@ mod tests {
     }
 
     #[test]
-    fn role_counters_live_on_separate_cache_lines() {
-        let stats = CouplingStats::default();
-        let master = &stats.master as *const MasterStats as usize;
-        let slave = &stats.slave as *const SlaveStats as usize;
-        assert!(master.abs_diff(slave) >= 128);
-        assert_eq!(std::mem::align_of::<MasterStats>(), 128);
-        assert_eq!(std::mem::align_of::<SlaveStats>(), 128);
+    fn a_park_whose_recheck_finds_an_entry_leaves_its_flag_clear() {
+        let log = fresh_log();
+        log.append(entry(0, false));
+        let mut cursor = log.cursor(0);
+        let timed_out = log.park(
+            0,
+            &mut log.published.lock(),
+            &mut cursor,
+            Duration::from_secs(5),
+        );
+        assert!(!timed_out);
+        assert!(!parked(&log, 0), "the next append would wake no one");
+    }
+
+    #[test]
+    fn a_park_that_times_out_leaves_its_flag_clear() {
+        let log = fresh_log();
+        let mut cursor = log.cursor(0);
+        let timeout = Duration::from_millis(1);
+        assert!(log.park(0, &mut log.published.lock(), &mut cursor, timeout));
+        assert!(!parked(&log, 0), "the next append would wake no one");
+    }
+
+    #[test]
+    fn one_readers_early_return_leaves_anothers_park_standing() {
+        let log = Arc::new(ThreadLog::new(Chunk::new(CHUNK), 2));
+        log.append(entry(0, false));
+        // Reader 1 reads the entry and parks for the next one.
+        let (tx, rx) = mpsc::channel();
+        let slave = {
+            let log = Arc::clone(&log);
+            std::thread::spawn(move || {
+                let timeouts = read_until(&log, 1, |_, read| read > 1, |_| {});
+                tx.send(timeouts).expect("test is waiting");
+            })
+        };
+        wait_parked(&log, 1);
+        // Reader 0, behind, finds the entry on its re-check.
+        let mut cursor = log.cursor(0);
+        assert!(!log.park(
+            0,
+            &mut log.published.lock(),
+            &mut cursor,
+            Duration::from_secs(5)
+        ));
+        drop(cursor);
+        assert!(!parked(&log, 0) && parked(&log, 1));
+        log.append(entry(1, false));
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(10)),
+            Ok(0),
+            "the append after another reader's early return lost the wakeup"
+        );
+        slave.join().expect("slave thread");
     }
 
     #[test]
@@ -1204,7 +1277,7 @@ mod tests {
         // publish leaves the log untouched.
         log.publish(&ProgressKey::start());
         assert!(log.published.lock().master_ready.is_none());
-        log.parked.store(true, Ordering::SeqCst);
+        set_parked(&log, 0);
         log.publish(&ProgressKey::start());
         assert!(log.published.lock().master_ready.is_some());
         log.finish();
@@ -1265,8 +1338,7 @@ mod tests {
         let heads = logs.heads();
         let threads: Vec<&ThreadKey> = heads.iter().map(|(t, _)| t).collect();
         assert_eq!(threads, [&root, &child], "in ThreadKey order");
-        let lane = FlightLog::default();
-        let replays = [0, 1].map(|_| Coupling::replaying(false, &lane, &heads));
+        let replays = [0, 1].map(|_| Coupling::replaying(false, &heads));
         for (t, head) in &heads {
             for c in &replays {
                 c.logs.with_log(t, |log| {
@@ -1290,7 +1362,7 @@ mod tests {
             log.append(entry(0, false));
             log.append(entry(1, true));
         });
-        let c = Coupling::replaying(false, &FlightLog::default(), &logs.heads());
+        let c = Coupling::replaying(false, &logs.heads());
         assert!(c.master_first);
         c.logs.with_log(&root, |log| {
             let published = log.published.lock();
@@ -1314,7 +1386,7 @@ mod tests {
             log.append(entry(1, true));
         });
         c.reconcile();
-        assert_eq!(c.stats.slave.diffs.load(Ordering::Relaxed), 1);
+        assert_eq!(c.stats.diffs.load(Ordering::Relaxed), 1);
         assert_eq!(c.records.lock().len(), 1);
     }
 
@@ -1329,7 +1401,7 @@ mod tests {
             log.append(entry(3, false));
         });
         c.reconcile();
-        assert_eq!(c.stats.slave.diffs.load(Ordering::Relaxed), 2);
+        assert_eq!(c.stats.diffs.load(Ordering::Relaxed), 2);
         assert_eq!(c.records.lock().len(), 1);
         let log = c.take_flight_log();
         let sites: Vec<u32> = log

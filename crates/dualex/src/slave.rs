@@ -280,7 +280,7 @@ impl SlaveHooks {
                 return Align::Decoupled;
             }
             *waits += 1;
-            log.park(&mut published, &mut cursor, PARK_WAIT);
+            log.park(self.coupling.reader, &mut published, &mut cursor, PARK_WAIT);
         }
     }
 
@@ -743,7 +743,7 @@ mod tests {
         let stop = StopSignal::new();
         stop.request_exit(0);
         let aligned = hooks.align(&read_at(key, main, stop), &READ_ARGS, false);
-        let timeouts = coupling.stats.slave.timeouts.load(Ordering::Relaxed);
+        let timeouts = coupling.stats.timeouts.load(Ordering::Relaxed);
         let log = coupling.take_flight_log();
         assert_eq!(
             timeouts > 0,
@@ -783,7 +783,7 @@ mod tests {
             hooks.align(&ctx, &READ_ARGS, false),
             Align::Decoupled
         ));
-        assert_eq!(coupling.stats.slave.timeouts.load(Ordering::Relaxed), 1);
+        assert_eq!(coupling.stats.timeouts.load(Ordering::Relaxed), 1);
         assert!(start.elapsed() < Duration::from_secs(1));
     }
 
@@ -850,7 +850,7 @@ mod tests {
             done.store(true, Ordering::SeqCst);
             stop.request_exit(0);
             assert_eq!(decoupled, Ok(true), "iteration {i}: slave not released");
-            assert_eq!(coupling.stats.slave.timeouts.load(Ordering::Relaxed), 0);
+            assert_eq!(coupling.stats.timeouts.load(Ordering::Relaxed), 0);
             master.join().expect("master thread");
             slave.join().expect("slave thread");
         }

@@ -1,10 +1,10 @@
 //! Protocol edge cases: indirect-call frames, recursion, setjmp/longjmp
-//! divergence, resource tainting, thread asymmetry, and live slaves of one
-//! master that run at different speeds.
+//! divergence, resource tainting, thread asymmetry, live slaves of one
+//! master that run at different speeds, and a master lane that overflows.
 
 use ldx_dualex::{
-    dual_execute, dual_execute_shared, CausalityKind, DualSpec, Mutation, SinkSpec, SourceMatcher,
-    SourceSpec,
+    dual_execute, dual_execute_shared, record, replay, CausalityKind, Decision, DualSpec,
+    FlightEvent, Mutation, SinkSpec, SourceMatcher, SourceSpec, DEFAULT_FLIGHT_CAPACITY,
 };
 use ldx_vos::{PeerBehavior, VosConfig};
 use std::sync::Arc;
@@ -524,4 +524,51 @@ fn a_fast_slave_never_trims_history_a_slow_slave_still_reads() {
         assert_eq!(identity.shared, master_syscalls, "run {run}");
         assert_eq!(mutated.timeouts + identity.timeouts, 0);
     }
+}
+
+#[test]
+fn an_overflowing_master_lane_is_the_same_live_replayed_and_shared() {
+    // The mutated slave exits at once, so the master's 20,000 writes and
+    // their backedges overflow its lane, and every write is a leftover
+    // that reconcile drops at the full lane.
+    let program = build(
+        r#"
+        fn main() {
+            let x = int(read(open("/secret", 0), 8));
+            if (x > 41) { exit(0); }
+            let fd = open("/log", 1);
+            for (let j = 0; j < 20000; j = j + 1) { write(fd, "x"); }
+            close(fd);
+        }
+        "#,
+    );
+    let world = VosConfig::new().file("/secret", "41").file("/log", "");
+    let spec = spec_file("/secret", Mutation::OffByOne, SinkSpec::NetworkOut).recorded();
+    let live = dual_execute(Arc::clone(&program), &world, &spec);
+    let replayed = replay(&record(Arc::clone(&program), &world, &spec), &spec);
+    assert_eq!(live.flight, replayed.flight);
+    for shared in dual_execute_shared(Arc::clone(&program), &world, &[spec.clone(), spec.clone()]) {
+        assert_eq!(shared.flight, live.flight);
+    }
+    let m = &live.master.as_ref().expect("master ran").stats;
+    let flight = &live.flight;
+    // Keep-earliest: the full lane holds only the master's own events.
+    assert_eq!(flight.master.len(), DEFAULT_FLIGHT_CAPACITY);
+    assert!(flight.master.iter().all(|e| matches!(
+        e,
+        FlightEvent::Barrier { .. }
+            | FlightEvent::Syscall {
+                decision: Decision::Executed,
+                ..
+            }
+    )));
+    // The slave read only the two entries it shared; reconcile drained
+    // the rest, each a syscall difference.
+    let leftovers = m.syscalls - live.shared;
+    assert_eq!((live.shared, live.syscall_diffs), (2, leftovers));
+    let total = m.syscalls + m.barrier_waits + leftovers;
+    assert_eq!(
+        flight.master_dropped,
+        total - DEFAULT_FLIGHT_CAPACITY as u64
+    );
 }

@@ -17,8 +17,12 @@ quartiles, how many pairs the change won (ties count for neither), the
 change of the median, whether the change's median is worse than the
 base's by more than the metric's `bound`, and whether the change wins at
 least 9 pairs in 10 with a median gap wider than the base's interquartile
-range (the rule for claiming a gain, which needs at least 10 pairs). It only reads BENCHMARK.json and the
-checkouts; it writes nothing into either.
+range (the rule for claiming a gain, which needs at least 10 pairs).
+
+It only reads BENCHMARK.json and the checkouts, and writes nothing into
+either but cargo's build output under `ldxperf/target`: the build and every
+run pass `--locked`, so cargo never rewrites `ldxperf/Cargo.lock`; a lock
+it would have to change is an error.
 """
 
 import argparse
@@ -51,10 +55,16 @@ def build(checkout):
     )
 
 
+def locked(command):
+    """`command` with `--locked` before its `--`, so cargo never edits the lockfile."""
+    end = command.index("--") if "--" in command else len(command)
+    return command[:end] + ["--locked"] + command[end:]
+
+
 def run_once(checkout, command, args):
     """Runs the benchmark once in `checkout`; returns its last JSON line."""
     proc = subprocess.run(
-        command + args, cwd=checkout, capture_output=True, text=True
+        locked(command) + args, cwd=checkout, capture_output=True, text=True
     )
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
     if proc.returncode != 0 or not lines:
