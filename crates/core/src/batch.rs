@@ -144,8 +144,6 @@ pub struct JobResult {
     /// its master with others of its batch is charged an equal share of
     /// that master's run, so the walls of a batch sum to its busy time.
     pub wall: Duration,
-    /// Time the job spent queued before a worker picked it up.
-    pub queue_latency: Duration,
     /// Which worker ran the job.
     pub worker: usize,
 }
@@ -252,8 +250,8 @@ impl BatchEngine {
         };
         let shared = n - groups.len();
         ldx_obs::counter_add("batch.shared_masters", shared as u64);
-        let (done, worker_busy) = Self::dispatch(workers, groups, |ctx, group| {
-            Self::run_group(&ctx, group, one_thread)
+        let (done, worker_busy) = Self::dispatch(workers, groups, |worker, group| {
+            Self::run_group(worker, group, one_thread)
         });
         let mut slots: Vec<Option<JobResult>> = (0..n).map(|_| None).collect();
         for (index, result) in done.into_iter().flatten() {
@@ -271,17 +269,17 @@ impl BatchEngine {
     }
 
     /// Runs jobs that share one live master (one job: a plain dual
-    /// execution, on one thread if `one_thread`, or its replay); each is
-    /// charged an equal share of the run.
+    /// execution, on one thread if `one_thread`, or its replay) on worker
+    /// `worker`; each is charged an equal share of the run.
     fn run_group(
-        ctx: &TaskCtx,
+        worker: usize,
         group: Vec<(usize, BatchJob)>,
         one_thread: bool,
     ) -> Vec<(usize, JobResult)> {
         let t0 = Instant::now();
         let (_, first) = &group[0];
         let span = ldx_obs::span(ldx_obs::cat::BATCH, first.label.clone())
-            .arg("worker", ctx.worker as i64)
+            .arg("worker", worker as i64)
             .arg("jobs", group.len() as i64);
         let reports = if let [(_, job)] = &group[..] {
             vec![match &job.recording {
@@ -301,7 +299,15 @@ impl BatchEngine {
         group
             .into_iter()
             .zip(reports)
-            .map(|((index, job), report)| (index, ctx.result(job, report, wall)))
+            .map(|((index, job), report)| {
+                let result = JobResult {
+                    label: job.label,
+                    report,
+                    wall,
+                    worker,
+                };
+                (index, result)
+            })
             .collect()
     }
 
@@ -319,18 +325,18 @@ impl BatchEngine {
     {
         let workers = self.width.min(available_parallelism() / 2).max(1);
         ldx_obs::counter_add("batch.jobs", items.len() as u64);
-        Self::dispatch(workers, items, |_ctx, item| f(item)).0
+        Self::dispatch(workers, items, |_worker, item| f(item)).0
     }
 
     /// The scheduler core: workers take the next item index from one
     /// shared cursor until none is left, and each result lands in its
-    /// item's slot. Worker 0 is the calling thread, so a one-worker pool
-    /// spawns nothing.
+    /// item's slot. `f` gets the worker's index and the item. Worker 0 is
+    /// the calling thread, so a one-worker pool spawns nothing.
     fn dispatch<T, R, F>(workers: usize, items: Vec<T>, f: F) -> (Vec<R>, Vec<Duration>)
     where
         T: Send,
         R: Send,
-        F: Fn(TaskCtx, T) -> R + Sync,
+        F: Fn(usize, T) -> R + Sync,
     {
         ldx_obs::counter_max("batch.workers", workers as u64);
         let enqueued = Instant::now();
@@ -347,17 +353,12 @@ impl BatchEngine {
                     return busy;
                 };
                 let item = item.lock().take().expect("each index is taken once");
-                let queue_latency = enqueued.elapsed();
                 ldx_obs::histogram_record(
                     "batch.queue_latency_ns",
-                    queue_latency.as_nanos() as u64,
+                    enqueued.elapsed().as_nanos() as u64,
                 );
-                let ctx = TaskCtx {
-                    worker,
-                    queue_latency,
-                };
                 let t0 = Instant::now();
-                let result = f(ctx, item);
+                let result = f(worker, item);
                 busy += t0.elapsed();
                 *slots[index].lock() = Some(result);
             }
@@ -381,24 +382,6 @@ impl BatchEngine {
             .map(|slot| slot.into_inner().expect("every submitted job completed"))
             .collect();
         (results, worker_busy)
-    }
-}
-
-/// Per-task context handed to the dispatch closure.
-struct TaskCtx {
-    worker: usize,
-    queue_latency: Duration,
-}
-
-impl TaskCtx {
-    fn result(&self, job: BatchJob, report: DualReport, wall: Duration) -> JobResult {
-        JobResult {
-            label: job.label,
-            report,
-            wall,
-            queue_latency: self.queue_latency,
-            worker: self.worker,
-        }
     }
 }
 
@@ -573,7 +556,7 @@ mod tests {
     fn dispatch_runs_every_item_once_and_keeps_input_order() {
         // Uneven costs: every seventh item sleeps, the others return at once.
         let calls: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
-        let (out, busy) = BatchEngine::dispatch(4, (0..1000).collect(), |_ctx, i: usize| {
+        let (out, busy) = BatchEngine::dispatch(4, (0..1000).collect(), |_worker, i: usize| {
             calls[i].fetch_add(1, Ordering::Relaxed);
             if i.is_multiple_of(7) {
                 std::thread::sleep(Duration::from_micros(200));
@@ -590,8 +573,8 @@ mod tests {
     #[test]
     fn one_worker_sees_items_in_submission_order() {
         let seen = Mutex::new(Vec::new());
-        let (out, _) = BatchEngine::dispatch(1, (0..9).collect(), |ctx, i: usize| {
-            assert_eq!(ctx.worker, 0);
+        let (out, _) = BatchEngine::dispatch(1, (0..9).collect(), |worker, i: usize| {
+            assert_eq!(worker, 0);
             seen.lock().push(i);
             i
         });

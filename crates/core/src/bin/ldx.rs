@@ -268,8 +268,8 @@ fn main() -> ExitCode {
     obs::counter_max("instrument.max_cnt", instr.max_cnt);
 
     // The explained chains need the flight log, so with `--explain` the
-    // run records it too: then one master recording serves the run and
-    // every attribution behind it. Only an experiment's `trace` prints it.
+    // flight recorder is on for the run and every attribution behind it.
+    // Only an experiment's `trace` prints the run's log.
     let traced = analysis.spec().record;
     let explain = flags.contains(&"--explain");
     if explain {

@@ -13,18 +13,23 @@
 //!   strength score (1.0 = every perturbation observable = strong;
 //!   near 0.0 = most perturbations absorbed = weak).
 //!
-//! Every one of these runs has the same master: only the sources the
-//! slave perturbs differ (§3). So an analysis records its master once —
-//! [`Analysis::run`] keeps its own, or the first extension call records
-//! one — and runs each spec as a slave replayed against that recording.
-//! A spec already run against it is not run again: its report is reused
+//! Every one of these runs, and [`Analysis::run`]'s own, has the same
+//! master: only the sources the slave perturbs differ (§3). So an analysis
+//! records its master once, alone, at the first attribution or probe that
+//! needs it, and runs each spec as a slave replayed against that
+//! recording. A spec already run is not run again: its report is reused
 //! (the combined run and a one-source attribution have the same spec, and
-//! so has the off-by-one strength probe for an off-by-one source). A
-//! program with a `spawn` site takes no recording; its specs run as full
-//! dual executions.
+//! so has the off-by-one strength probe for an off-by-one source).
+//! [`Analysis::run`] makes no recording: before there is one, it is a
+//! two-thread dual execution, so a lone run overlaps its master and slave.
+//! A program with a `spawn` site takes no recording, since its slave's
+//! threads are paced by a running master: its specs run as full dual
+//! executions.
 
 use crate::{Analysis, BatchEngine, BatchJob};
-use ldx_dualex::{record, DualReport, DualSpec, Mutation, Recording, SourceSpec};
+use ldx_dualex::{
+    dual_execute, record, replay, DualReport, DualSpec, Mutation, Recording, SourceSpec,
+};
 use ldx_runtime::{RunOutcome, RunStats, Value};
 use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
@@ -38,18 +43,6 @@ pub(crate) struct Replays {
 }
 
 impl Replays {
-    pub fn has_recording(&self) -> bool {
-        self.recording.get().is_some()
-    }
-
-    /// Keeps `recording`, and `report` as the report of `spec` against
-    /// it, unless a recording is kept already.
-    pub fn keep(&self, recording: Recording, spec: &DualSpec, report: &DualReport) {
-        if self.recording.set(Arc::new(recording)).is_ok() {
-            self.reports.lock().push((spec.clone(), report.clone()));
-        }
-    }
-
     /// The report of a spec equal to `spec` run before, if any.
     fn reused(&self, spec: &DualSpec) -> Option<DualReport> {
         let reports = self.reports.lock();
@@ -222,12 +215,41 @@ impl Analysis {
         }
     }
 
+    /// Runs the dual execution and returns the causality report: the
+    /// report of an equal spec run before if there is one, else a slave
+    /// replayed against this analysis' recording if an attribution or
+    /// strength probe has made one, else a two-thread [`dual_execute`],
+    /// which records nothing, so a lone run overlaps its master and slave.
+    /// Unless the program has a `spawn` site, the report is kept for
+    /// reuse.
+    pub fn run(&self) -> DualReport {
+        let spec = self.spec();
+        if let Some(report) = self.replays.reused(spec) {
+            return report;
+        }
+        let report = match self.replays.recording.get() {
+            Some(recording) => replay(recording, spec),
+            None => dual_execute(self.program(), self.world_ref(), spec),
+        };
+        if !self.program().spawns_threads() {
+            let kept = (spec.clone(), report.clone());
+            self.replays.reports.lock().push(kept);
+        }
+        report
+    }
+
     /// The reports of `specs` (labelled jobs), in order: reused where an
-    /// equal spec ran against this analysis' recording before, else
-    /// replayed against it on `engine`. Without a recording (a program
-    /// with a `spawn` site) each spec runs as a dual execution.
+    /// equal spec ran before, else replayed on `engine` against this
+    /// analysis' recording, which is made first if there is none yet and
+    /// some spec is not reused. Without a recording (a program with a
+    /// `spawn` site) each spec runs as a dual execution.
     fn run_specs(&self, engine: &BatchEngine, specs: Vec<(String, DualSpec)>) -> Vec<DualReport> {
-        let recording = self.recording();
+        let mut reports: Vec<Option<DualReport>> = specs
+            .iter()
+            .map(|(_, spec)| self.replays.reused(spec))
+            .collect();
+        let unrun = reports.iter().any(Option::is_none);
+        let recording = if unrun { self.recording() } else { None };
         let job = |label: &String, spec: &DualSpec| match &recording {
             Some(recording) => BatchJob::replay(label.clone(), Arc::clone(recording), spec.clone()),
             None => BatchJob::new(
@@ -237,10 +259,6 @@ impl Analysis {
                 spec.clone(),
             ),
         };
-        let mut reports: Vec<Option<DualReport>> = specs
-            .iter()
-            .map(|(_, spec)| self.replays.reused(spec))
-            .collect();
         let jobs = specs
             .iter()
             .zip(&reports)
@@ -396,7 +414,8 @@ mod tests {
     #[test]
     fn a_clone_that_changes_its_world_never_sees_the_original_recording() {
         let original = two_source_analysis();
-        original.run();
+        original.attribute_sources();
+        assert!(original.replays.recording.get().is_some());
         let moved = original.clone().world(
             VosConfig::new()
                 .file("/a", "other")
@@ -460,6 +479,25 @@ mod tests {
         drop(kept);
         let again = both.attribute_sources();
         assert_eq!(again[0].report.causality, attributions[0].report.causality);
+    }
+
+    #[test]
+    fn a_lone_run_records_nothing_and_a_later_run_replays() {
+        let lone = two_source_analysis();
+        let live = lone.run();
+        assert!(lone.replays.recording.get().is_none());
+        assert_eq!(lone.replays.reports.lock().len(), 1);
+        let later = two_source_analysis();
+        later.attribute_sources();
+        let recording = later.replays.recording.get().map(Arc::clone);
+        let recording = recording.expect("the attribution records the master");
+        let replayed = later.run();
+        assert_eq!(replayed.causality, live.causality);
+        assert_eq!(replayed.syscall_diffs, live.syscall_diffs);
+        let kept = later.replays.reports.lock();
+        assert_eq!(kept.last().map(|(spec, _)| spec), Some(later.spec()));
+        let current = later.replays.recording.get();
+        assert!(current.is_some_and(|r| Arc::ptr_eq(r, &recording)));
     }
 
     #[test]

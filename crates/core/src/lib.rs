@@ -59,7 +59,6 @@ pub use explain::{
 pub use extensions::{SourceAttribution, StrengthReport};
 
 use extensions::Replays;
-use ldx_dualex::{dual_execute, dual_execute_and_record};
 use ldx_instrument::InstrumentedProgram;
 use ldx_ir::IrProgram;
 use ldx_vos::VosConfig;
@@ -98,11 +97,11 @@ pub mod compiler {
 /// Wraps compile → instrument → dual-execute. See the crate-level example.
 ///
 /// Clones share two caches by `Arc`: the static analysis, which depends
-/// on the program alone, and the master recording with the reports run
-/// against it ([`Analysis::attribute_sources`]). A builder that changes
-/// what the master sees ([`Analysis::world`], [`Analysis::sinks`],
-/// [`Analysis::recorded`], [`Analysis::exec_config`]) starts a fresh
-/// recording cache.
+/// on the program alone, and the master recording with the reports of the
+/// specs run so far ([`Analysis::run`], [`Analysis::attribute_sources`]). A
+/// builder that changes what the master sees ([`Analysis::world`],
+/// [`Analysis::sinks`], [`Analysis::recorded`], [`Analysis::exec_config`])
+/// starts a fresh recording cache.
 #[derive(Debug, Clone)]
 pub struct Analysis {
     program: Arc<IrProgram>,
@@ -206,22 +205,6 @@ impl Analysis {
     /// The instrumented program (e.g. for running baselines on it).
     pub fn program(&self) -> Arc<IrProgram> {
         Arc::clone(&self.program)
-    }
-
-    /// Runs the dual execution and returns the causality report. The run
-    /// keeps its master as this analysis' recording, unless it has one
-    /// already or the program spawns threads, so attribution and strength
-    /// probes replay against it instead of running the master again.
-    pub fn run(&self) -> DualReport {
-        let (program, world, spec) = (self.program(), &self.world, &self.spec);
-        if self.replays.has_recording() {
-            return dual_execute(program, world, spec);
-        }
-        let (report, recording) = dual_execute_and_record(program, world, spec);
-        if let Some(recording) = recording {
-            self.replays.keep(recording, spec, &report);
-        }
-        report
     }
 
     /// Packages this analysis as a [`BatchJob`] for the parallel engine.

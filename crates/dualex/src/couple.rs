@@ -1,4 +1,4 @@
-//! Shared coupling state between the master and slave executions.
+//! The master → slave log protocol.
 //!
 //! This is the runtime realization of paper §4.2: the master records each
 //! syscall outcome once, in an append-only log per Lx thread, and every
@@ -22,35 +22,24 @@
 //! lock after the slots, so it never names a key past an entry the slave
 //! cannot see.
 //!
-//! A chunk is freed once every cursor has passed it, unless the log keeps
-//! its head for a recording. A replay is a fresh set of cursors on those
-//! heads ([`Coupling::replaying`]); no entry is copied. A [`Coupling`] holds
-//! one slave's state only: the cursor it reads the logs through, its
-//! counters, taint sets, causality records and flight recorder. The master
-//! writes none of it, so k live slaves of one master (or none, for a
-//! recording) each have exactly the coupling of a one-slave run.
+//! A chunk is freed once every cursor has passed it. A master run with no
+//! slave is a recording: its logs have no cursor and keep their heads, so
+//! no chunk is freed. A replay is a fresh set of cursors on those heads
+//! ([`MasterLogs::replaying`]); no entry is copied.
 //!
-//! Every slave decision, and every master entry its slave left unread, is
-//! reported once, through [`Coupling::emit`]. The master's own decisions
-//! are in its own flight lane (see `dualex::master`).
+//! What a slave makes of the entries (its counters, taint sets, causality
+//! records and flight recorder) is its own, in `dualex::slave`; the
+//! master's own facts are in `dualex::master`.
 
-use crate::recorder::{
-    ByteDiff, Decision, FlightEvent, FlightLog, FlightRecorder, ResourceId, DEFAULT_FLIGHT_CAPACITY,
-};
-use crate::report::{CausalityKind, CausalityRecord, Role};
 use ldx_ir::{FuncId, SiteId};
 use ldx_lang::Syscall;
 use ldx_runtime::{ProgressKey, SyscallCtx, ThreadKey, Value};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-/// How long any coupling wait may block before giving up (safety valve;
-/// orders of magnitude above any legitimate wait in the test suite).
-pub(crate) const MAX_WAIT: Duration = Duration::from_secs(30);
 
 /// One master syscall outcome, logged for the slaves.
 #[derive(Debug)]
@@ -110,16 +99,6 @@ impl Entry {
 
     pub fn args(&self) -> &[Value] {
         &self.args[..usize::from(self.arity)]
-    }
-
-    /// What an unmatched entry exposes: a sink is causality of `kind`,
-    /// anything else a syscall difference.
-    pub fn unmatched(&self, kind: CausalityKind) -> Diff {
-        if self.is_sink {
-            Diff::Sink(kind)
-        } else {
-            Diff::Syscall
-        }
     }
 }
 
@@ -378,7 +357,7 @@ pub(crate) struct MasterLogs {
     id: u64,
     /// Cursors per log: one per live slave, or the one replayed slave.
     readers: usize,
-    /// Each log's first chunk, when the run keeps a recording.
+    /// Each log's first chunk, when no slave reads the run (a recording).
     heads: Option<Mutex<Heads>>,
     logs: Mutex<HashMap<ThreadKey, Arc<ThreadLog>>>,
     /// The whole master execution finished.
@@ -386,19 +365,20 @@ pub(crate) struct MasterLogs {
 }
 
 impl MasterLogs {
-    /// Logs for `readers` slaves; with `keep`, every log keeps its head.
-    pub fn new(readers: usize, keep: bool) -> Self {
+    /// Logs for `readers` slaves; with none, every log keeps its head, for
+    /// a recording.
+    pub fn new(readers: usize) -> Self {
         MasterLogs {
             id: NEXT_LOGS_ID.fetch_add(1, Ordering::Relaxed),
             readers,
-            heads: keep.then(Mutex::default),
+            heads: (readers == 0).then(Mutex::default),
             logs: Mutex::default(),
             done: AtomicBool::new(false),
         }
     }
 
-    /// Fresh cursors, for one slave, on a finished master's logs.
-    fn replaying(heads: &Heads) -> Self {
+    /// Fresh cursors, for one slave, on a recorded master's logs.
+    pub fn replaying(heads: &Heads) -> Self {
         let logs = heads.iter().map(|(thread, head)| {
             let log = ThreadLog::new(Arc::clone(head), 1);
             log.finish();
@@ -407,7 +387,7 @@ impl MasterLogs {
         MasterLogs {
             logs: Mutex::new(logs.collect()),
             done: AtomicBool::new(true),
-            ..MasterLogs::new(1, false)
+            ..MasterLogs::new(1)
         }
     }
 
@@ -444,7 +424,7 @@ impl MasterLogs {
     }
 
     /// Every log, in `ThreadKey` order.
-    fn sorted(&self) -> Vec<(ThreadKey, Arc<ThreadLog>)> {
+    pub fn sorted(&self) -> Vec<(ThreadKey, Arc<ThreadLog>)> {
         let logs = self.logs.lock();
         let mut sorted: Vec<_> = logs
             .iter()
@@ -454,7 +434,7 @@ impl MasterLogs {
         sorted
     }
 
-    /// The kept heads, for a recording (empty unless the logs keep them).
+    /// The kept heads, for a recording (empty if a slave read the logs).
     pub fn heads(&self) -> Heads {
         let mut heads = self
             .heads
@@ -477,258 +457,6 @@ impl MasterLogs {
         self.done.store(true, Ordering::SeqCst);
         for log in self.logs.lock().values() {
             log.finish();
-        }
-    }
-}
-
-/// Where a decision was made: the acting role's thread and progress key,
-/// and the syscall site.
-#[derive(Clone, Copy)]
-pub(crate) struct At<'a> {
-    pub thread: &'a ThreadKey,
-    pub key: &'a ProgressKey,
-    pub site: (FuncId, SiteId, Syscall),
-}
-
-impl<'a> At<'a> {
-    /// The syscall `ctx` is issuing.
-    pub fn ctx(ctx: &'a SyscallCtx) -> Self {
-        At {
-            thread: &ctx.thread,
-            key: &ctx.key,
-            site: (ctx.func, ctx.site, ctx.sys),
-        }
-    }
-
-    /// The master syscall logged as `entry` on `thread`.
-    pub fn entry(thread: &'a ThreadKey, entry: &'a Entry) -> Self {
-        At {
-            thread,
-            key: &entry.key,
-            site: (entry.func, entry.site, entry.sys),
-        }
-    }
-}
-
-/// A difference between the executions that a decision exposes.
-pub(crate) enum Diff {
-    /// A non-sink syscall difference (`DualReport::syscall_diffs`).
-    Syscall,
-    /// A sink difference: strong causality.
-    Sink(CausalityKind),
-}
-
-/// How long one slave park lasts before the slave looks again.
-pub(crate) const PARK_WAIT: Duration = Duration::from_millis(2);
-
-/// Counters the slave writes while the executions run (and
-/// [`Coupling::reconcile`] once both have finished), through
-/// [`Coupling::emit`].
-#[derive(Debug, Default)]
-pub(crate) struct SlaveStats {
-    /// Outcomes shared master → slave.
-    pub shared: AtomicU64,
-    /// Slave syscalls executed decoupled.
-    pub decoupled: AtomicU64,
-    /// Non-sink syscall differences (master-only + slave-decoupled).
-    pub diffs: AtomicU64,
-    /// Waits released by the stop signal or `MAX_WAIT`.
-    pub timeouts: AtomicU64,
-}
-
-/// All state of one slave's dual execution: the master's logs it reads,
-/// and its own counters, taint sets, causality records and flight recorder.
-pub(crate) struct Coupling {
-    pub logs: Arc<MasterLogs>,
-    /// The cursor of each log this coupling's slave reads.
-    pub reader: usize,
-    /// The slave starts only once the master has finished (a replay), so
-    /// it must never wait for it.
-    pub master_first: bool,
-    pub records: Mutex<Vec<CausalityRecord>>,
-    pub stats: SlaveStats,
-    /// Paths with diverged state (paper §7 resource tainting).
-    pub tainted_paths: Mutex<HashSet<String>>,
-    /// Lock ids with diverged synchronization (paper §7).
-    pub tainted_locks: Mutex<HashSet<i64>>,
-    /// The divergence flight recorder (`None` when recording is off — the
-    /// disabled probe is a single discriminant check, no atomics).
-    pub recorder: Option<FlightRecorder>,
-}
-
-impl Coupling {
-    /// A coupling whose slave reads `logs` through cursor `reader`;
-    /// `record` enables the flight recorder.
-    pub fn reading(logs: Arc<MasterLogs>, reader: usize, record: bool) -> Self {
-        assert!(reader < logs.readers, "one cursor per reader");
-        Coupling {
-            logs,
-            reader,
-            master_first: false,
-            records: Mutex::new(Vec::new()),
-            stats: SlaveStats::default(),
-            tainted_paths: Mutex::new(HashSet::new()),
-            tainted_locks: Mutex::new(HashSet::new()),
-            recorder: record.then(|| FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY)),
-        }
-    }
-
-    /// A coupling of its own logs, for one slave.
-    #[cfg(test)]
-    pub fn new(record: bool) -> Self {
-        Coupling::reading(Arc::new(MasterLogs::new(1, false)), 0, record)
-    }
-
-    /// Coupling state for a slave replayed against a finished master:
-    /// fresh cursors on the recorded `heads`.
-    pub fn replaying(record: bool, heads: &Heads) -> Self {
-        Coupling {
-            master_first: true,
-            ..Coupling::reading(Arc::new(MasterLogs::replaying(heads)), 0, record)
-        }
-    }
-
-    /// Reports one slave decision, or a master entry its slave left unread:
-    /// bumps its counter, fires its `ldx-obs` instant, records the
-    /// causality `diff` exposes, and appends the event to `role`'s lane
-    /// when recording. With recording off nothing is cloned unless `diff`
-    /// is a causality record.
-    pub fn emit(
-        &self,
-        role: Role,
-        decision: Decision,
-        at: At<'_>,
-        is_sink: bool,
-        diff: Option<Diff>,
-    ) {
-        let stats = &self.stats;
-        let (counter, instant) = match decision {
-            Decision::Shared => (Some(&stats.shared), Some("aligned-reuse")),
-            // A sink that compared equal shares the outcome.
-            Decision::Compared => (
-                diff.is_none().then_some(&stats.shared),
-                Some("sink-compare"),
-            ),
-            Decision::Decoupled => (Some(&stats.decoupled), Some("decoupled")),
-            Decision::Timeout => (Some(&stats.timeouts), Some("timeout")),
-            Decision::Executed | Decision::MasterOnly | Decision::SlaveOnly => (None, None),
-        };
-        if let Some(counter) = counter {
-            counter.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(name) = instant {
-            ldx_obs::instant(ldx_obs::cat::SYSCALL_DECISION, name);
-        }
-        let (thread, key) = (|| at.thread.clone(), || at.key.clone());
-        if decision == Decision::Timeout {
-            return self.flight(role, || FlightEvent::Timeout {
-                thread: thread(),
-                key: key(),
-            });
-        }
-        let (func, site, sys) = at.site;
-        self.flight(role, || FlightEvent::Syscall {
-            decision,
-            thread: thread(),
-            key: key(),
-            func,
-            site,
-            sys,
-            is_sink,
-        });
-        match diff {
-            Some(Diff::Syscall) => {
-                stats.diffs.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(Diff::Sink(kind)) => {
-                if let CausalityKind::ArgDiff { master, slave } = &kind {
-                    self.flight(role, || FlightEvent::SinkDiff {
-                        thread: thread(),
-                        key: key(),
-                        func,
-                        site,
-                        sys,
-                        diff: ByteDiff::compute(master, slave),
-                    });
-                }
-                self.records.lock().push(CausalityRecord {
-                    kind,
-                    thread: thread(),
-                    key: key(),
-                    func,
-                    site,
-                    sys,
-                });
-            }
-            None => {}
-        }
-    }
-
-    /// Records a non-decision flight event (taint, CoW clone, barrier,
-    /// mutation) into `role`'s lane. The closure is only evaluated when
-    /// the recorder is on, so disabled probes cost nothing.
-    #[inline]
-    pub fn flight(&self, role: Role, event: impl FnOnce() -> FlightEvent) {
-        if let Some(r) = &self.recorder {
-            r.record(role, event());
-        }
-    }
-
-    /// Drains the flight recorder (empty log when recording was off).
-    pub fn take_flight_log(&self) -> FlightLog {
-        self.recorder
-            .as_ref()
-            .map(FlightRecorder::drain)
-            .unwrap_or_default()
-    }
-
-    /// Marks a filesystem path as tainted, recording the first divergence
-    /// on each path as a flight event (in the slave lane: only the slave's
-    /// decoupled execution taints).
-    pub fn taint_path(&self, path: &str) {
-        let normalized = ldx_vos::normalize_path(path).join("/");
-        let first = self.tainted_paths.lock().insert(normalized.clone());
-        if first {
-            self.flight(Role::Slave, || FlightEvent::Taint {
-                resource: ResourceId::Path(normalized),
-            });
-        }
-    }
-
-    /// Marks a lock id as tainted (grant order diverged), recording the
-    /// first divergence as a flight event.
-    pub fn taint_lock(&self, id: i64) {
-        let first = self.tainted_locks.lock().insert(id);
-        if first {
-            self.flight(Role::Slave, || FlightEvent::Taint {
-                resource: ResourceId::Lock(id),
-            });
-        }
-    }
-
-    /// Whether a path is tainted. Nothing is normalized or allocated
-    /// while no path is.
-    pub fn path_tainted(&self, path: &str) -> bool {
-        let tainted = self.tainted_paths.lock();
-        !tainted.is_empty() && tainted.contains(&ldx_vos::normalize_path(path).join("/"))
-    }
-
-    /// Drains every master entry this coupling's slave left unread at the
-    /// end of the run: master-only syscall differences, including
-    /// master-only sinks. Logs are drained in `ThreadKey` order so records
-    /// and flight events land deterministically.
-    pub fn reconcile(&self) {
-        for (thread, log) in self.logs.sorted() {
-            let mut cursor = log.cursor(self.reader);
-            while let Some(entry) = cursor.pop() {
-                self.emit(
-                    Role::Master,
-                    Decision::MasterOnly,
-                    At::entry(&thread, entry),
-                    entry.is_sink,
-                    Some(entry.unmatched(CausalityKind::MasterOnlySink)),
-                );
-            }
         }
     }
 }
@@ -1070,7 +798,7 @@ mod tests {
 
     #[test]
     fn two_cursors_at_different_speeds_each_see_every_entry_in_order() {
-        let logs = Arc::new(MasterLogs::new(2, false));
+        let logs = Arc::new(MasterLogs::new(2));
         let n = 3 * CHUNK as u32 + 7;
         let readers: Vec<_> = (0..2)
             .map(|reader| {
@@ -1109,17 +837,26 @@ mod tests {
 
     #[test]
     fn a_drained_chunk_is_freed_unless_a_recording_holds_the_head() {
-        for keep in [false, true] {
-            let logs = MasterLogs::new(1, keep);
-            let t = ThreadKey::root();
-            let first = logs.with_log(&t, |log| {
-                append_sites(log, 0..CHUNK as u32 + 1);
-                Arc::downgrade(&log.cursor(0).chunk)
-            });
-            assert!(first.upgrade().is_some(), "unread, so held by the cursor");
-            logs.with_log(&t, |log| consume(log, CHUNK + 1));
-            assert_eq!(first.upgrade().is_some(), keep, "keep: {keep}");
-        }
+        let logs = MasterLogs::new(1);
+        let t = ThreadKey::root();
+        let first = logs.with_log(&t, |log| {
+            append_sites(log, 0..CHUNK as u32 + 1);
+            Arc::downgrade(&log.cursor(0).chunk)
+        });
+        assert!(first.upgrade().is_some(), "unread, so held by the cursor");
+        logs.with_log(&t, |log| consume(log, CHUNK + 1));
+        assert!(first.upgrade().is_none(), "read, so freed");
+        // Logs no slave reads are a recording's: their heads hold them.
+        let logs = MasterLogs::new(0);
+        let first = logs.with_log(&t, |log| {
+            let first = Arc::downgrade(&log.tail.lock().chunk);
+            append_sites(log, 0..CHUNK as u32 + 1);
+            first
+        });
+        assert!(
+            first.upgrade().is_some(),
+            "passed by the tail, held by the head"
+        );
     }
 
     #[test]
@@ -1145,18 +882,17 @@ mod tests {
     }
 
     #[test]
-    fn a_fresh_coupling_never_sees_a_stale_log() {
+    fn fresh_logs_never_see_a_stale_log() {
         let t = ThreadKey::root();
         for _ in 0..8 {
-            let c = Coupling::new(false);
-            c.logs.with_log(&t, |log| {
+            let logs = MasterLogs::new(1);
+            logs.with_log(&t, |log| {
                 assert!(!log.published.lock().done);
                 assert!(log.cursor(0).peek().is_none());
             });
-            c.logs.with_log(&t, |log| log.append(entry(0, false)));
-            c.logs.finish_execution();
-            c.logs
-                .with_log(&t, |log| assert!(log.published.lock().done));
+            logs.with_log(&t, |log| log.append(entry(0, false)));
+            logs.finish_execution();
+            logs.with_log(&t, |log| assert!(log.published.lock().done));
         }
     }
 
@@ -1288,7 +1024,7 @@ mod tests {
 
     #[test]
     fn a_log_created_after_execution_end_is_released() {
-        let logs = MasterLogs::new(1, false);
+        let logs = MasterLogs::new(1);
         logs.finish_execution();
         let log = logs.log(&ThreadKey::root().child(3));
         assert!(log.published.lock().done);
@@ -1296,7 +1032,7 @@ mod tests {
 
     #[test]
     fn finish_execution_releases_existing_logs() {
-        let logs = MasterLogs::new(1, false);
+        let logs = MasterLogs::new(1);
         let log = logs.log(&ThreadKey::root());
         assert!(!log.published.lock().done);
         logs.finish_execution();
@@ -1304,23 +1040,12 @@ mod tests {
     }
 
     #[test]
-    fn taint_normalizes_paths() {
-        let c = Coupling::new(false);
-        c.taint_path("/a//b/");
-        assert!(c.path_tainted("a/b"));
-        assert!(!c.path_tainted("/a"));
-    }
-
-    #[test]
-    fn a_kept_log_holds_every_entry_its_slave_read() {
-        let logs = MasterLogs::new(1, true);
+    fn a_recording_holds_every_entry() {
+        let logs = MasterLogs::new(0);
         let t = ThreadKey::root();
         let n = CHUNK as u32 + 5;
         let all: Vec<u32> = (0..n).collect();
-        logs.with_log(&t, |log| {
-            append_sites(log, 0..n);
-            assert_eq!(consume(log, usize::MAX), all);
-        });
+        logs.with_log(&t, |log| append_sites(log, 0..n));
         let heads = logs.heads();
         assert_eq!(heads.len(), 1);
         assert_eq!(sites_from(&heads[0].1), all);
@@ -1328,7 +1053,7 @@ mod tests {
 
     #[test]
     fn two_replays_of_one_recording_read_the_same_chunks() {
-        let logs = MasterLogs::new(1, true);
+        let logs = MasterLogs::new(0);
         let (root, child) = (ThreadKey::root(), ThreadKey::root().child(0));
         let n = CHUNK as u32 + 5;
         for t in [&child, &root] {
@@ -1338,10 +1063,10 @@ mod tests {
         let heads = logs.heads();
         let threads: Vec<&ThreadKey> = heads.iter().map(|(t, _)| t).collect();
         assert_eq!(threads, [&root, &child], "in ThreadKey order");
-        let replays = [0, 1].map(|_| Coupling::replaying(false, &heads));
+        let replays = [0, 1].map(|_| MasterLogs::replaying(&heads));
         for (t, head) in &heads {
-            for c in &replays {
-                c.logs.with_log(t, |log| {
+            for replay in &replays {
+                replay.with_log(t, |log| {
                     assert!(Arc::ptr_eq(&log.cursor(0).chunk, head));
                     assert_eq!(consume(log, usize::MAX), (0..n).collect::<Vec<_>>());
                 });
@@ -1355,16 +1080,15 @@ mod tests {
     }
 
     #[test]
-    fn a_replaying_coupling_starts_with_finished_logs() {
-        let logs = MasterLogs::new(1, true);
+    fn replayed_logs_start_finished() {
+        let logs = MasterLogs::new(0);
         let root = ThreadKey::root();
         logs.with_log(&root, |log| {
             log.append(entry(0, false));
             log.append(entry(1, true));
         });
-        let c = Coupling::replaying(false, &logs.heads());
-        assert!(c.master_first);
-        c.logs.with_log(&root, |log| {
+        let replay = MasterLogs::replaying(&logs.heads());
+        replay.with_log(&root, |log| {
             let published = log.published.lock();
             assert!(published.done);
             assert!(published
@@ -1375,50 +1099,6 @@ mod tests {
             assert_eq!(consume(log, usize::MAX), [0, 1]);
         });
         // A thread the recorded master never ran is done too.
-        assert!(c.logs.log(&root.child(0)).published.lock().done);
-    }
-
-    #[test]
-    fn reconcile_counts_master_only_entries() {
-        let c = Coupling::new(false);
-        c.logs.with_log(&ThreadKey::root(), |log| {
-            log.append(entry(0, false));
-            log.append(entry(1, true));
-        });
-        c.reconcile();
-        assert_eq!(c.stats.diffs.load(Ordering::Relaxed), 1);
-        assert_eq!(c.records.lock().len(), 1);
-    }
-
-    #[test]
-    fn reconcile_drains_what_the_slave_left_unread() {
-        let c = Coupling::new(true);
-        c.logs.with_log(&ThreadKey::root(), |log| {
-            log.append(entry(0, false));
-            log.append(entry(1, false));
-            assert_eq!(consume(log, 1), [0]);
-            log.append(entry(2, true));
-            log.append(entry(3, false));
-        });
-        c.reconcile();
-        assert_eq!(c.stats.diffs.load(Ordering::Relaxed), 2);
-        assert_eq!(c.records.lock().len(), 1);
-        let log = c.take_flight_log();
-        let sites: Vec<u32> = log
-            .master
-            .iter()
-            .map(|e| match e {
-                FlightEvent::Syscall {
-                    decision: Decision::MasterOnly,
-                    site,
-                    ..
-                } => site.0,
-                other => panic!("unexpected event {other:?}"),
-            })
-            .collect();
-        assert_eq!(sites, [1, 2, 3]);
-        assert!(c
-            .logs
-            .with_log(&ThreadKey::root(), |log| log.cursor(0).peek().is_none()));
+        assert!(replay.log(&root.child(0)).published.lock().done);
     }
 }

@@ -3,23 +3,22 @@
 //! A dual run has two halves. The master runs against a fresh versioned
 //! world and logs its syscall outcomes once per Lx thread; the slave reads
 //! them through cursors of its own. Every entry point is one live run of a
-//! master with k ≥ 0 slaves, each on a thread of its own with a coupling
-//! and a cursor per log of its own: [`dual_execute`] has one slave,
-//! [`dual_execute_shared`] several, and [`record`] none. A finished
-//! master, kept with its logs, its own facts (outcome, sink count, flight
-//! lane) and world, is a [`Recording`] ([`record`],
-//! [`dual_execute_and_record`]), and [`replay`] runs only a slave against
-//! one, on fresh cursors: the master's work is paid once however many
-//! slaves, each perturbing different sources, run against it. A dual run
-//! on one thread is exactly [`record`] then a replay. Every report, live
-//! or replayed, is built by the same tail from the slave's coupling and
+//! master with k ≥ 0 slaves, each on a thread of its own with a cursor per
+//! log of its own: [`dual_execute`] has one slave, [`dual_execute_shared`]
+//! several, and [`record`] none. A recording is a master alone: a run with
+//! no slave keeps its logs, its own facts (outcome, sink count, flight
+//! lane) and world as a [`Recording`], and [`replay`] runs only a slave
+//! against one, on fresh cursors: the master's work is paid once however
+//! many slaves, each perturbing different sources, run against it. A dual
+//! run on one thread is exactly [`record`] then a replay. Every report,
+//! live or replayed, is built by the same tail from the slave's hooks and
 //! the master's facts: master lane, reconcile, end diff, counters.
 
-use crate::couple::{Coupling, Heads, MasterLogs};
+use crate::couple::{Heads, MasterLogs};
 use crate::master::{MasterHooks, MasterRun};
 use crate::recorder::{FlightLog, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 use crate::report::{CausalityKind, CausalityRecord, DualReport};
-use crate::resolved::{ResolvedSinks, ResolvedSources};
+use crate::resolved::ResolvedSinks;
 use crate::slave::SlaveHooks;
 use crate::spec::DualSpec;
 use ldx_ir::{FuncId, IrProgram, SiteId};
@@ -27,8 +26,6 @@ use ldx_lang::Syscall;
 use ldx_obs::FlowAnchor;
 use ldx_runtime::{run_program, LockTable, ProgressKey, RunOutcome, ThreadKey, Trap};
 use ldx_vos::{SlaveVos, Vos, VosConfig};
-use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::mem;
 use std::slice;
@@ -52,8 +49,8 @@ use std::sync::Arc;
 /// # Reentrancy
 ///
 /// This entry point is **reentrant and `Send`-safe**: every piece of
-/// coupling state — the `Coupling` channel, both worlds, lock tables,
-/// fd maps — is allocated per call and shared only between the threads
+/// coupling state — the master's logs, both worlds, lock tables, fd
+/// maps — is allocated per call and shared only between the threads
 /// this call runs on. The engine has one `static` and one thread-local,
 /// both in `couple.rs`: a counter that gives every master's set of logs a
 /// fresh id, and a per-OS-thread cache of the last log resolved, by a
@@ -66,24 +63,9 @@ use std::sync::Arc;
 /// [`record`] runs on the calling thread. Schedulers should budget
 /// accordingly.
 pub fn dual_execute(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSpec) -> DualReport {
-    live(program, config, spec, slice::from_ref(spec), false)
+    live(program, config, spec, slice::from_ref(spec))
         .0
         .remove(0)
-}
-
-/// [`dual_execute`] that also keeps the master as a [`Recording`], for
-/// [`replay`]s with other sources. Its logs keep their heads, so no chunk
-/// is freed, and the slave leaves the master's history whole. A program
-/// with a `spawn` site gets no recording: its slave's threads are paced by
-/// a running master, so a replay could not follow them.
-pub fn dual_execute_and_record(
-    program: Arc<IrProgram>,
-    config: &VosConfig,
-    spec: &DualSpec,
-) -> (DualReport, Option<Recording>) {
-    let keep = !program.spawns_threads();
-    let (mut reports, recording) = live(program, config, spec, slice::from_ref(spec), keep);
-    (reports.remove(0), recording)
 }
 
 /// Runs one master and, concurrently, a live slave per spec, and returns
@@ -111,7 +93,7 @@ pub fn dual_execute_shared(
         "one master shares its run with several slaves only without a spawn site"
     );
     let spec = specs.first().expect("at least one slave");
-    live(program, config, spec, specs, false).0
+    live(program, config, spec, specs).0
 }
 
 /// A finished master execution of a program against a world, under a
@@ -165,9 +147,9 @@ impl fmt::Debug for Recording {
 /// Runs the master of `spec` alone, to completion, on the calling thread,
 /// and keeps it as a [`Recording`]: a live run with no slave.
 pub fn record(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSpec) -> Recording {
-    live(program, config, spec, &[], true)
+    live(program, config, spec, &[])
         .1
-        .expect("a kept run has a recording")
+        .expect("a run with no slave is a recording")
 }
 
 /// Runs a slave under `spec` against `recording`, on the calling thread,
@@ -192,29 +174,28 @@ pub fn replay(recording: &Recording, spec: &DualSpec) -> DualReport {
             ldx_obs::flow_start_at(anchor, ldx_obs::cat::FLOW, "dual-run", id);
             id
         });
-    let coupling = Arc::new(Coupling::replaying(spec.record, &recording.logs));
     let overlay = SlaveVos::keeping_history(Arc::clone(&recording.world), &recording.config);
     let program = &recording.program;
-    let slave = slave_hooks(&coupling, overlay, recording.sinks.clone(), spec, program);
-    let slave_result = run_slave(program, slave, spec, flow_id);
+    let sinks = recording.sinks.clone();
+    let slave = SlaveHooks::replaying(&recording.logs, overlay, sinks, spec, program);
+    let slave = Arc::new(slave);
+    let slave_result = run_slave(program, &slave, spec, flow_id);
     ldx_obs::counter_add("dualex.replays", 1);
     let lane = recording.master.lane.clone();
-    report(&coupling, &recording.master, lane, slave_result)
+    report(&slave, &recording.master, lane, slave_result)
 }
 
 /// Runs the master of `spec` on the calling thread and a live slave per
-/// spec of `slaves` (none for a recording), each on a spawned thread with a
-/// coupling and a cursor per log of its own. The slaves' specs differ from
-/// `spec` in their sources at most. With `keep`, the logs keep their heads
-/// and the run returns its recording. With several slaves, or `keep`,
-/// every overlay keeps the master's whole history: one slave trimming it
-/// could drop what a slower one, or a later replay, still reads.
+/// spec of `slaves`, each on a spawned thread with a cursor per log of its
+/// own. The slaves' specs differ from `spec` in their sources at most. A
+/// run with no slave keeps its logs' heads and returns its recording. With
+/// several slaves every overlay keeps the master's whole history: one
+/// slave trimming it could drop what a slower one still reads.
 fn live(
     program: Arc<IrProgram>,
     config: &VosConfig,
     spec: &DualSpec,
     slaves: &[DualSpec],
-    keep: bool,
 ) -> (Vec<DualReport>, Option<Recording>) {
     // Compile-time audit that the inputs cross thread boundaries safely
     // (the scoped spawns below require it, but spell the contract out).
@@ -226,25 +207,21 @@ fn live(
         slaves.iter().all(|s| s.shares_master_with(spec)),
         "slaves sharing a master may differ in their sources only"
     );
-    let logs = Arc::new(MasterLogs::new(slaves.len(), keep));
-    let couplings: Vec<Arc<Coupling>> = slaves
-        .iter()
-        .enumerate()
-        .map(|(i, s)| Arc::new(Coupling::reading(Arc::clone(&logs), i, s.record)))
-        .collect();
+    let logs = Arc::new(MasterLogs::new(slaves.len()));
     let world = Arc::new(Vos::versioned(config));
     let sinks = ResolvedSinks::resolve(spec, &program);
-    let history = keep || slaves.len() > 1;
-    let slave_hooks: Vec<SlaveHooks> = slaves
+    let slave_hooks: Vec<Arc<SlaveHooks>> = slaves
         .iter()
-        .zip(&couplings)
-        .map(|(s, coupling)| {
-            let overlay = if history {
+        .enumerate()
+        .map(|(reader, s)| {
+            let overlay = if slaves.len() > 1 {
                 SlaveVos::keeping_history(Arc::clone(&world), config)
             } else {
                 SlaveVos::new(Arc::clone(&world), config)
             };
-            slave_hooks(coupling, overlay, sinks.clone(), s, &program)
+            let logs = Arc::clone(&logs);
+            let sinks = sinks.clone();
+            Arc::new(SlaveHooks::live(logs, reader, overlay, sinks, s, &program))
         })
         .collect();
     let master = MasterHooks {
@@ -268,7 +245,7 @@ fn live(
     let program_ref = &program;
     let ((mut master, anchor), slave_results) = std::thread::scope(|s| {
         let handles: Vec<_> = slave_hooks
-            .into_iter()
+            .iter()
             .zip(slaves)
             .zip(&flow_ids)
             .map(|((slave, spec), &flow_id)| {
@@ -282,18 +259,18 @@ fn live(
             .collect();
         (master, slaves)
     });
-    // Every report continues the master's lane: the last one takes it
-    // when no recording keeps it, the others take copies.
-    let mut reports = Vec::with_capacity(couplings.len());
-    for (i, (coupling, slave_result)) in couplings.iter().zip(slave_results).enumerate() {
-        let lane = if !keep && i + 1 == couplings.len() {
+    // Every report continues the master's lane: the last one takes it,
+    // the others take copies.
+    let mut reports = Vec::with_capacity(slaves.len());
+    for (i, (slave, slave_result)) in slave_hooks.iter().zip(slave_results).enumerate() {
+        let lane = if i + 1 == slaves.len() {
             mem::take(&mut master.lane)
         } else {
             master.lane.clone()
         };
-        reports.push(report(coupling, &master, lane, slave_result));
+        reports.push(report(slave, &master, lane, slave_result));
     }
-    let recording = keep.then(|| {
+    let recording = slaves.is_empty().then(|| {
         ldx_obs::counter_add("dualex.recordings", 1);
         Recording {
             program,
@@ -307,26 +284,6 @@ fn live(
         }
     });
     (reports, recording)
-}
-
-/// The slave's hooks on `coupling`, with `overlay` as its private world.
-fn slave_hooks(
-    coupling: &Arc<Coupling>,
-    overlay: SlaveVos,
-    sinks: ResolvedSinks,
-    spec: &DualSpec,
-    program: &IrProgram,
-) -> SlaveHooks {
-    SlaveHooks {
-        coupling: Arc::clone(coupling),
-        overlay,
-        locks: LockTable::new(),
-        sinks,
-        sources: ResolvedSources::resolve(&spec.sources, program),
-        fdmap: Mutex::new(Default::default()),
-        decoupled_threads: Mutex::new(HashSet::new()),
-        spawn_counts: Mutex::new(HashMap::new()),
-    }
 }
 
 /// Runs the master to completion and marks it finished, starting every
@@ -363,7 +320,7 @@ fn run_master(
 /// Runs the slave to completion, finishing flow arrow `flow_id`.
 fn run_slave(
     program: &Arc<IrProgram>,
-    hooks: SlaveHooks,
+    hooks: &Arc<SlaveHooks>,
     spec: &DualSpec,
     flow_id: Option<u64>,
 ) -> Result<RunOutcome, Trap> {
@@ -371,32 +328,32 @@ fn run_slave(
     if let Some(id) = flow_id {
         ldx_obs::flow_point(ldx_obs::cat::FLOW, "dual-run", id, false);
     }
-    run_program(Arc::clone(program), Arc::new(hooks), spec.exec)
+    run_program(Arc::clone(program), Arc::clone(hooks) as _, spec.exec)
 }
 
-/// The report of a slave's coupling against a finished `master`, live or
+/// The report of a finished slave against a finished `master`, live or
 /// replayed: continues `lane`, the master's lane, with its leftovers,
 /// records an end-state difference, drains the flight log, and mirrors the
 /// counters into the registry. `master.lane` is not read: the caller hands
 /// over the lane, moved or copied.
 fn report(
-    coupling: &Coupling,
+    slave: &SlaveHooks,
     master: &MasterRun,
     lane: FlightLog,
     slave_result: Result<RunOutcome, Trap>,
 ) -> DualReport {
     // The master's lane, then its leftovers (syscalls the slave never
     // reached), under the same keep-earliest capacity.
-    if let Some(recorder) = &coupling.recorder {
+    if let Some(recorder) = &slave.recorder {
         recorder.start_master(lane);
     }
-    coupling.reconcile();
+    slave.reconcile();
 
     // The implicit whole-execution sink: different end states (crash vs
     // normal exit, different exit codes) indicate causality too — this is
     // how exploit-induced crashes surface in attack detection.
     if let Some((m, s)) = end_diff(&master.outcome, &slave_result) {
-        coupling.records.lock().push(CausalityRecord {
+        slave.records.lock().push(CausalityRecord {
             kind: CausalityKind::EndDiff {
                 master: m,
                 slave: s,
@@ -410,13 +367,13 @@ fn report(
     }
 
     // Drain the flight recorder after reconcile so master-only leftovers
-    // are included; this is per-Coupling (hence per-job under the batch
+    // are included; this is per slave (hence per job under the batch
     // engine), so logs can never interleave across jobs.
-    let flight = coupling.take_flight_log();
+    let flight = slave.take_flight_log();
 
-    let stats = &coupling.stats;
+    let stats = &slave.stats;
     let report = DualReport {
-        causality: std::mem::take(&mut *coupling.records.lock()),
+        causality: std::mem::take(&mut *slave.records.lock()),
         master: master.outcome.clone(),
         slave: slave_result,
         syscall_diffs: stats.diffs.load(Ordering::Relaxed),
@@ -427,7 +384,7 @@ fn report(
         flight,
     };
 
-    // Mirror the coupling counters into the process-wide registry (the
+    // Mirror the slave's counters into the process-wide registry (the
     // registry sums across batch jobs).
     if ldx_obs::metrics_enabled() {
         for (name, value) in [

@@ -60,9 +60,7 @@ mod resolved;
 mod slave;
 mod spec;
 
-pub use engine::{
-    dual_execute, dual_execute_and_record, dual_execute_shared, record, replay, Recording,
-};
+pub use engine::{dual_execute, dual_execute_shared, record, replay, Recording};
 pub use mutation::Mutation;
 pub use recorder::{
     key_scalar, ByteDiff, Decision, FlightEvent, FlightLog, ResourceId, DEFAULT_FLIGHT_CAPACITY,

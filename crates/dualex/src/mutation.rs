@@ -7,10 +7,9 @@
 //! of strategies.
 
 use ldx_runtime::Value;
-use serde::{Deserialize, Serialize};
 
 /// How a source value is perturbed in the slave execution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Mutation {
     /// Off-by-one: bump the last alphanumeric character of a string (the
     /// paper's default: "we perform off-by-one mutations... we only mutate

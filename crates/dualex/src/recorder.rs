@@ -1,7 +1,7 @@
 //! The divergence flight recorder: the one event stream of a dual run.
 //!
 //! Every slave decision, and every master entry a slave left unread, goes
-//! through a single emission point (`Coupling::emit`), which bumps the
+//! through a single emission point (`SlaveHooks::emit`), which bumps the
 //! slave's counters, fires the `ldx-obs` instant, pushes the causality
 //! record, and — when recording is on — appends a [`FlightEvent`] here.
 //! The master records its executed syscalls and backedges once, in a lane
@@ -298,7 +298,7 @@ impl Lane {
 }
 
 /// The per-run recorder. A master has one for its own lane and every
-/// report one of its own (inside its `Coupling`), so batch jobs can never
+/// report one of its own (inside its `SlaveHooks`), so batch jobs can never
 /// interleave events: there is no process-wide recorder state anywhere.
 pub struct FlightRecorder {
     lanes: [Lane; 2],

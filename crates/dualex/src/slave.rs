@@ -19,13 +19,22 @@
 //!
 //! Source-matched input outcomes are mutated (this is where the
 //! counterfactual perturbation enters the slave).
+//!
+//! A slave is one [`SlaveHooks`], built live, reading a running master
+//! ([`SlaveHooks::live`]), or replayed against a recording
+//! ([`SlaveHooks::replaying`]); the engine builds every report from it.
 
-use crate::couple::{At, Coupling, Diff, Entry, ThreadLog, MAX_WAIT, PARK_WAIT};
+use crate::couple::{Entry, Heads, MasterLogs, ThreadLog};
 use crate::fdmap::{FdInfo, Resource, SlaveFdMap};
 use crate::mutation::Mutation;
-use crate::recorder::{excerpt, key_scalar, Decision, FlightEvent, ResourceId};
-use crate::report::{CausalityKind, Role};
+use crate::recorder::{
+    excerpt, key_scalar, ByteDiff, Decision, FlightEvent, FlightLog, FlightRecorder, ResourceId,
+    DEFAULT_FLIGHT_CAPACITY,
+};
+use crate::report::{CausalityKind, CausalityRecord, Role};
 use crate::resolved::{ResolvedMatcher, ResolvedSinks, ResolvedSources};
+use crate::spec::DualSpec;
+use ldx_ir::{FuncId, IrProgram, SiteId};
 use ldx_lang::Syscall;
 use ldx_runtime::{
     from_sys_ret, to_sys_args, LockTable, ProgressKey, ProgressOrder, SysOutcome, SyscallCtx,
@@ -34,19 +43,107 @@ use ldx_runtime::{
 use ldx_vos::{SlaveVos, SysArg, SysRet};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Slave-side hooks.
+/// How long any coupling wait may block before giving up (safety valve;
+/// orders of magnitude above any legitimate wait in the test suite).
+const MAX_WAIT: Duration = Duration::from_secs(30);
+
+/// How long one slave park lasts before the slave looks again.
+const PARK_WAIT: Duration = Duration::from_millis(2);
+
+/// One slave: the master's logs it reads, its private world, and all it
+/// makes of them (counters, taint sets, causality records and flight
+/// recorder). The master writes none of it, so k live slaves of one
+/// master each have exactly the state of a one-slave run.
 pub(crate) struct SlaveHooks {
-    pub coupling: Arc<Coupling>,
-    pub overlay: SlaveVos,
-    pub locks: LockTable,
-    pub sinks: ResolvedSinks,
-    pub sources: ResolvedSources,
-    pub fdmap: Mutex<SlaveFdMap>,
-    pub decoupled_threads: Mutex<HashSet<ThreadKey>>,
-    pub spawn_counts: Mutex<HashMap<ThreadKey, u32>>,
+    logs: Arc<MasterLogs>,
+    /// The cursor of each log this slave reads.
+    reader: usize,
+    /// The slave starts only once the master has finished (a replay), so
+    /// it must never wait for it.
+    master_first: bool,
+    pub records: Mutex<Vec<CausalityRecord>>,
+    pub stats: SlaveStats,
+    /// Paths with diverged state (paper §7 resource tainting).
+    tainted_paths: Mutex<HashSet<String>>,
+    /// Lock ids with diverged synchronization (paper §7).
+    tainted_locks: Mutex<HashSet<i64>>,
+    /// The divergence flight recorder (`None` when recording is off — the
+    /// disabled probe is a single discriminant check, no atomics).
+    pub recorder: Option<FlightRecorder>,
+    overlay: SlaveVos,
+    locks: LockTable,
+    sinks: ResolvedSinks,
+    sources: ResolvedSources,
+    fdmap: Mutex<SlaveFdMap>,
+    decoupled_threads: Mutex<HashSet<ThreadKey>>,
+    spawn_counts: Mutex<HashMap<ThreadKey, u32>>,
+}
+
+/// Counters the slave writes while it runs (and [`SlaveHooks::reconcile`]
+/// once both executions have finished), through [`SlaveHooks::emit`].
+#[derive(Debug, Default)]
+pub(crate) struct SlaveStats {
+    /// Outcomes shared master → slave.
+    pub shared: AtomicU64,
+    /// Slave syscalls executed decoupled.
+    pub decoupled: AtomicU64,
+    /// Non-sink syscall differences (master-only + slave-decoupled).
+    pub diffs: AtomicU64,
+    /// Waits released by the stop signal or `MAX_WAIT`.
+    pub timeouts: AtomicU64,
+}
+
+/// Where a decision was made: the acting role's thread and progress key,
+/// and the syscall site.
+#[derive(Clone, Copy)]
+struct At<'a> {
+    thread: &'a ThreadKey,
+    key: &'a ProgressKey,
+    site: (FuncId, SiteId, Syscall),
+}
+
+impl<'a> At<'a> {
+    /// The syscall `ctx` is issuing.
+    fn ctx(ctx: &'a SyscallCtx) -> Self {
+        At {
+            thread: &ctx.thread,
+            key: &ctx.key,
+            site: (ctx.func, ctx.site, ctx.sys),
+        }
+    }
+
+    /// The master syscall logged as `entry` on `thread`.
+    fn entry(thread: &'a ThreadKey, entry: &'a Entry) -> Self {
+        At {
+            thread,
+            key: &entry.key,
+            site: (entry.func, entry.site, entry.sys),
+        }
+    }
+}
+
+/// A difference between the executions that a decision exposes.
+enum Diff {
+    /// A non-sink syscall difference (`DualReport::syscall_diffs`).
+    Syscall,
+    /// A sink difference: strong causality.
+    Sink(CausalityKind),
+}
+
+impl Diff {
+    /// What a master entry without a slave counterpart exposes: a sink is
+    /// causality of `kind`, anything else a syscall difference.
+    fn unmatched(entry: &Entry, kind: CausalityKind) -> Self {
+        if entry.is_sink {
+            Diff::Sink(kind)
+        } else {
+            Diff::Syscall
+        }
+    }
 }
 
 /// How far the master's published progress is past the slave's key (0
@@ -72,19 +169,204 @@ enum Align {
 }
 
 impl SlaveHooks {
+    /// A live slave under `spec`, reading `logs` through cursor `reader`,
+    /// with `overlay` as its private world; `spec.record` turns its flight
+    /// recorder on.
+    pub fn live(
+        logs: Arc<MasterLogs>,
+        reader: usize,
+        overlay: SlaveVos,
+        sinks: ResolvedSinks,
+        spec: &DualSpec,
+        program: &IrProgram,
+    ) -> Self {
+        SlaveHooks {
+            logs,
+            reader,
+            master_first: false,
+            records: Mutex::new(Vec::new()),
+            stats: SlaveStats::default(),
+            tainted_paths: Mutex::new(HashSet::new()),
+            tainted_locks: Mutex::new(HashSet::new()),
+            recorder: spec
+                .record
+                .then(|| FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY)),
+            overlay,
+            locks: LockTable::new(),
+            sinks,
+            sources: ResolvedSources::resolve(&spec.sources, program),
+            fdmap: Mutex::new(Default::default()),
+            decoupled_threads: Mutex::new(HashSet::new()),
+            spawn_counts: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// A slave under `spec` replayed against a finished master: fresh
+    /// cursors on the recorded `heads`.
+    pub fn replaying(
+        heads: &Heads,
+        overlay: SlaveVos,
+        sinks: ResolvedSinks,
+        spec: &DualSpec,
+        program: &IrProgram,
+    ) -> Self {
+        let logs = Arc::new(MasterLogs::replaying(heads));
+        SlaveHooks {
+            master_first: true,
+            ..SlaveHooks::live(logs, 0, overlay, sinks, spec, program)
+        }
+    }
+
+    /// Reports one slave decision, or a master entry the slave left unread:
+    /// bumps its counter, fires its `ldx-obs` instant, records the
+    /// causality `diff` exposes, and appends the event to `role`'s lane
+    /// when recording. With recording off nothing is cloned unless `diff`
+    /// is a causality record.
+    fn emit(&self, role: Role, decision: Decision, at: At<'_>, is_sink: bool, diff: Option<Diff>) {
+        let stats = &self.stats;
+        let (counter, instant) = match decision {
+            Decision::Shared => (Some(&stats.shared), Some("aligned-reuse")),
+            // A sink that compared equal shares the outcome.
+            Decision::Compared => (
+                diff.is_none().then_some(&stats.shared),
+                Some("sink-compare"),
+            ),
+            Decision::Decoupled => (Some(&stats.decoupled), Some("decoupled")),
+            Decision::Timeout => (Some(&stats.timeouts), Some("timeout")),
+            Decision::Executed | Decision::MasterOnly | Decision::SlaveOnly => (None, None),
+        };
+        if let Some(counter) = counter {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(name) = instant {
+            ldx_obs::instant(ldx_obs::cat::SYSCALL_DECISION, name);
+        }
+        let (thread, key) = (|| at.thread.clone(), || at.key.clone());
+        if decision == Decision::Timeout {
+            return self.flight(role, || FlightEvent::Timeout {
+                thread: thread(),
+                key: key(),
+            });
+        }
+        let (func, site, sys) = at.site;
+        self.flight(role, || FlightEvent::Syscall {
+            decision,
+            thread: thread(),
+            key: key(),
+            func,
+            site,
+            sys,
+            is_sink,
+        });
+        match diff {
+            Some(Diff::Syscall) => {
+                stats.diffs.fetch_add(1, Ordering::Relaxed);
+            }
+            Some(Diff::Sink(kind)) => {
+                if let CausalityKind::ArgDiff { master, slave } = &kind {
+                    self.flight(role, || FlightEvent::SinkDiff {
+                        thread: thread(),
+                        key: key(),
+                        func,
+                        site,
+                        sys,
+                        diff: ByteDiff::compute(master, slave),
+                    });
+                }
+                self.records.lock().push(CausalityRecord {
+                    kind,
+                    thread: thread(),
+                    key: key(),
+                    func,
+                    site,
+                    sys,
+                });
+            }
+            None => {}
+        }
+    }
+
+    /// Records a non-decision flight event (taint, CoW clone, barrier,
+    /// mutation) into `role`'s lane. The closure is only evaluated when
+    /// the recorder is on, so disabled probes cost nothing.
+    #[inline]
+    fn flight(&self, role: Role, event: impl FnOnce() -> FlightEvent) {
+        if let Some(r) = &self.recorder {
+            r.record(role, event());
+        }
+    }
+
+    /// Drains the flight recorder (empty log when recording was off).
+    pub fn take_flight_log(&self) -> FlightLog {
+        self.recorder
+            .as_ref()
+            .map(FlightRecorder::drain)
+            .unwrap_or_default()
+    }
+
+    /// Marks a filesystem path as tainted, recording the first divergence
+    /// on each path as a flight event (in the slave lane: only the slave's
+    /// decoupled execution taints).
+    fn taint_path(&self, path: &str) {
+        let normalized = ldx_vos::normalize_path(path).join("/");
+        let first = self.tainted_paths.lock().insert(normalized.clone());
+        if first {
+            self.flight(Role::Slave, || FlightEvent::Taint {
+                resource: ResourceId::Path(normalized),
+            });
+        }
+    }
+
+    /// Marks a lock id as tainted (grant order diverged), recording the
+    /// first divergence as a flight event.
+    fn taint_lock(&self, id: i64) {
+        let first = self.tainted_locks.lock().insert(id);
+        if first {
+            self.flight(Role::Slave, || FlightEvent::Taint {
+                resource: ResourceId::Lock(id),
+            });
+        }
+    }
+
+    /// Whether a path is tainted. Nothing is normalized or allocated
+    /// while no path is.
+    fn path_tainted(&self, path: &str) -> bool {
+        let tainted = self.tainted_paths.lock();
+        !tainted.is_empty() && tainted.contains(&ldx_vos::normalize_path(path).join("/"))
+    }
+
+    /// Drains every master entry this slave left unread at the end of the
+    /// run: master-only syscall differences, including master-only sinks.
+    /// Logs are drained in `ThreadKey` order so records and flight events
+    /// land deterministically.
+    pub fn reconcile(&self) {
+        for (thread, log) in self.logs.sorted() {
+            let mut cursor = log.cursor(self.reader);
+            while let Some(entry) = cursor.pop() {
+                self.emit(
+                    Role::Master,
+                    Decision::MasterOnly,
+                    At::entry(&thread, entry),
+                    entry.is_sink,
+                    Some(Diff::unmatched(entry, CausalityKind::MasterOnlySink)),
+                );
+            }
+        }
+    }
+
     fn thread_decoupled(&self, t: &ThreadKey) -> bool {
         let decoupled = self.decoupled_threads.lock();
         !decoupled.is_empty() && decoupled.contains(t)
     }
 
-    fn emit(&self, decision: Decision, ctx: &SyscallCtx, is_sink: bool, diff: Option<Diff>) {
-        self.coupling
-            .emit(Role::Slave, decision, At::ctx(ctx), is_sink, diff);
+    /// Reports a decision on the syscall `ctx` is issuing.
+    fn decide(&self, decision: Decision, ctx: &SyscallCtx, is_sink: bool, diff: Option<Diff>) {
+        self.emit(Role::Slave, decision, At::ctx(ctx), is_sink, diff);
     }
 
     /// A sink only the slave reaches: causality.
     fn slave_only_sink(&self, ctx: &SyscallCtx) {
-        self.emit(
+        self.decide(
             Decision::SlaveOnly,
             ctx,
             true,
@@ -96,12 +378,12 @@ impl SlaveHooks {
     /// the slave witnesses lands in the slave lane, so each lane has a
     /// single writer while both executions run concurrently.
     fn master_only(&self, ctx: &SyscallCtx, entry: &Entry, kind: CausalityKind) {
-        self.coupling.emit(
+        self.emit(
             Role::Slave,
             Decision::MasterOnly,
             At::entry(&ctx.thread, entry),
             entry.is_sink,
-            Some(entry.unmatched(kind)),
+            Some(Diff::unmatched(entry, kind)),
         );
     }
 
@@ -112,7 +394,7 @@ impl SlaveHooks {
         } else {
             Decision::Shared
         };
-        self.emit(decision, ctx, is_sink, None);
+        self.decide(decision, ctx, is_sink, None);
     }
 
     /// Aligns a control syscall (lock, spawn, join, exit, setjmp/longjmp),
@@ -124,7 +406,7 @@ impl SlaveHooks {
                 true
             }
             Align::Mismatched => {
-                self.emit(Decision::MasterOnly, ctx, false, Some(Diff::Syscall));
+                self.decide(Decision::MasterOnly, ctx, false, Some(Diff::Syscall));
                 false
             }
             Align::Decoupled => false,
@@ -165,7 +447,7 @@ impl SlaveHooks {
     /// stall profiler (keyed by the barrier's static site) together with
     /// the master/slave progress-counter delta observed at release.
     fn align(&self, ctx: &SyscallCtx, args: &[Value], is_sink: bool) -> Align {
-        self.coupling.logs.with_log(&ctx.thread, |log| {
+        self.logs.with_log(&ctx.thread, |log| {
             let mut waits: u64 = 0;
             if !ldx_obs::enabled() {
                 return self.align_inner(log, ctx, args, is_sink, &mut waits);
@@ -201,7 +483,7 @@ impl SlaveHooks {
         waits: &mut u64,
     ) -> Align {
         let start = Instant::now();
-        let mut cursor = log.cursor(self.coupling.reader);
+        let mut cursor = log.cursor(self.reader);
         loop {
             if let Some(front) = cursor.peek() {
                 let order = front.key.cmp_progress(&ctx.key);
@@ -250,7 +532,7 @@ impl SlaveHooks {
                     master: Self::render_args(e.args()),
                     slave: Self::render_args(args),
                 };
-                self.emit(Decision::Compared, ctx, true, Some(Diff::Sink(diff)));
+                self.decide(Decision::Compared, ctx, true, Some(Diff::Sink(diff)));
                 return Align::Decoupled;
             }
             // The end of the log: decide by the master's published
@@ -274,13 +556,13 @@ impl SlaveHooks {
             }
             // A slave running after its finished master finds every log
             // done, so reaching a park is a protocol error, reported at once.
-            if self.coupling.master_first || ctx.stop.should_stop() || start.elapsed() > MAX_WAIT {
+            if self.master_first || ctx.stop.should_stop() || start.elapsed() > MAX_WAIT {
                 drop(published);
-                self.emit(Decision::Timeout, ctx, is_sink, None);
+                self.decide(Decision::Timeout, ctx, is_sink, None);
                 return Align::Decoupled;
             }
             *waits += 1;
-            log.park(self.coupling.reader, &mut published, &mut cursor, PARK_WAIT);
+            log.park(self.reader, &mut published, &mut cursor, PARK_WAIT);
         }
     }
 
@@ -318,7 +600,7 @@ impl SlaveHooks {
 
     /// Whether the syscall references a tainted resource.
     fn touches_tainted(&self, sys: Syscall, args: &[Value]) -> bool {
-        if Self::paths_in(sys, args).any(|path| self.coupling.path_tainted(path)) {
+        if Self::paths_in(sys, args).any(|path| self.path_tainted(path)) {
             return true;
         }
         if let Some(Value::Int(fd)) = args.first() {
@@ -331,7 +613,7 @@ impl SlaveHooks {
                     ..
                 }) = self.fdmap.lock().get(*fd)
                 {
-                    return self.coupling.path_tainted(path);
+                    return self.path_tainted(path);
                 }
             }
         }
@@ -363,8 +645,7 @@ impl SlaveHooks {
         }
         let cow_clone = |resource| {
             let pos = info.pos as u64;
-            self.coupling
-                .flight(Role::Slave, || FlightEvent::CowClone { resource, pos });
+            self.flight(Role::Slave, || FlightEvent::CowClone { resource, pos });
         };
         // A descriptor the overlay hands out, if the call succeeded.
         let overlay_fd = |sys, args: &[SysArg]| match self.overlay.syscall(sys, args) {
@@ -373,7 +654,7 @@ impl SlaveHooks {
         };
         let ofd = match &info.resource {
             Resource::File { path, flags } => {
-                self.coupling.taint_path(path);
+                self.taint_path(path);
                 cow_clone(ResourceId::Path(ldx_vos::normalize_path(path).join("/")));
                 let mode = if *flags == 0 { 0 } else { 2 };
                 let ofd = overlay_fd(
@@ -426,7 +707,7 @@ impl SlaveHooks {
         is_sink: bool,
         diff: bool,
     ) -> Result<Value, Trap> {
-        self.emit(
+        self.decide(
             Decision::Decoupled,
             ctx,
             is_sink,
@@ -438,7 +719,7 @@ impl SlaveHooks {
             Syscall::Open | Syscall::Connect | Syscall::Accept => {
                 let sys_args = to_sys_args(args)?;
                 if sys == Syscall::Open {
-                    self.coupling.taint_path(args[0].as_str()?);
+                    self.taint_path(args[0].as_str()?);
                 }
                 if sys == Syscall::Accept {
                     // Catch up the overlay backlog to the coupled position.
@@ -517,7 +798,7 @@ impl SlaveHooks {
             | Syscall::Readdir
             | Syscall::Rename => {
                 for p in Self::paths_in(sys, args) {
-                    self.coupling.taint_path(p);
+                    self.taint_path(p);
                 }
                 Ok(from_sys_ret(
                     self.overlay.syscall(sys, &to_sys_args(args)?)?,
@@ -543,25 +824,25 @@ impl SyscallHooks for SlaveHooks {
         match ctx.sys {
             Syscall::Lock => {
                 let id = args[0].as_int()?;
-                let tainted = self.coupling.tainted_locks.lock().contains(&id);
+                let tainted = self.tainted_locks.lock().contains(&id);
                 if tainted || self.thread_decoupled(&ctx.thread) {
-                    self.emit(Decision::Decoupled, ctx, false, None);
+                    self.decide(Decision::Decoupled, ctx, false, None);
                 } else if !self.align_control(ctx, args, false) {
                     // Share the master's grant order: wait for the aligned
                     // lock entry before acquiring our own lock (paper §7).
-                    self.coupling.taint_lock(id);
+                    self.taint_lock(id);
                 }
                 self.locks.lock(id, &ctx.thread, &ctx.stop);
                 Ok(SysOutcome::Value(Value::Int(0)))
             }
             Syscall::Unlock => {
                 let id = args[0].as_int()?;
-                let tainted = self.coupling.tainted_locks.lock().contains(&id);
+                let tainted = self.tainted_locks.lock().contains(&id);
                 if !tainted
                     && !self.thread_decoupled(&ctx.thread)
                     && !self.align_control(ctx, args, false)
                 {
-                    self.coupling.taint_lock(id);
+                    self.taint_lock(id);
                 }
                 self.locks.unlock(id);
                 Ok(SysOutcome::Value(Value::Int(0)))
@@ -651,7 +932,7 @@ impl SyscallHooks for SlaveHooks {
                 if let Some(mutation) = self.source_mutation(ctx, args) {
                     let mutated = mutation.apply(&outcome);
                     if mutated != outcome {
-                        self.coupling.flight(Role::Slave, || FlightEvent::Mutated {
+                        self.flight(Role::Slave, || FlightEvent::Mutated {
                             thread: ctx.thread.clone(),
                             key: ctx.key.clone(),
                             func: ctx.func,
@@ -674,8 +955,8 @@ impl SyscallHooks for SlaveHooks {
         }
         // The slave never blocks here: its next syscall's alignment wait
         // provides the ordering (detection mode; see DESIGN.md).
-        self.coupling.flight(Role::Slave, || {
-            let delta = self.coupling.logs.with_log(thread, |log| {
+        self.flight(Role::Slave, || {
+            let delta = self.logs.with_log(thread, |log| {
                 master_delta(log.published.lock().master_ready.as_ref(), key)
             });
             FlightEvent::Barrier {
@@ -691,30 +972,44 @@ impl SyscallHooks for SlaveHooks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::DualSpec;
-    use ldx_ir::FuncId;
     use ldx_runtime::{FrameKey, LoopUid, StopSignal};
     use ldx_vos::{Vos, VosConfig};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::AtomicBool;
     use std::sync::{mpsc, Barrier};
-    use std::time::Duration;
 
-    /// Slave hooks on `coupling` for a program with an empty `main`, and
-    /// that `main`.
-    fn slave_hooks(coupling: &Arc<Coupling>) -> (SlaveHooks, FuncId) {
+    /// A live slave (recording if `record`) of fresh logs, for a program
+    /// with an empty `main`, and that `main`.
+    fn hooks(record: bool) -> (SlaveHooks, FuncId) {
         let program = ldx_ir::lower(&ldx_lang::compile("fn main() { }").unwrap());
         let config = VosConfig::new();
-        let hooks = SlaveHooks {
-            coupling: Arc::clone(coupling),
-            overlay: SlaveVos::new(Arc::new(Vos::new(&config)), &config),
-            locks: LockTable::new(),
-            sinks: ResolvedSinks::resolve(&DualSpec::default(), &program),
-            sources: ResolvedSources::default(),
-            fdmap: Mutex::new(Default::default()),
-            decoupled_threads: Mutex::new(HashSet::new()),
-            spawn_counts: Mutex::new(HashMap::new()),
+        let spec = DualSpec {
+            record,
+            ..DualSpec::default()
         };
+        let overlay = SlaveVos::new(Arc::new(Vos::new(&config)), &config);
+        let sinks = ResolvedSinks::resolve(&spec, &program);
+        let logs = Arc::new(MasterLogs::new(1));
+        let hooks = SlaveHooks::live(logs, 0, overlay, sinks, &spec, &program);
         (hooks, program.main())
+    }
+
+    /// A master entry at site `site` and counter `cnt`.
+    fn entry(site: u32, cnt: u64, is_sink: bool) -> Entry {
+        let ctx = SyscallCtx {
+            site: SiteId(site),
+            sys: if is_sink {
+                Syscall::Send
+            } else {
+                Syscall::Read
+            },
+            ..read_at(flat(cnt), FuncId(0), StopSignal::new())
+        };
+        Entry::new(&ctx, &READ_ARGS, Value::Int(0), 0, is_sink)
+    }
+
+    /// A flat progress key at counter `cnt`.
+    fn flat(cnt: u64) -> ProgressKey {
+        ProgressKey::from_frames(&[FrameKey { loops: vec![], cnt }])
     }
 
     /// A slave `read` at `key` in `main` of the root thread.
@@ -723,7 +1018,7 @@ mod tests {
             thread: ThreadKey::root(),
             key,
             func,
-            site: ldx_ir::SiteId(0),
+            site: SiteId(0),
             sys: Syscall::Read,
             stop,
         }
@@ -735,16 +1030,15 @@ mod tests {
     /// progress is `master_ready`, with the stop signal already fired:
     /// returns the decision and the number of timeouts counted.
     fn align_with_stop(master_ready: Option<ProgressKey>, key: ProgressKey) -> (Align, u64) {
-        let coupling = Arc::new(Coupling::new(true));
-        let (hooks, main) = slave_hooks(&coupling);
-        coupling.logs.with_log(&ThreadKey::root(), |log| {
+        let (hooks, main) = hooks(true);
+        hooks.logs.with_log(&ThreadKey::root(), |log| {
             log.published.lock().master_ready = master_ready;
         });
         let stop = StopSignal::new();
         stop.request_exit(0);
         let aligned = hooks.align(&read_at(key, main, stop), &READ_ARGS, false);
-        let timeouts = coupling.stats.timeouts.load(Ordering::Relaxed);
-        let log = coupling.take_flight_log();
+        let timeouts = hooks.stats.timeouts.load(Ordering::Relaxed);
+        let log = hooks.take_flight_log();
         assert_eq!(
             timeouts > 0,
             matches!(log.slave[..], [FlightEvent::Timeout { .. }])
@@ -773,18 +1067,41 @@ mod tests {
         // On the one-thread schedule every log is done before the slave
         // starts. A slave that would park anyway (here: nothing logged or
         // published, and no stop signal) reports a timeout at once.
-        let mut coupling = Coupling::new(false);
-        coupling.master_first = true;
-        let coupling = Arc::new(coupling);
-        let (hooks, main) = slave_hooks(&coupling);
+        let (mut hooks, main) = hooks(false);
+        hooks.master_first = true;
         let start = Instant::now();
         let ctx = read_at(ProgressKey::start(), main, StopSignal::new());
         assert!(matches!(
             hooks.align(&ctx, &READ_ARGS, false),
             Align::Decoupled
         ));
-        assert_eq!(coupling.stats.timeouts.load(Ordering::Relaxed), 1);
+        assert_eq!(hooks.stats.timeouts.load(Ordering::Relaxed), 1);
         assert!(start.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn a_replayed_slave_reads_finished_logs_and_never_waits() {
+        let logs = MasterLogs::new(0);
+        logs.with_log(&ThreadKey::root(), |log| log.append(entry(0, 0, false)));
+        let (live, main) = hooks(false);
+        let program = ldx_ir::lower(&ldx_lang::compile("fn main() { }").unwrap());
+        let spec = DualSpec::default();
+        let sinks = ResolvedSinks::resolve(&spec, &program);
+        let replayed = SlaveHooks::replaying(&logs.heads(), live.overlay, sinks, &spec, &program);
+        assert!(replayed.master_first);
+        let ctx = read_at(flat(0), main, StopSignal::new());
+        assert!(matches!(
+            replayed.align(&ctx, &READ_ARGS, false),
+            Align::Aligned(Value::Int(0))
+        ));
+        // Past the recorded entry the master is done: the slave decouples
+        // at once, without a timeout.
+        let ctx = read_at(flat(1), main, StopSignal::new());
+        assert!(matches!(
+            replayed.align(&ctx, &READ_ARGS, false),
+            Align::Decoupled
+        ));
+        assert_eq!(replayed.stats.timeouts.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -806,18 +1123,15 @@ mod tests {
         // The master publishes only to a parked slave. Whenever the slave
         // parks relative to the master's publishes, the next publish must
         // release it: it decouples (the master is ahead) without a timeout.
-        let ahead = ProgressKey::from_frames(&[FrameKey {
-            loops: vec![],
-            cnt: 5,
-        }]);
+        let ahead = flat(5);
         for i in 0..200u32 {
-            let coupling = Arc::new(Coupling::new(false));
-            let (hooks, main) = slave_hooks(&coupling);
+            let (hooks, main) = hooks(false);
+            let hooks = Arc::new(hooks);
             let done = Arc::new(AtomicBool::new(false));
             let start = Arc::new(Barrier::new(2));
             let master = {
-                let (coupling, done, start, ahead) = (
-                    Arc::clone(&coupling),
+                let (logs, done, start, ahead) = (
+                    Arc::clone(&hooks.logs),
                     Arc::clone(&done),
                     Arc::clone(&start),
                     ahead.clone(),
@@ -830,9 +1144,7 @@ mod tests {
                         std::hint::spin_loop();
                     }
                     while !done.load(Ordering::SeqCst) {
-                        coupling
-                            .logs
-                            .with_log(&ThreadKey::root(), |log| log.publish(&ahead));
+                        logs.with_log(&ThreadKey::root(), |log| log.publish(&ahead));
                         std::thread::yield_now();
                     }
                 })
@@ -840,19 +1152,74 @@ mod tests {
             let stop = StopSignal::new();
             let ctx = read_at(ProgressKey::start(), main, stop.clone());
             let (tx, rx) = mpsc::channel();
-            let slave = std::thread::spawn(move || {
-                start.wait();
-                let aligned = hooks.align(&ctx, &READ_ARGS, false);
-                tx.send(matches!(aligned, Align::Decoupled))
-                    .expect("test is waiting");
-            });
+            let slave = {
+                let hooks = Arc::clone(&hooks);
+                std::thread::spawn(move || {
+                    start.wait();
+                    let aligned = hooks.align(&ctx, &READ_ARGS, false);
+                    tx.send(matches!(aligned, Align::Decoupled))
+                        .expect("test is waiting");
+                })
+            };
             let decoupled = rx.recv_timeout(Duration::from_secs(5));
             done.store(true, Ordering::SeqCst);
             stop.request_exit(0);
             assert_eq!(decoupled, Ok(true), "iteration {i}: slave not released");
-            assert_eq!(coupling.stats.timeouts.load(Ordering::Relaxed), 0);
+            assert_eq!(hooks.stats.timeouts.load(Ordering::Relaxed), 0);
             master.join().expect("master thread");
             slave.join().expect("slave thread");
         }
+    }
+
+    #[test]
+    fn taint_normalizes_paths() {
+        let (hooks, _) = hooks(false);
+        hooks.taint_path("/a//b/");
+        assert!(hooks.path_tainted("a/b"));
+        assert!(!hooks.path_tainted("/a"));
+    }
+
+    #[test]
+    fn reconcile_counts_master_only_entries() {
+        let (hooks, _) = hooks(false);
+        hooks.logs.with_log(&ThreadKey::root(), |log| {
+            log.append(entry(0, 0, false));
+            log.append(entry(1, 2, true));
+        });
+        hooks.reconcile();
+        assert_eq!(hooks.stats.diffs.load(Ordering::Relaxed), 1);
+        assert_eq!(hooks.records.lock().len(), 1);
+    }
+
+    #[test]
+    fn reconcile_drains_what_the_slave_left_unread() {
+        let (hooks, _) = hooks(true);
+        hooks.logs.with_log(&ThreadKey::root(), |log| {
+            log.append(entry(0, 0, false));
+            log.append(entry(1, 2, false));
+            assert!(log.cursor(0).pop().is_some_and(|e| e.site == SiteId(0)));
+            log.append(entry(2, 4, true));
+            log.append(entry(3, 6, false));
+        });
+        hooks.reconcile();
+        assert_eq!(hooks.stats.diffs.load(Ordering::Relaxed), 2);
+        assert_eq!(hooks.records.lock().len(), 1);
+        let log = hooks.take_flight_log();
+        let sites: Vec<u32> = log
+            .master
+            .iter()
+            .map(|e| match e {
+                FlightEvent::Syscall {
+                    decision: Decision::MasterOnly,
+                    site,
+                    ..
+                } => site.0,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(sites, [1, 2, 3]);
+        assert!(hooks
+            .logs
+            .with_log(&ThreadKey::root(), |log| log.cursor(0).peek().is_none()));
     }
 }

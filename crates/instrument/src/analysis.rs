@@ -44,13 +44,6 @@ pub struct FuncCounters {
     pub may_syscall: bool,
 }
 
-impl FuncCounters {
-    /// Whether the loop at forest index `i` is instrumented.
-    pub fn loop_is_instrumented(&self, i: usize) -> bool {
-        self.instrumented_loops.contains(&i)
-    }
-}
-
 /// Whole-program counter analysis.
 #[derive(Debug, Clone)]
 pub struct CounterAnalysis {

@@ -1,10 +1,9 @@
 //! Declarative description of an initial virtual world.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How a remote host behaves when the program talks to it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PeerBehavior {
     /// Echoes every `send` back into the `recv` stream.
     Echo,
@@ -20,7 +19,7 @@ pub enum PeerBehavior {
 /// A `VosConfig` is the *input* of an experiment: the master builds its
 /// world from it, the slave's overlay falls back to it, and workloads ship
 /// one per benchmark (paired with mutations of the interesting inputs).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VosConfig {
     /// Files to create, as `(path, contents)`.
     pub files: Vec<(String, String)>,

@@ -141,15 +141,6 @@ impl SlaveVos {
         own.state.syscall(sys, args)
     }
 
-    /// Marks `path` as diverged *without* refreshing it from the master —
-    /// used when the divergence happens on the slave side first (e.g. the
-    /// slave creates a file the master never will).
-    pub fn pin_path(&self, path: &str) {
-        let mut own = self.own.lock();
-        let key = normalize_path(path).join("/");
-        own.copied_paths.insert(key);
-    }
-
     /// Runs `f` with shared access to the private state (inspection).
     pub fn with_state<R>(&self, f: impl FnOnce(&VosState) -> R) -> R {
         f(&self.own.lock().state)
@@ -300,20 +291,6 @@ mod tests {
         let (master, slave) = setup();
         on_master(&master, Syscall::Unlink, &[sa("/shared.txt")]);
         assert_eq!(slave_read(&slave, "/shared.txt"), "from-config");
-    }
-
-    #[test]
-    fn pinned_paths_are_not_refreshed() {
-        let (master, slave) = setup();
-        slave.pin_path("/shared.txt");
-        let (fd, _) = on_master(&master, Syscall::Open, &[sa("/shared.txt"), ia(1)]);
-        let (_, cut) = on_master(&master, Syscall::Write, &[ia(fd), sa("master-change")]);
-        slave.advance_cut(cut);
-        assert_eq!(
-            slave_read(&slave, "/shared.txt"),
-            "from-config",
-            "pinned path keeps slave's own view"
-        );
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   one OS thread gives the report of running both concurrently, for
 //!   generated programs and for the corpus without Lx threads;
 //! * **replay equivalence** — slaves with different mutations replayed,
-//!   in any order, against one recorded master (from either schedule)
-//!   report what fresh dual executions do, and with the flight recorder on
+//!   in any order, against one recorded master report what fresh dual
+//!   executions do, and with the flight recorder on
 //!   a replay logs what a one-thread run logs;
 //! * **shared-master equivalence** — every job of a batch whose jobs share
 //!   masters (live slaves of one master on one worker; a master per job on
@@ -26,8 +26,7 @@
 
 use ldx::{BatchEngine, BatchJob};
 use ldx_dualex::{
-    dual_execute, dual_execute_and_record, record, replay, DualReport, DualSpec, Mutation,
-    Recording, SinkSpec, SourceSpec,
+    dual_execute, record, replay, DualReport, DualSpec, Mutation, SinkSpec, SourceSpec,
 };
 use ldx_runtime::ExecConfig;
 use ldx_vos::VosConfig;
@@ -86,18 +85,7 @@ const REPLAYED: [Mutation; 4] = [
     Mutation::Identity,
 ];
 
-/// Recordings of `spec`'s master: one made alone (the one-thread
-/// schedule's), one kept by a two-thread run.
-fn recordings(program: &Arc<ldx_ir::IrProgram>, w: &VosConfig, spec: &DualSpec) -> [Recording; 2] {
-    let alone = record(Arc::clone(program), w, spec);
-    let (_, kept) = dual_execute_and_record(Arc::clone(program), w, spec);
-    [
-        alone,
-        kept.expect("a program without spawn sites keeps its recording"),
-    ]
-}
-
-/// Replays every spec against both recordings of the first one's master,
+/// Replays every spec against one recording of the first one's master,
 /// forwards and backwards, and checks each report against a fresh dual
 /// execution; returns the first mismatch.
 fn replays_match_fresh_runs(
@@ -109,28 +97,25 @@ fn replays_match_fresh_runs(
         .iter()
         .map(|s| verdict(&dual_execute(Arc::clone(program), w, s)))
         .collect();
-    for (which, recording) in ["alone", "two-thread"]
-        .iter()
-        .zip(recordings(program, w, &specs[0]))
-    {
-        let forwards: Vec<usize> = (0..specs.len()).collect();
-        for order in [forwards.clone(), forwards.into_iter().rev().collect()] {
-            for i in order {
-                let replayed = verdict(&replay(&recording, &specs[i]));
-                if replayed != fresh[i] {
-                    return Err(format!(
-                        "{which} recording, {:?}:\nreplayed {replayed}\nfresh    {}",
-                        specs[i].sources, fresh[i]
-                    ));
-                }
+    let recording = record(Arc::clone(program), w, &specs[0]);
+    let forwards: Vec<usize> = (0..specs.len()).collect();
+    for order in [forwards.clone(), forwards.into_iter().rev().collect()] {
+        for i in order {
+            let replayed = verdict(&replay(&recording, &specs[i]));
+            if replayed != fresh[i] {
+                return Err(format!(
+                    "{:?}:\nreplayed {replayed}\nfresh    {}",
+                    specs[i].sources, fresh[i]
+                ));
             }
         }
     }
     Ok(())
 }
 
-/// With the flight recorder on, a replay against either recording logs
-/// what a one-thread run of the same spec logs.
+/// With the flight recorder on, each of two replays against one recording
+/// logs what a one-thread run of the same spec logs: a replay leaves the
+/// recording as it found it.
 fn replayed_flight_log_matches(
     program: &Arc<ldx_ir::IrProgram>,
     w: &VosConfig,
@@ -138,7 +123,8 @@ fn replayed_flight_log_matches(
 ) -> Result<(), String> {
     let spec = spec.clone().recorded();
     let one = one_thread(Arc::clone(program), w, &spec);
-    for recording in recordings(program, w, &spec) {
+    let recording = record(Arc::clone(program), w, &spec);
+    for _ in 0..2 {
         let replayed = replay(&recording, &spec);
         if replayed.flight != one.flight {
             return Err(format!(

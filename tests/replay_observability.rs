@@ -40,10 +40,10 @@ fn inside(point: &TraceEventSnapshot, span: &TraceEventSnapshot) -> bool {
     point.tid == span.tid && span.ts_ns <= point.ts_ns && point.ts_ns <= span.ts_ns + span.dur_ns
 }
 
-/// Runs `analyze` traced and checks the arrows: one master span, `slaves`
-/// slave spans, and one arrow per slave span, each from inside the master
-/// span to inside its own slave span.
-fn check_arrows(analyze: impl FnOnce(&Analysis), slaves: usize) {
+/// Runs `analyze` traced and checks the arrows: `masters` master spans,
+/// `slaves` slave spans, and one arrow per slave span, each from inside a
+/// master span to inside its own slave span.
+fn check_arrows(analyze: impl FnOnce(&Analysis), masters: usize, slaves: usize) {
     obs::reset();
     obs::enable_tracing(obs::DEFAULT_TRACE_CAPACITY);
     obs::enable_metrics();
@@ -53,8 +53,8 @@ fn check_arrows(analyze: impl FnOnce(&Analysis), slaves: usize) {
         let run = |e: &&TraceEventSnapshot| e.cat == cat && e.name == "run";
         events.iter().filter(run).collect()
     };
-    let (masters, slave_spans) = (spans("master"), spans("slave"));
-    assert_eq!(masters.len(), 1, "one master run per analysis");
+    let (master_spans, slave_spans) = (spans("master"), spans("slave"));
+    assert_eq!(master_spans.len(), masters);
     assert_eq!(slave_spans.len(), slaves);
     let (starts, finishes): (Vec<_>, Vec<_>) = events
         .iter()
@@ -64,8 +64,8 @@ fn check_arrows(analyze: impl FnOnce(&Analysis), slaves: usize) {
     assert_eq!(finishes.len(), slaves);
     for start in &starts {
         assert!(
-            inside(start, masters[0]),
-            "an arrow starts outside the master"
+            master_spans.iter().any(|m| inside(start, m)),
+            "an arrow starts outside every master"
         );
         let id = start.flow.map(|(id, _)| id);
         let finish = finishes.iter().find(|f| f.flow.map(|(id, _)| id) == id);
@@ -77,14 +77,16 @@ fn check_arrows(analyze: impl FnOnce(&Analysis), slaves: usize) {
 #[test]
 fn replayed_slaves_are_linked_to_the_recorded_master() {
     let _g = lock();
-    // The run keeps its recording; the attribution reuses its report, and
-    // the strength battery replays its two other probes.
+    // The run is a two-thread dual execution and records nothing; the
+    // attribution reuses its report, and the strength battery records
+    // the master alone and replays its two other probes.
     check_arrows(
         |a| {
             assert!(a.run().leaked());
             assert!(a.attribute_sources()[0].causal);
             assert!(a.causal_strength(&[]).is_strong());
         },
+        2,
         3,
     );
     assert_eq!(obs::counter_value("dualex.recordings"), 1);
@@ -99,9 +101,53 @@ fn replayed_slaves_are_linked_to_the_recorded_master() {
             assert!(a.attribute_sources()[0].causal);
         },
         1,
+        1,
     );
     assert_eq!(obs::counter_value("dualex.recordings"), 1);
     assert_eq!(obs::counter_value("dualex.replays"), 1);
     assert_eq!(obs::counter_value("dualex.reports_reused"), 0);
+    obs::reset();
+}
+
+#[test]
+fn repeated_runs_and_an_attribution_make_one_master() {
+    let _g = lock();
+    // The second run reuses the first's report, and the attribution (of
+    // the one source) reuses it again: one master, one slave, and nothing
+    // recorded.
+    check_arrows(
+        |a| {
+            assert!(a.run().leaked());
+            assert!(a.run().leaked());
+            assert!(a.attribute_sources()[0].causal);
+        },
+        1,
+        1,
+    );
+    assert_eq!(obs::counter_value("dualex.recordings"), 0);
+    assert_eq!(obs::counter_value("dualex.replays"), 0);
+    assert_eq!(obs::counter_value("dualex.reports_reused"), 2);
+    assert_eq!(obs::counter_value("dualex.runs"), 1);
+    obs::reset();
+}
+
+#[test]
+fn a_run_after_an_attribution_replays_against_its_recording() {
+    let _g = lock();
+    // With a second source no attribution has the combined spec, so the
+    // run replays against the recording the attribution made.
+    check_arrows(
+        |a| {
+            let a = a.clone().source(SourceSpec::file("/absent"));
+            assert!(a.attribute_sources()[0].causal);
+            assert!(a.run().leaked());
+        },
+        1,
+        2,
+    );
+    assert_eq!(obs::counter_value("dualex.recordings"), 1);
+    assert_eq!(obs::counter_value("dualex.replays"), 2);
+    assert_eq!(obs::counter_value("dualex.reports_reused"), 0);
+    assert_eq!(obs::counter_value("dualex.runs"), 2);
     obs::reset();
 }
