@@ -4,9 +4,8 @@
 //! (count + percent), instrumented loops / recursive call sites / indirect
 //! (fptr) call sites, sinks, syscall sites, max static counter, dynamic
 //! counter (avg/max) and counter-stack depth from a run, plus the number
-//! of loop-backedge barriers crossed, the number of mutated inputs (sources), and the
-//! source pairs the `ldx-sdep` pre-filter proves inert (pruned, counted
-//! over declared plus statically discovered sources).
+//! of loop-backedge barriers crossed and the number of mutated inputs
+//! (sources).
 //!
 //! Rows run on the batch engine's pool; the instrumentation cache compiles
 //! each source once and feeds both the static report and the dynamic run.
@@ -22,7 +21,7 @@ fn main() {
     // The metrics line on stderr reports the counters regardless of the flags.
     ldx::obs::enable_metrics();
     println!(
-        "{:<10} {:>5} {:>7} {:>7} {:>6} {:>6} {:>5} {:>6} {:>5} {:>8} {:>9} {:>6} {:>5} {:>6} {:>7} {:>6}",
+        "{:<10} {:>5} {:>7} {:>7} {:>6} {:>6} {:>5} {:>6} {:>5} {:>8} {:>9} {:>6} {:>5} {:>6} {:>7}",
         "program",
         "loc",
         "instrs",
@@ -37,8 +36,7 @@ fn main() {
         "dyn-max",
         "stack",
         "barr",
-        "sources",
-        "pruned"
+        "sources"
     );
     let engine = BatchEngine::auto();
     let cache = InstrumentCache::new();
@@ -49,20 +47,8 @@ fn main() {
         let stats = out.map(|o| o.stats).unwrap_or_default();
         let orig = report.total_original_instrs();
         let added = report.total_added_instrs();
-        let sdep = ldx::sdep::StaticAnalysis::analyze(&compiled.program);
-        let mut probe_sources = w.sources.clone();
-        for d in sdep.discovered_sources() {
-            if !probe_sources.iter().any(|s| s.matcher == d.matcher) {
-                probe_sources.push(d);
-            }
-        }
-        let pruned = probe_sources
-            .iter()
-            .filter(|s| !sdep.may_cause(s, &w.sinks))
-            .count();
-        ldx::obs::counter_add("sdep.pruned_pairs", pruned as u64);
         let line = format!(
-            "{:<10} {:>5} {:>7} {:>6.2}% {:>6} {:>6} {:>5} {:>6} {:>5} {:>8} {:>9.2} {:>6} {:>5} {:>6} {:>7} {:>6}",
+            "{:<10} {:>5} {:>7} {:>6.2}% {:>6} {:>6} {:>5} {:>6} {:>5} {:>8} {:>9.2} {:>6} {:>5} {:>6} {:>7}",
             w.name,
             w.loc(),
             orig,
@@ -78,7 +64,6 @@ fn main() {
             stats.max_counter_depth,
             stats.barrier_waits,
             w.sources.len(),
-            pruned,
         );
         (line, orig, added)
     });

@@ -11,7 +11,6 @@
 //! | `figure6`               | Figure 6 — normalized overhead of LDX |
 //! | `ablation_mutation`     | §8.3 input-mutation strategy study |
 //! | `ablation_compensation` | DESIGN.md ablation: counters without compensation |
-//! | `ablation_prune`        | `ldx-sdep` pruning on/off: same verdicts, fewer runs |
 //! | `explain_corpus`        | `ldx explain` provenance reports over the corpus |
 //!
 //! These binaries print the paper's tables and figures. Comparing

@@ -2,9 +2,9 @@
 //!
 //! ```console
 //! $ ldx <program.lx> [experiment.ldx] [--attribute] [--strength] [--taint]
-//!       [--explain] [--no-prune] [--trace <out.json>] [--metrics <out.json>]
+//!       [--explain] [--trace <out.json>] [--metrics <out.json>]
 //! $ ldx analyze <program.lx> [--json <out.json>] [--dot <out.dot>]
-//! $ ldx explain <program.lx> [experiment.ldx] [--json <out.json>] [--no-prune]
+//! $ ldx explain <program.lx> [experiment.ldx] [--json <out.json>]
 //! ```
 //!
 //! The experiment file describes the world (files, peers, clients) and the
@@ -14,12 +14,12 @@
 //! is recorded and printed as the alignment trace (`trace:` lines, master
 //! then slave).
 //!
-//! `--attribute` and `--strength` skip dual executions for pairs the
-//! static analysis (`ldx-sdep`) proves independent; `--no-prune` disables
-//! that pre-filter. The `analyze` subcommand runs only the static analysis
-//! and emits the dependence graph and per-site reachability as JSON (the
-//! shape of `schemas/sdep_schema.json`; stdout by default, or `--json`)
-//! and Graphviz DOT (`--dot`). See `docs/ANALYSIS.md`.
+//! `--attribute` runs one dual execution per source, and `--strength` one
+//! per probe of the first source. The `analyze` subcommand runs only the
+//! static analysis (`ldx-sdep`) and emits the dependence graph and
+//! per-site reachability as JSON (the shape of `schemas/sdep_schema.json`;
+//! stdout by default, or `--json`) and Graphviz DOT (`--dot`). See
+//! `docs/ANALYSIS.md`.
 //!
 //! The `explain` subcommand runs the per-source attribution with the
 //! flight recorder on and emits the causal provenance chains (mutated
@@ -36,9 +36,10 @@
 //! `docs/OBSERVABILITY.md`.
 //!
 //! Exit codes: 0 no causality, 1 causality detected, 2 usage or input
-//! error, 3 a coupling wait of the run or of an attribution run behind
-//! `--attribute`/`--explain`/`explain` was released by the safety valve
-//! (`MAX_WAIT` or the stop signal) instead of by its peer.
+//! error (an unknown flag included), 3 a coupling wait of the run or of
+//! an attribution run behind `--attribute`/`--explain`/`explain` was
+//! released by the safety valve (`MAX_WAIT` or the stop signal) instead
+//! of by its peer.
 
 use ldx::obs;
 use ldx::specfile::parse_experiment;
@@ -164,20 +165,17 @@ fn build_analysis(program_path: &str, experiment_path: Option<&str>) -> Result<A
     Ok(analysis)
 }
 
-/// `ldx explain <program.lx> [experiment.ldx] [--json <path>]
-/// [--no-prune]`: causal provenance chains as deterministic JSON (stdout
-/// unless `--json`), with the terminal rendering on stderr.
+/// `ldx explain <program.lx> [experiment.ldx] [--json <path>]`: causal
+/// provenance chains as deterministic JSON (stdout unless `--json`), with
+/// the terminal rendering on stderr.
 fn run_explain(args: &[String], obs_args: &obs::ObsArgs) -> ExitCode {
-    const USAGE: &str =
-        "usage: ldx explain <program.lx> [experiment.ldx] [--json <out.json>] [--no-prune]";
+    const USAGE: &str = "usage: ldx explain <program.lx> [experiment.ldx] [--json <out.json>]";
     let mut files = Vec::new();
     let mut json_path = None;
-    let mut no_prune = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => json_path = it.next(),
-            "--no-prune" => no_prune = true,
             _ if !arg.starts_with("--") && files.len() < 2 => files.push(arg.as_str()),
             _ => {
                 eprintln!("{USAGE}");
@@ -189,13 +187,10 @@ fn run_explain(args: &[String], obs_args: &obs::ObsArgs) -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let mut analysis = match build_analysis(program_path, files.get(1).copied()) {
+    let analysis = match build_analysis(program_path, files.get(1).copied()) {
         Ok(a) => a,
         Err(code) => return code,
     };
-    if no_prune {
-        analysis = analysis.no_prune();
-    }
     let attributions = analysis.clone().recorded().attribute_sources();
     let report = analysis.explain_attributions(&attributions, program_path);
     eprint!("{}", report.render_text());
@@ -220,6 +215,28 @@ fn run_explain(args: &[String], obs_args: &obs::ObsArgs) -> ExitCode {
     ExitCode::from(u8::from(report.any_causal()))
 }
 
+/// The flags of the default path (the observability flags are stripped
+/// before).
+const FLAGS: &[&str] = &["--attribute", "--strength", "--taint", "--explain"];
+
+/// Splits the default path's arguments into the program, the experiment
+/// and the flags; `None` (a usage error) for an unknown flag or a wrong
+/// number of files.
+fn default_args(args: &[String]) -> Option<(&str, Option<&str>, Vec<&str>)> {
+    let (flags, files): (Vec<&str>, Vec<&str>) = args
+        .iter()
+        .map(String::as_str)
+        .partition(|a| a.starts_with("--"));
+    if flags.iter().any(|f| !FLAGS.contains(f)) {
+        return None;
+    }
+    match files.as_slice() {
+        [program] => Some((program, None, flags)),
+        [program, experiment] => Some((program, Some(experiment), flags)),
+        _ => None,
+    }
+}
+
 fn main() -> ExitCode {
     let (args, obs_args) = obs::parse_obs_args(std::env::args().skip(1).collect());
     obs::init(&obs_args);
@@ -229,34 +246,20 @@ fn main() -> ExitCode {
     if args.first().map(String::as_str) == Some("explain") {
         return run_explain(&args[1..], &obs_args);
     }
-    let flags: Vec<&str> = args
-        .iter()
-        .filter(|a| a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-    let files: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let (program_path, experiment_path) = match files.as_slice() {
-        [program] => (*program, None),
-        [program, experiment] => (*program, Some(*experiment)),
-        _ => {
-            eprintln!(
-                "usage: ldx <program.lx> [experiment.ldx] [--attribute] [--strength] [--taint] \
-                 [--explain] [--no-prune] [--trace <out.json>] [--metrics <out.json>]\n\
-                 \x20      ldx analyze <program.lx> [--json <out.json>] [--dot <out.dot>]\n\
-                 \x20      ldx explain <program.lx> [experiment.ldx] [--json <out.json>] \
-                 [--no-prune]"
-            );
-            return ExitCode::from(2);
-        }
+    let Some((program_path, experiment_path, flags)) = default_args(&args) else {
+        eprintln!(
+            "usage: ldx <program.lx> [experiment.ldx] [--attribute] [--strength] [--taint] \
+             [--explain] [--trace <out.json>] [--metrics <out.json>]\n\
+             \x20      ldx analyze <program.lx> [--json <out.json>] [--dot <out.dot>]\n\
+             \x20      ldx explain <program.lx> [experiment.ldx] [--json <out.json>]"
+        );
+        return ExitCode::from(2);
     };
 
-    let mut analysis = match build_analysis(program_path, experiment_path.map(String::as_str)) {
+    let mut analysis = match build_analysis(program_path, experiment_path) {
         Ok(a) => a,
         Err(code) => return code,
     };
-    if flags.contains(&"--no-prune") {
-        analysis = analysis.no_prune();
-    }
 
     let instr = analysis.instrumentation_report();
     obs::counter_add(
@@ -299,13 +302,7 @@ fn main() -> ExitCode {
                 "source #{} {:?}: {}",
                 attr.index,
                 attr.source.matcher,
-                if attr.pruned {
-                    "inert (statically pruned)"
-                } else if attr.causal {
-                    "CAUSAL"
-                } else {
-                    "inert"
-                }
+                if attr.causal { "CAUSAL" } else { "inert" }
             );
         }
     }
@@ -375,6 +372,20 @@ mod tests {
             timeouts,
             flight: FlightLog::default(),
         }
+    }
+
+    #[test]
+    fn unknown_flags_are_a_usage_error() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let known = args(&[&["p.lx", "e.ldx"], FLAGS].concat());
+        let parsed = Some(("p.lx", Some("e.ldx"), FLAGS.to_vec()));
+        assert_eq!(default_args(&known), parsed);
+        assert_eq!(default_args(&args(&["p.lx"])), Some(("p.lx", None, vec![])));
+        for unknown in ["--atribute", "--prune", "--"] {
+            assert_eq!(default_args(&args(&["p.lx", unknown])), None, "{unknown}");
+        }
+        assert_eq!(default_args(&args(&[])), None);
+        assert_eq!(default_args(&args(&["a", "b", "c"])), None);
     }
 
     #[test]

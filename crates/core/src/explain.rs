@@ -15,11 +15,10 @@
 //! # Determinism
 //!
 //! [`ExplainReport::to_json`] is byte-identical across runs of the same
-//! (single-threaded) program and spec, and across `--no-prune`: chains
-//! are built only from *causal* attributions (identical either way),
-//! lane order is each role's deterministic execution order, resources
-//! are sorted, and timing-dependent recorder facts (barrier deltas) are
-//! never serialized. The format is `schemas/explain_schema.json`.
+//! (single-threaded) program and spec: lane order is each role's
+//! deterministic execution order, resources are sorted, and
+//! timing-dependent recorder facts (barrier deltas) are never
+//! serialized. The format is `schemas/explain_schema.json`.
 
 use crate::{Analysis, SourceAttribution};
 use ldx_dualex::{
@@ -77,10 +76,9 @@ pub struct SourceSummary {
     pub mutation: &'static str,
     /// Whether mutating only this source produced causality.
     pub causal: bool,
-    /// `ldx-sdep` proves the (source, sinks) pair independent. Reported
-    /// instead of the runtime "was pruned" fact so the JSON stays
-    /// byte-identical under `--no-prune` (which runs pairs the static
-    /// analysis would have skipped, without changing any verdict).
+    /// `ldx-sdep` proves the (source, sinks) pair independent. The
+    /// source's dual execution still ran; a sound analysis implies
+    /// `!causal`.
     pub statically_independent: bool,
 }
 
@@ -645,9 +643,8 @@ impl Analysis {
     /// Builds the report from `attributions` (run with recording on) —
     /// no execution, so every chain explains the verdict beside it.
     ///
-    /// Recorder totals are summed over the *causal* runs only, so the
-    /// JSON is byte-identical whether or not static pruning skipped the
-    /// inert sources.
+    /// Recorder totals are summed over the *causal* runs only: they size
+    /// the flight logs the chains are built from.
     pub fn explain_attributions(
         &self,
         attributions: &[SourceAttribution],
@@ -734,12 +731,10 @@ mod tests {
     }
 
     #[test]
-    fn explain_json_is_deterministic_and_prune_invariant() {
+    fn explain_json_is_deterministic() {
         let a = leaky_analysis().explain("test.lx").to_json();
         let b = leaky_analysis().explain("test.lx").to_json();
         assert_eq!(a, b, "same program+spec must explain identically");
-        let c = leaky_analysis().no_prune().explain("test.lx").to_json();
-        assert_eq!(a, c, "--no-prune must not change the explanation");
         assert!(a.contains("\"schema\": \"ldx-explain-v1\""));
         assert!(a.contains("\"causal\": true"));
         assert!(

@@ -30,7 +30,6 @@ use crate::{Analysis, BatchEngine, BatchJob};
 use ldx_dualex::{
     dual_execute, record, replay, DualReport, DualSpec, Mutation, Recording, SourceSpec,
 };
-use ldx_runtime::{RunOutcome, RunStats, Value};
 use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 
@@ -61,33 +60,11 @@ pub struct SourceAttribution {
     pub source: SourceSpec,
     /// Whether mutating *only* this source produced causality.
     pub causal: bool,
-    /// The dual execution was skipped because `ldx-sdep` proved the
-    /// (source, sinks) pair statically independent. Implies `!causal`,
-    /// and `report` is an empty placeholder.
+    /// Always `false`: every source runs. Kept only because ldxperf's
+    /// `attribution` workload (`ldxperf/src/cases.rs`) still filters on it.
     pub pruned: bool,
     /// The per-source dual-execution report.
     pub report: DualReport,
-}
-
-/// The placeholder report attached to statically pruned pairs: no runs
-/// happened, so every field is the "nothing observed" value.
-fn pruned_report() -> DualReport {
-    let outcome = || RunOutcome {
-        exit_code: 0,
-        result: Value::Int(0),
-        stats: RunStats::default(),
-    };
-    DualReport {
-        causality: vec![],
-        master: Ok(outcome()),
-        slave: Ok(outcome()),
-        syscall_diffs: 0,
-        shared: 0,
-        decoupled: 0,
-        master_sinks: 0,
-        timeouts: 0,
-        flight: ldx_dualex::FlightLog::default(),
-    }
 }
 
 /// Empirical causal-strength estimate (see [`Analysis::causal_strength`]).
@@ -132,21 +109,15 @@ impl Analysis {
     /// [`Analysis::attribute_sources`] on a caller-provided pool. Results
     /// are in source order regardless of the schedule.
     ///
-    /// With pruning enabled (the default), sources `ldx-sdep` proves
-    /// statically independent of the sinks skip their dual execution
-    /// entirely and come back with [`SourceAttribution::pruned`] set; the
-    /// skips are counted in the `sdep.pruned_pairs` metric. Every report
-    /// that *does* run is checked against the static map (the soundness
-    /// oracle) in debug builds.
+    /// In debug builds every report is checked against the `ldx-sdep`
+    /// static map (the soundness oracle).
     pub fn attribute_sources_with(&self, engine: &BatchEngine) -> Vec<SourceAttribution> {
         let spec = self.spec();
-        let sdep = self.prune_enabled().then(|| self.static_analysis());
-        let should_run = self.prune_mask(spec.sources.iter().cloned());
+        let sdep = cfg!(debug_assertions).then(|| self.static_analysis());
         let specs = spec
             .sources
             .iter()
             .enumerate()
-            .filter(|&(index, _)| should_run[index])
             .map(|(index, source)| {
                 (
                     format!("source#{index}"),
@@ -154,21 +125,12 @@ impl Analysis {
                 )
             })
             .collect();
-        let mut results = self.run_specs(engine, specs).into_iter();
+        let reports = self.run_specs(engine, specs);
         spec.sources
             .iter()
+            .zip(reports)
             .enumerate()
-            .map(|(index, source)| {
-                if !should_run[index] {
-                    return SourceAttribution {
-                        index,
-                        source: source.clone(),
-                        causal: false,
-                        pruned: true,
-                        report: pruned_report(),
-                    };
-                }
-                let report = results.next().expect("one result per scheduled job");
+            .map(|(index, (source, report))| {
                 if let Some(analysis) = &sdep {
                     debug_assert!(
                         analysis
@@ -187,24 +149,6 @@ impl Analysis {
                 }
             })
             .collect()
-    }
-
-    /// Which of `sources` may reach the sinks, so their dual execution
-    /// must run: all of them unless pruning is on, in which case the skips
-    /// are counted in the `sdep.pruned_pairs` metric.
-    fn prune_mask(&self, sources: impl Iterator<Item = SourceSpec>) -> Vec<bool> {
-        let sdep = self.prune_enabled().then(|| self.static_analysis());
-        let mask: Vec<bool> = sources
-            .map(|source| {
-                sdep.as_ref()
-                    .is_none_or(|a| a.may_cause(&source, &self.spec().sinks))
-            })
-            .collect();
-        let pruned = mask.iter().filter(|run| !**run).count();
-        if pruned > 0 {
-            crate::obs::counter_add("sdep.pruned_pairs", pruned as u64);
-        }
-        mask
     }
 
     /// This analysis' spec with `source` as its only source.
@@ -305,10 +249,6 @@ impl Analysis {
 
     /// [`Analysis::causal_strength`] on a caller-provided pool: the whole
     /// battery runs as one batch (of replays, less any probe already run).
-    ///
-    /// With pruning enabled, probes whose (mutated source, sinks) pair is
-    /// statically independent never run — they count as probed but not
-    /// flipped, exactly what the dual execution would have concluded.
     pub fn causal_strength_with(
         &self,
         engine: &BatchEngine,
@@ -327,11 +267,9 @@ impl Analysis {
             matcher: base.matcher.clone(),
             mutation: mutation.clone(),
         };
-        let should_run = self.prune_mask(battery.iter().map(probe));
         let specs = battery
             .iter()
             .enumerate()
-            .filter(|&(index, _)| should_run[index])
             .map(|(index, mutation)| {
                 (
                     format!("probe#{index}"),
@@ -385,18 +323,6 @@ mod tests {
         assert!(!attributions[1].causal, "/b does not");
     }
 
-    #[test]
-    fn pruning_skips_inert_sources_without_changing_verdicts() {
-        let pruned = two_source_analysis().attribute_sources();
-        let full = two_source_analysis().no_prune().attribute_sources();
-        assert!(pruned[1].pruned, "/b is statically independent");
-        assert!(!pruned[0].pruned, "/a must still run");
-        assert!(full.iter().all(|a| !a.pruned), "--no-prune runs everything");
-        for (p, f) in pruned.iter().zip(&full) {
-            assert_eq!(p.causal, f.causal, "pruning must not change verdicts");
-        }
-    }
-
     /// The argument difference of the first sink record: (master, slave).
     fn arg_diff(report: &DualReport) -> (String, String) {
         report
@@ -427,11 +353,9 @@ mod tests {
         assert!(attributed(&moved).contains("payload=other"));
         assert!(attributed(&original).contains("payload=used"));
         // A clone shares the recording until a builder changes what its
-        // master sees; sources and pruning do not.
+        // master sees; sources do not.
         let shares = |a: &Analysis| Arc::ptr_eq(&a.replays, &original.replays);
-        assert!(shares(
-            &original.clone().source(SourceSpec::file("/c")).no_prune()
-        ));
+        assert!(shares(&original.clone().source(SourceSpec::file("/c"))));
         let exec = ldx_runtime::ExecConfig::default();
         for fresh in [
             original.clone().sinks(SinkSpec::Outputs),

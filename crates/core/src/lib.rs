@@ -74,7 +74,7 @@ pub use ldx_runtime::{ExecConfig, RunOutcome, RunStats, Trap, Value};
 pub use ldx_taint::{TaintPolicy, TaintReport};
 
 /// Re-export of the static program-dependence analysis (`ldx-sdep`):
-/// PDG construction, sink-reachability pruning, and the soundness oracle.
+/// PDG construction, sink reachability, and the soundness oracle.
 pub use ldx_sdep as sdep;
 
 /// Re-export of the virtual OS types used to describe worlds.
@@ -108,7 +108,6 @@ pub struct Analysis {
     report: InstrumentationReport,
     world: VosConfig,
     spec: DualSpec,
-    prune: bool,
     sdep_cache: Arc<OnceLock<Arc<sdep::StaticAnalysis>>>,
     replays: Arc<Replays>,
 }
@@ -134,7 +133,6 @@ impl Analysis {
             report,
             world: VosConfig::new(),
             spec: DualSpec::default(),
-            prune: true,
             sdep_cache: Arc::new(OnceLock::new()),
             replays: Arc::default(),
         }
@@ -173,19 +171,6 @@ impl Analysis {
         self.spec.exec = exec;
         self.replays = Arc::default();
         self
-    }
-
-    /// Disables the static pruning pre-filter: every per-source /
-    /// per-probe dual execution runs even when `ldx-sdep` proves the pair
-    /// independent (the `--no-prune` escape hatch).
-    pub fn no_prune(mut self) -> Self {
-        self.prune = false;
-        self
-    }
-
-    /// Whether the static pruning pre-filter is active (default: yes).
-    pub fn prune_enabled(&self) -> bool {
-        self.prune
     }
 
     /// The static dependence analysis of the instrumented program,

@@ -35,7 +35,6 @@ pub const DEFAULT_COUNTERS: &[&str] = &[
     "sdep.nodes",
     "sdep.edges",
     "sdep.sites",
-    "sdep.pruned_pairs",
     "recorder.events",
     "recorder.dropped",
 ];

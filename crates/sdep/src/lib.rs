@@ -1,13 +1,13 @@
 //! `ldx-sdep`: static program-dependence analysis for the LDX pipeline.
 //!
 //! LDX infers causality *dynamically* by dual execution. This crate is its
-//! static complement: an interprocedural dependence over-approximation
-//! with two jobs —
+//! static complement: an interprocedural dependence over-approximation.
+//! It never decides a verdict; every attribution and strength probe runs.
+//! It has two jobs —
 //!
-//! 1. **Pruning.** Any (source, sink) pair the static analysis proves
-//!    independent can never produce a causality record, so
-//!    `attribute_sources` / `causal_strength` can skip the whole dual
-//!    execution for it ([`StaticAnalysis::may_cause`]).
+//! 1. **Explanation.** `ldx explain` marks the sources this analysis
+//!    proves independent of the sinks ([`StaticAnalysis::may_cause`]) and
+//!    cross-references each causal chain against a PDG witness path.
 //! 2. **Soundness oracle.** Every causality record the engine *does*
 //!    report must fall inside the static map
 //!    ([`StaticAnalysis::check_report`]); a violation is a machine-checked
@@ -89,18 +89,18 @@ mod tests {
         let (_, analysis) = analyze(TWO_SOURCE);
         assert!(
             !analysis.may_cause(&SourceSpec::file("/b"), &SinkSpec::Outputs),
-            "/b is read into a dead local and can be pruned"
+            "/b is read into a dead local"
         );
     }
 
     #[test]
-    fn threaded_programs_are_never_pruned() {
-        // The dead read of /b would be prunable in a sequential program
+    fn threads_keep_every_matchable_source_dependent() {
+        // The dead read of /b would be independent in a sequential program
         // (see `dead_read_is_statically_independent`), but a spawned
         // thread makes every run scheduling-dependent: races can surface
         // records at any sink the threads reach, so `may_cause` must stay
-        // conservative. Sources with no candidate site are still pruned —
-        // they can never be mutated, race or not.
+        // conservative. Sources with no candidate site are still
+        // independent — they can never be mutated, race or not.
         let (_, analysis) = analyze(
             r#"
             global counter = 0;
@@ -117,7 +117,7 @@ mod tests {
         );
         assert!(
             analysis.may_cause(&SourceSpec::file("/b"), &SinkSpec::Outputs),
-            "threads disable pruning for matchable sources"
+            "threads make every matchable source dependent"
         );
         assert!(
             !analysis.may_cause(&SourceSpec::file("/nope"), &SinkSpec::Outputs),
@@ -209,12 +209,6 @@ mod tests {
             !analysis.may_cause(&SourceSpec::file("/out"), &SinkSpec::Outputs),
             "nothing reads /out, so it cannot be a source"
         );
-        let discovered = analysis.discovered_sources();
-        assert!(
-            discovered.contains(&SourceSpec::file("/in")),
-            "discovered: {discovered:?}"
-        );
-        assert!(!discovered.contains(&SourceSpec::file("/out")));
     }
 
     #[test]
@@ -358,9 +352,9 @@ mod tests {
 
     #[test]
     fn instrumented_program_keeps_the_same_verdicts() {
-        // Pruning runs on the instrumented program (site ids must line up
-        // with causality records), so the analysis has to digest the
-        // counter instructions too.
+        // The analysis runs on the instrumented program (site ids must line
+        // up with causality records), so it has to digest the counter
+        // instructions too.
         let program = lower(&compile(TWO_SOURCE).unwrap());
         let instrumented = ldx_instrument::instrument(&program);
         let analysis = StaticAnalysis::analyze(instrumented.program());

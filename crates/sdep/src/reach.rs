@@ -8,7 +8,7 @@
 //!   match at runtime (descriptor matchers use the abstract fd values);
 //! - **[`may_cause`]** — can mutating this source possibly produce *any*
 //!   causality record under a given sink spec? `false` is a proof of
-//!   independence, so the dual execution can be skipped;
+//!   independence (`ldx explain`'s `statically_independent`);
 //! - **the soundness oracle** — every dynamically reported causal pair
 //!   must be inside the static map; a violation means a bug in either the
 //!   engine or the analysis.
@@ -51,7 +51,7 @@ pub struct StaticAnalysis {
     /// single-threaded programs. Thread scheduling is a nondeterminism
     /// source the mutation does not control: anything a spawned thread
     /// touches can differ between master and slave runs regardless of the
-    /// source, so pruning and the oracle must both treat it as always
+    /// source, so `may_cause` and the oracle must both treat it as always
     /// live (the paper's §7 caveat about racy programs).
     spawn_reach: Option<SiteReach>,
 }
@@ -184,7 +184,7 @@ impl StaticAnalysis {
     ///
     /// A source with no candidate site can never be mutated, so it is
     /// independent even in a threaded program. With candidates, a
-    /// threaded program is never prunable: a scheduling race can surface
+    /// threaded program is never independent: a scheduling race can surface
     /// at the sinks of any individual run, and that run's records would
     /// be attributed to whatever source it mutated.
     pub fn may_cause(&self, source: &SourceSpec, sinks: &SinkSpec) -> bool {
@@ -280,42 +280,6 @@ impl StaticAnalysis {
             }
         }
         Some(out)
-    }
-
-    /// Source specs the program structure itself suggests: one per
-    /// statically identified input resource (file paths read, peers
-    /// received from, client ports served). Used by the pruning ablation
-    /// to probe inputs beyond the ones a workload declares.
-    pub fn discovered_sources(&self) -> Vec<SourceSpec> {
-        let mut files = BTreeSet::new();
-        let mut peers = BTreeSet::new();
-        let mut ports = BTreeSet::new();
-        for info in self.pdg.sites.values() {
-            match info.sys {
-                Syscall::Read | Syscall::Recv => {
-                    for chan in &info.effects.reads {
-                        match chan {
-                            Chan::File(p) => {
-                                files.insert(p.clone());
-                            }
-                            Chan::Peer(h) => {
-                                peers.insert(h.clone());
-                            }
-                            Chan::Client(p) => {
-                                ports.insert(*p);
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        let mut out: Vec<SourceSpec> = Vec::new();
-        out.extend(files.into_iter().map(SourceSpec::file));
-        out.extend(peers.into_iter().map(SourceSpec::net));
-        out.extend(ports.into_iter().map(SourceSpec::client));
-        out
     }
 
     /// The soundness oracle: every causality record in `report` must be

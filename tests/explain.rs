@@ -4,8 +4,8 @@
 //! Two families of properties:
 //!
 //! * **Determinism.** A report is byte-identical across repeated runs of
-//!   the same analysis, and across `--no-prune` — the flight recorder and
-//!   the chain builder may only serialize schedule-independent facts.
+//!   the same analysis — the flight recorder and the chain builder may
+//!   only serialize schedule-independent facts.
 //! * **Truthfulness.** Every chain is grounded in both engines: its sink
 //!   is a causality record of the very run it explains, and its static
 //!   path walks sites the `ldx-sdep` PDG actually holds, with a
@@ -61,7 +61,7 @@ fn func_id(program: &IrProgram, name: &str) -> ldx_ir::FuncId {
 }
 
 #[test]
-fn explain_is_byte_identical_across_runs_and_pruning() {
+fn explain_is_byte_identical_across_runs() {
     // Concurrent-suite workloads carry Lx-level races inside a single
     // dual execution (Table 4's subject); like the batch-determinism
     // equality checks, byte-identity is only promised outside that suite.
@@ -70,12 +70,6 @@ fn explain_is_byte_identical_across_runs_and_pruning() {
         let a = explain(w).to_json();
         let b = explain(w).to_json();
         assert_eq!(a, b, "workload `{}`: explain not reproducible", w.name);
-        let unpruned = workload_analysis(w).no_prune().explain(w.name).to_json();
-        assert_eq!(
-            a, unpruned,
-            "workload `{}`: explain depends on the static pre-filter",
-            w.name
-        );
     }
 }
 

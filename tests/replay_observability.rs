@@ -135,7 +135,8 @@ fn repeated_runs_and_an_attribution_make_one_master() {
 fn a_run_after_an_attribution_replays_against_its_recording() {
     let _g = lock();
     // With a second source no attribution has the combined spec, so the
-    // run replays against the recording the attribution made.
+    // run replays against the recording the attribution made, after one
+    // replay per source.
     check_arrows(
         |a| {
             let a = a.clone().source(SourceSpec::file("/absent"));
@@ -143,11 +144,11 @@ fn a_run_after_an_attribution_replays_against_its_recording() {
             assert!(a.run().leaked());
         },
         1,
-        2,
+        3,
     );
     assert_eq!(obs::counter_value("dualex.recordings"), 1);
-    assert_eq!(obs::counter_value("dualex.replays"), 2);
+    assert_eq!(obs::counter_value("dualex.replays"), 3);
     assert_eq!(obs::counter_value("dualex.reports_reused"), 0);
-    assert_eq!(obs::counter_value("dualex.runs"), 2);
+    assert_eq!(obs::counter_value("dualex.runs"), 3);
     obs::reset();
 }

@@ -3,17 +3,16 @@
 //!
 //! Two properties:
 //!
-//! * **Pruning is invisible.** `attribute_sources` with the static
-//!   pre-filter on must produce byte-identical verdicts (causal flag and
-//!   causality records) to a full run with `--no-prune` — a pruned pair is
-//!   a pair the dual execution would have found inert anyway.
+//! * **Independence is sound.** A source `may_cause` rejects comes back
+//!   non-causal, with no causality record, from its attribution run —
+//!   the fact behind `ldx explain`'s `statically_independent` flag.
 //! * **The oracle holds.** Every causality record dual execution reports
 //!   sits inside the static reachability map (`check_report`). The static
 //!   analysis over-approximates; a record outside the map is a bug in
 //!   either the engine or the analysis.
 
 use ldx::sdep::StaticAnalysis;
-use ldx::{Analysis, SinkSpec, SourceAttribution, SourceSpec};
+use ldx::{Analysis, SinkSpec, SourceSpec};
 use ldx_dualex::{dual_execute, DualSpec, Mutation, SourceMatcher};
 use ldx_runtime::ExecConfig;
 use ldx_vos::VosConfig;
@@ -27,8 +26,8 @@ fn world(value: &str) -> VosConfig {
 }
 
 /// An analysis over a generated program with the real source plus two
-/// decoys pruning can prove inert: a file nothing reads and the
-/// write-only output file.
+/// decoys `may_cause` can prove independent: a file nothing reads and
+/// the write-only output file.
 fn generated_analysis(seed: u64, input: i64) -> Analysis {
     let src = random_program_source(seed, &GeneratorConfig::default());
     Analysis::for_source(&src)
@@ -44,38 +43,37 @@ fn generated_analysis(seed: u64, input: i64) -> Analysis {
         })
 }
 
-/// The observable bytes of an attribution: everything except the
-/// placeholder report internals of pruned entries.
-fn verdict_bytes(attrs: &[SourceAttribution]) -> String {
-    attrs
-        .iter()
-        .map(|a| {
-            format!(
-                "#{} {:?} causal={} records={:?}\n",
-                a.index, a.source.matcher, a.causal, a.report.causality
-            )
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 16,
         .. ProptestConfig::default()
     })]
 
-    /// Pruned and unpruned attribution agree byte-for-byte on verdicts,
-    /// and the decoy sources actually exercise the pruner.
+    /// Every source `may_cause` rejects runs inert, and the decoy sources
+    /// make sure some are rejected.
     #[test]
-    fn pruned_attribution_is_byte_identical(seed in 0u64..2000, input in 0i64..1000) {
-        let pruned = generated_analysis(seed, input).attribute_sources();
-        let full = generated_analysis(seed, input).no_prune().attribute_sources();
-        prop_assert!(full.iter().all(|a| !a.pruned));
+    fn statically_independent_sources_run_inert(seed in 0u64..2000, input in 0i64..1000) {
+        let analysis = generated_analysis(seed, input);
+        let sdep = analysis.static_analysis();
+        let attributions = analysis.attribute_sources();
+        let independent: Vec<_> = attributions
+            .iter()
+            .filter(|a| !sdep.may_cause(&a.source, &analysis.spec().sinks))
+            .collect();
         prop_assert!(
-            pruned.iter().any(|a| a.pruned),
-            "seed {seed}: the decoy sources must be statically pruned"
+            !independent.is_empty(),
+            "seed {seed}: the decoy sources must be statically independent"
         );
-        prop_assert_eq!(verdict_bytes(&pruned), verdict_bytes(&full), "seed {}", seed);
+        for a in independent {
+            prop_assert!(
+                !a.causal && a.report.causality.is_empty(),
+                "seed {}: statically independent source #{} {:?} is causal: {:?}",
+                seed,
+                a.index,
+                a.source.matcher,
+                a.report.causality
+            );
+        }
     }
 
     /// Every dynamically reported causal pair is inside the static map.
@@ -166,10 +164,10 @@ fn explain_static_verdicts_agree_with_may_cause() {
     }
 }
 
-/// The pruner never suppresses a true causality: for every workload that
-/// expects a leak, `may_cause` keeps each declared source alive. (The
-/// converse — pruned pairs really are inert — is the byte-identical
-/// property above.)
+/// `may_cause` never rejects a true causality: for every workload that
+/// expects a leak, it keeps each declared source alive. (The converse —
+/// rejected sources really are inert — is the independence property
+/// above.)
 #[test]
 fn pruner_keeps_every_expected_leak_alive() {
     for w in corpus() {
@@ -181,7 +179,7 @@ fn pruner_keeps_every_expected_leak_alive() {
         for s in &w.sources {
             assert!(
                 sdep.may_cause(s, &w.sinks),
-                "workload `{}`: pruning would skip declared source {:?}",
+                "workload `{}`: `may_cause` rejects declared source {:?}",
                 w.name,
                 s.matcher
             );
