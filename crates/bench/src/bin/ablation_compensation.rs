@@ -17,7 +17,9 @@
 use ldx::{BatchEngine, BatchJob, InstrumentCache};
 
 fn main() {
-    let (_args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
+    let (_args, obs_args) = ldx::obs::cli_args(
+        "usage: ablation_compensation [--trace <out.json>] [--metrics <out.json>]",
+    );
     ldx::obs::init(&obs_args);
     println!(
         "{:<12} {:>12} {:>12} {:>14} {:>14}",

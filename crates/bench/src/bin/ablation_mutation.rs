@@ -16,7 +16,8 @@ use ldx::{BatchEngine, BatchJob, InstrumentCache};
 use ldx_dualex::{DualSpec, Mutation, SourceSpec};
 
 fn main() {
-    let (_args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
+    let (_args, obs_args) =
+        ldx::obs::cli_args("usage: ablation_mutation [--trace <out.json>] [--metrics <out.json>]");
     ldx::obs::init(&obs_args);
     let strategies = [
         ("off-by-one", Mutation::OffByOne),

@@ -15,8 +15,11 @@ use ldx::Analysis;
 use std::path::Path;
 use std::process::ExitCode;
 
+const USAGE: &str =
+    "usage: explain_corpus [--out <dir>] [--trace <out.json>] [--metrics <out.json>]";
+
 fn main() -> ExitCode {
-    let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
+    let (args, obs_args) = ldx::obs::cli_args(USAGE);
     ldx::obs::init(&obs_args);
     let mut out_dir = "explain_out".to_string();
     let mut it = args.iter();
@@ -29,7 +32,7 @@ fn main() -> ExitCode {
             }
             other => {
                 eprintln!("unknown argument {other}");
-                eprintln!("usage: explain_corpus [--out <dir>]");
+                eprintln!("{USAGE}");
                 return ExitCode::from(2);
             }
         }

@@ -38,7 +38,8 @@ use ldx_taint::{taint_execute, TaintPolicy};
 use std::time::Duration;
 
 fn main() {
-    let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
+    let (args, obs_args) =
+        ldx::obs::cli_args("usage: figure6 [reps] [--trace <out.json>] [--metrics <out.json>]");
     ldx::obs::init(&obs_args);
     let reps: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(5);
     let cpus = std::thread::available_parallelism()

@@ -16,7 +16,8 @@ use ldx::{BatchEngine, InstrumentCache};
 use ldx_bench::run_native_timed;
 
 fn main() {
-    let (_args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
+    let (_args, obs_args) =
+        ldx::obs::cli_args("usage: table1 [--trace <out.json>] [--metrics <out.json>]");
     ldx::obs::init(&obs_args);
     // The metrics line on stderr reports the counters regardless of the flags.
     ldx::obs::enable_metrics();

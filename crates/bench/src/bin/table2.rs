@@ -30,7 +30,8 @@ fn verdict(leak: bool) -> &'static str {
 }
 
 fn main() {
-    let (_args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
+    let (_args, obs_args) =
+        ldx::obs::cli_args("usage: table2 [--trace <out.json>] [--metrics <out.json>]");
     ldx::obs::init(&obs_args);
     println!(
         "{:<10} {:>6} {:>6} {:>9} {:>9} {:>12} {:>8}",

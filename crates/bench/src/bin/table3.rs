@@ -40,7 +40,8 @@ struct Row {
 }
 
 fn main() {
-    let (_args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
+    let (_args, obs_args) =
+        ldx::obs::cli_args("usage: table3 [--trace <out.json>] [--metrics <out.json>]");
     ldx::obs::init(&obs_args);
     println!(
         "{:<12} {:>5} {:>5} {:>5} | {:>9} {:>11} {:>8} {:>12}",

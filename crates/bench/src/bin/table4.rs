@@ -19,7 +19,8 @@ use ldx_bench::{mean, stddev};
 use ldx_workloads::{by_suite, Suite};
 
 fn main() {
-    let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
+    let (args, obs_args) =
+        ldx::obs::cli_args("usage: table4 [runs] [--trace <out.json>] [--metrics <out.json>]");
     ldx::obs::init(&obs_args);
     let runs: usize = args
         .first()

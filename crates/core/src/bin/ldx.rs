@@ -237,8 +237,14 @@ fn default_args(args: &[String]) -> Option<(&str, Option<&str>, Vec<&str>)> {
     }
 }
 
+const USAGE: &str =
+    "usage: ldx <program.lx> [experiment.ldx] [--attribute] [--strength] [--taint] \
+     [--explain] [--trace <out.json>] [--metrics <out.json>]\n\
+     \x20      ldx analyze <program.lx> [--json <out.json>] [--dot <out.dot>]\n\
+     \x20      ldx explain <program.lx> [experiment.ldx] [--json <out.json>]";
+
 fn main() -> ExitCode {
-    let (args, obs_args) = obs::parse_obs_args(std::env::args().skip(1).collect());
+    let (args, obs_args) = obs::cli_args(USAGE);
     obs::init(&obs_args);
     if args.first().map(String::as_str) == Some("analyze") {
         return run_analyze(&args[1..], &obs_args);
@@ -247,12 +253,7 @@ fn main() -> ExitCode {
         return run_explain(&args[1..], &obs_args);
     }
     let Some((program_path, experiment_path, flags)) = default_args(&args) else {
-        eprintln!(
-            "usage: ldx <program.lx> [experiment.ldx] [--attribute] [--strength] [--taint] \
-             [--explain] [--trace <out.json>] [--metrics <out.json>]\n\
-             \x20      ldx analyze <program.lx> [--json <out.json>] [--dot <out.dot>]\n\
-             \x20      ldx explain <program.lx> [experiment.ldx] [--json <out.json>]"
-        );
+        eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
 

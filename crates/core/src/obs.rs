@@ -4,7 +4,8 @@
 //!
 //! The contract all entry points follow:
 //!
-//! 1. [`parse_obs_args`] strips the observability flags from `argv`;
+//! 1. [`parse_obs_args`] strips the observability flags from `argv`
+//!    ([`cli_args`] exits with a usage error when one has no value);
 //! 2. [`init`] enables the right levels (metrics always; profiling when
 //!    either flag is present; tracing only for `--trace`);
 //! 3. the workload runs, instrumented throughout the workspace;
@@ -50,19 +51,42 @@ pub struct ObsArgs {
 
 /// Splits `--trace <path>` / `--metrics <path>` out of an argument list,
 /// returning the remaining arguments untouched (order preserved) and the
-/// parsed flags. A flag missing its value is treated as absent.
-pub fn parse_obs_args(args: Vec<String>) -> (Vec<String>, ObsArgs) {
+/// parsed flags.
+///
+/// # Errors
+///
+/// Returns a message naming the flag when its value is missing or
+/// starts with `--` (so `--metrics --trace t.json` is not read as a
+/// metrics file named `--trace`).
+pub fn parse_obs_args(args: Vec<String>) -> Result<(Vec<String>, ObsArgs), String> {
     let mut rest = Vec::with_capacity(args.len());
     let mut obs = ObsArgs::default();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--trace" => obs.trace = it.next(),
-            "--metrics" => obs.metrics = it.next(),
-            _ => rest.push(arg),
+        let slot = match arg.as_str() {
+            "--trace" => &mut obs.trace,
+            "--metrics" => &mut obs.metrics,
+            _ => {
+                rest.push(arg);
+                continue;
+            }
+        };
+        match it.next() {
+            Some(path) if !path.starts_with("--") => *slot = Some(path),
+            _ => return Err(format!("{arg} needs a file path")),
         }
     }
-    (rest, obs)
+    Ok((rest, obs))
+}
+
+/// The process's arguments through [`parse_obs_args`]. On an error it
+/// prints the error and `usage` to stderr and exits with status 2, the
+/// usage-error status of `ldx` and every bench binary.
+pub fn cli_args(usage: &str) -> (Vec<String>, ObsArgs) {
+    parse_obs_args(std::env::args().skip(1).collect()).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{usage}");
+        std::process::exit(2)
+    })
 }
 
 /// Enables observability for a CLI run: metrics always (the counters
@@ -114,7 +138,8 @@ mod tests {
             "exp.ldx",
             "--metrics",
             "m.json",
-        ]));
+        ]))
+        .unwrap();
         assert_eq!(rest, v(&["prog.lx", "exp.ldx"]));
         assert_eq!(obs.trace.as_deref(), Some("t.json"));
         assert_eq!(obs.metrics.as_deref(), Some("m.json"));
@@ -122,15 +147,24 @@ mod tests {
 
     #[test]
     fn absent_flags_parse_to_none() {
-        let (rest, obs) = parse_obs_args(v(&["a", "b"]));
+        let (rest, obs) = parse_obs_args(v(&["a", "b"])).unwrap();
         assert_eq!(rest, v(&["a", "b"]));
         assert_eq!(obs, ObsArgs::default());
     }
 
     #[test]
-    fn dangling_flag_is_absent() {
-        let (rest, obs) = parse_obs_args(v(&["a", "--trace"]));
-        assert_eq!(rest, v(&["a"]));
-        assert!(obs.trace.is_none());
+    fn a_flag_without_a_value_is_an_error() {
+        for (args, flag) in [
+            (&["a", "--trace"][..], "--trace"),
+            (&["--metrics"], "--metrics"),
+            (&["--metrics", "--trace", "t.json"], "--metrics"),
+            (&["--trace", "--metrics", "m.json"], "--trace"),
+        ] {
+            assert_eq!(
+                parse_obs_args(v(args)),
+                Err(format!("{flag} needs a file path")),
+                "{args:?}"
+            );
+        }
     }
 }

@@ -54,7 +54,7 @@ pub(crate) struct Entry {
     pub sys: Syscall,
     /// The arguments, inline (see [`Entry::args`]), so logging an
     /// outcome allocates nothing per entry.
-    args: [Value; MAX_ARITY],
+    args: [Value; Syscall::MAX_ARITY],
     arity: u8,
     pub outcome: Value,
     pub is_sink: bool,
@@ -62,7 +62,7 @@ pub(crate) struct Entry {
 
 impl Entry {
     /// The outcome of the syscall `ctx` issued with `args` (at most
-    /// [`MAX_ARITY`] of them: the compiler checks every syscall's arity).
+    /// [`Syscall::MAX_ARITY`] of them: the compiler checks every syscall's arity).
     pub fn new(
         ctx: &SyscallCtx,
         args: &[Value],
@@ -71,8 +71,8 @@ impl Entry {
         is_sink: bool,
     ) -> Self {
         assert!(
-            args.len() <= MAX_ARITY,
-            "more syscall arguments than MAX_ARITY"
+            args.len() <= Syscall::MAX_ARITY,
+            "more syscall arguments than Syscall::MAX_ARITY"
         );
         Entry {
             key: ctx.key.clone(),
@@ -101,9 +101,6 @@ impl Entry {
         &self.args[..usize::from(self.arity)]
     }
 }
-
-/// The most arguments a syscall takes (the largest [`Syscall::arity`]).
-pub(crate) const MAX_ARITY: usize = 2;
 
 /// Slots per chunk of a [`ThreadLog`]: 256 × 152 bytes is 38 KiB, well
 /// below glibc's default 128 KiB mmap threshold. A master running far ahead
@@ -900,7 +897,7 @@ mod tests {
     fn logged_entries_stay_small() {
         // Every entry stays logged until the last cursor passes its chunk,
         // and a master running ahead can log thousands. The arguments are
-        // inline (`MAX_ARITY` values), so an entry owns no heap block of
+        // inline (`Syscall::MAX_ARITY` values), so an entry owns no heap block of
         // its own: 48 bytes of key, 48 of arguments, 24 of outcome, 24 of
         // the rest, and a slot adds its 8-byte once-flag.
         assert!(std::mem::size_of::<ProgressKey>() <= 48);
@@ -925,14 +922,6 @@ mod tests {
 
     #[test]
     fn every_syscalls_arguments_fit_inline() {
-        for sys in Syscall::ALL {
-            assert!(
-                sys.arity() <= MAX_ARITY,
-                "{sys:?} takes {} arguments",
-                sys.arity()
-            );
-        }
-        assert!(Syscall::ALL.iter().any(|sys| sys.arity() == MAX_ARITY));
         let ctx = SyscallCtx {
             thread: ThreadKey::root(),
             key: key(0),
@@ -944,7 +933,7 @@ mod tests {
         let args = [Value::str("/a"), Value::Int(2)];
         let e = Entry::new(&ctx, &args, Value::Int(0), 0, false);
         assert_eq!(e.args(), args);
-        assert_eq!(e.args.len(), MAX_ARITY);
+        assert_eq!(e.args.len(), Syscall::MAX_ARITY);
         let e = Entry::new(&ctx, &args[..1], Value::Int(0), 0, false);
         assert_eq!(e.args(), &args[..1]);
     }

@@ -177,26 +177,22 @@ impl<'a> Lowerer<'a> {
     fn lower_stmt(&mut self, stmt: &Stmt) {
         match &stmt.kind {
             StmtKind::Let { name, init } => {
+                let fresh_from = self.func.local_count;
                 let value = self.lower_expr(init);
                 let slot = self.func.alloc_local();
-                self.emit(Instr::Copy {
-                    dst: slot,
-                    src: value,
-                });
+                self.store_local(slot, value, fresh_from);
                 self.scopes
                     .last_mut()
                     .expect("scope stack never empty")
                     .insert(name.clone(), slot);
             }
             StmtKind::Assign { target, value } => {
+                let fresh_from = self.func.local_count;
                 let value = self.lower_expr(value);
                 match target {
                     LValue::Var(name) => {
                         if let Some(slot) = self.lookup_var(name) {
-                            self.emit(Instr::Copy {
-                                dst: slot,
-                                src: value,
-                            });
+                            self.store_local(slot, value, fresh_from);
                         } else {
                             let global = self.global_ids[name.as_str()];
                             self.emit(Instr::StoreGlobal { global, src: value });
@@ -350,6 +346,40 @@ impl<'a> Lowerer<'a> {
                 self.lower_expr(e);
             }
         }
+    }
+
+    /// Stores `value`, just lowered, into the variable `slot`. When the
+    /// value is a temporary (a local numbered from `fresh_from` on) that
+    /// the current block's last instruction computes without side
+    /// effects, that instruction writes `slot` itself and no `Copy` is
+    /// emitted: its operands are read before its result is written, so
+    /// `x = x + 1` and `x = set(x, i, v)` stay correct. Anything else
+    /// keeps its temporary and a `Copy`: a bare variable, a `&&`/`||`
+    /// diamond (its result is written before the right side is read),
+    /// and calls and syscalls.
+    fn store_local(&mut self, slot: LocalId, value: LocalId, fresh_from: usize) {
+        if value.index() >= fresh_from {
+            if let Some(
+                Instr::Const { dst, .. }
+                | Instr::Unary { dst, .. }
+                | Instr::Binary { dst, .. }
+                | Instr::Index { dst, .. }
+                | Instr::MakeArray { dst, .. }
+                | Instr::LoadGlobal { dst, .. }
+                | Instr::FuncRef { dst, .. }
+                | Instr::CallLib { dst, .. },
+            ) = self.func.block_mut(self.current).instrs.last_mut()
+            {
+                if *dst == value {
+                    *dst = slot;
+                    return;
+                }
+            }
+        }
+        self.emit(Instr::Copy {
+            dst: slot,
+            src: value,
+        });
     }
 
     fn lower_expr(&mut self, expr: &Expr) -> LocalId {
@@ -591,6 +621,108 @@ mod tests {
             .instrs
             .iter()
             .any(|i| matches!(i, Instr::Binary { .. })));
+    }
+
+    /// Every instruction of `main` that writes the variable initialised
+    /// by `let x = 42;`.
+    fn writes_of_x(p: &IrProgram) -> Vec<Instr> {
+        let f = main_body(p);
+        let x = f
+            .instrs()
+            .find_map(|(_, i)| match i {
+                Instr::Const {
+                    dst,
+                    value: Const::Int(42),
+                } => Some(*dst),
+                _ => None,
+            })
+            .expect("`let x = 42;`");
+        f.instrs()
+            .filter(|(_, i)| i.defined_local().map(|(l, _)| l) == Some(x))
+            .map(|(_, i)| i.clone())
+            .collect()
+    }
+
+    #[test]
+    fn set_assignment_is_one_lib_call_writing_its_variable() {
+        let p = lower_src("fn main() { let x = 42; x = [1, 2]; let i = 0; x = set(x, i, 7); }");
+        let writes = writes_of_x(&p);
+        assert_eq!(writes.len(), 3, "{writes:?}");
+        let Instr::CallLib { dst, args, .. } = &writes[2] else {
+            panic!("{writes:?}")
+        };
+        assert_eq!(args[0], *dst);
+        assert!(!main_body(&p)
+            .instrs()
+            .any(|(_, i)| matches!(i, Instr::Copy { .. })));
+    }
+
+    #[test]
+    fn inner_let_reads_the_outer_variable() {
+        // Lx forbids shadowing a local, so the outer `x` is a global.
+        let p =
+            lower_src("global x = 42; fn main() { if (1) { let x = x + 1; write(1, str(x)); } }");
+        let f = main_body(&p);
+        let loaded = f
+            .instrs()
+            .find_map(|(_, i)| match i {
+                Instr::LoadGlobal {
+                    dst,
+                    global: GlobalId(0),
+                } => Some(*dst),
+                _ => None,
+            })
+            .expect("the outer x is loaded");
+        let (inner, lhs) = f
+            .instrs()
+            .find_map(|(_, i)| match i {
+                Instr::Binary { dst, lhs, .. } => Some((*dst, *lhs)),
+                _ => None,
+            })
+            .expect("x + 1");
+        assert_eq!(lhs, loaded);
+        assert_ne!(inner, loaded);
+        assert!(f.instrs().any(|(_, i)| matches!(
+            i,
+            Instr::CallLib { args, .. } if args == &[inner]
+        )));
+    }
+
+    #[test]
+    fn a_bare_variable_is_copied() {
+        let p = lower_src("fn main() { let x = 42; x = x + 1; let y = x; }");
+        let writes = writes_of_x(&p);
+        assert_eq!(writes.len(), 2, "{writes:?}");
+        let Instr::Binary { dst: x, .. } = writes[1] else {
+            panic!("{writes:?}")
+        };
+        let copies: Vec<_> = main_body(&p)
+            .instrs()
+            .filter(|(_, i)| matches!(i, Instr::Copy { src, .. } if *src == x))
+            .collect();
+        assert_eq!(copies.len(), 1);
+    }
+
+    #[test]
+    fn short_circuit_assignment_keeps_its_temporary() {
+        let p =
+            lower_src("fn f(v) { return v; } fn main() { let a = 1; let x = 42; x = a && f(x); }");
+        let writes = writes_of_x(&p);
+        assert_eq!(writes.len(), 2, "{writes:?}");
+        assert!(matches!(writes[1], Instr::Copy { .. }), "{writes:?}");
+    }
+
+    #[test]
+    fn calls_and_syscalls_keep_their_temporary() {
+        for src in [
+            "fn g() { return 1; } fn main() { let x = 42; x = g(); }",
+            "fn g() { return 1; } fn main() { let x = 42; let f = &g; x = f(); }",
+            "fn main() { let x = 42; x = getpid(); }",
+        ] {
+            let writes = writes_of_x(&lower_src(src));
+            assert_eq!(writes.len(), 2, "{src}: {writes:?}");
+            assert!(matches!(writes[1], Instr::Copy { .. }), "{src}: {writes:?}");
+        }
     }
 
     #[test]

@@ -173,6 +173,9 @@ impl Syscall {
         matches!(self, Syscall::Spawn | Syscall::Join | Syscall::Exit)
     }
 
+    /// The largest [`Syscall::arity`].
+    pub const MAX_ARITY: usize = 2;
+
     /// Fixed number of arguments.
     pub fn arity(self) -> usize {
         match self {
@@ -288,6 +291,9 @@ impl LibFn {
             LibFn::Lower => "lower",
         }
     }
+
+    /// The largest [`LibFn::arity`].
+    pub const MAX_ARITY: usize = 3;
 
     /// Fixed number of arguments.
     pub fn arity(self) -> usize {
@@ -417,6 +423,14 @@ mod tests {
             assert_eq!(Syscall::from_number(sys.number()), Some(*sys));
         }
         assert_eq!(Syscall::from_number(SYSCALL_COUNT as u8), None);
+    }
+
+    #[test]
+    fn max_arities_are_tight() {
+        let sys = Syscall::ALL.iter().map(|s| s.arity()).max();
+        let lib = LibFn::ALL.iter().map(|l| l.arity()).max();
+        assert_eq!(sys, Some(Syscall::MAX_ARITY));
+        assert_eq!(lib, Some(LibFn::MAX_ARITY));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::threads::{StopSignal, ThreadKey, ThreadRegistry};
 use crate::trap::Trap;
 use crate::value::{eval_binary, eval_index, eval_unary, store_index, Value};
 use ldx_ir::{BlockId, FuncId, Instr, IrProgram, LocalId, SiteId, Terminator};
-use ldx_lang::Syscall;
+use ldx_lang::{LibFn, Syscall};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -85,7 +85,7 @@ pub fn run_program(
     let root = ThreadKey::root();
     let main = env.program.main();
     let mut machine = Machine::new(Arc::clone(&env), root.clone());
-    let result = machine.run_function(main, Vec::new());
+    let result = machine.run_function(main, std::iter::empty());
     machine.finish();
     env.hooks.thread_finished(&root);
 
@@ -182,13 +182,40 @@ impl Machine {
         self.env.stats.lock().merge(&self.stats);
     }
 
-    fn run_function(&mut self, func: FuncId, args: Vec<Value>) -> Result<MachineEnd, Trap> {
-        self.push_activation(func, args, LocalId(0), false)?;
+    fn run_function(
+        &mut self,
+        func: FuncId,
+        args: impl Iterator<Item = Value>,
+    ) -> Result<MachineEnd, Trap> {
+        let locals = self.frame(func, args);
+        self.push_activation(func, locals, LocalId(0), false)?;
         self.execute()
+    }
+
+    /// A new frame for `func`: its arguments, then its other locals, in
+    /// one allocation.
+    fn frame(&self, func: FuncId, args: impl Iterator<Item = Value>) -> Vec<Value> {
+        let body = self.env.program.func(func);
+        let mut locals = Vec::with_capacity(body.local_count);
+        locals.extend(args);
+        debug_assert_eq!(body.param_count, locals.len());
+        locals.resize(body.local_count, Value::Int(0));
+        locals
+    }
+
+    /// The arguments' values for a call from the current frame.
+    fn args<'s>(&'s self, args: &'s [LocalId]) -> impl Iterator<Item = Value> + 's {
+        args.iter().map(|a| self.local(*a).clone())
     }
 
     fn local(&self, id: LocalId) -> &Value {
         &self.activations.last().expect("active frame").locals[id.index()]
+    }
+
+    /// Moves a local out of the current frame, leaving `Int(0)` behind.
+    fn take_local(&mut self, id: LocalId) -> Value {
+        let slot = &mut self.activations.last_mut().expect("active frame").locals[id.index()];
+        std::mem::replace(slot, Value::Int(0))
     }
 
     fn set_local(&mut self, id: LocalId, v: Value) {
@@ -198,7 +225,7 @@ impl Machine {
     fn push_activation(
         &mut self,
         func: FuncId,
-        args: Vec<Value>,
+        locals: Vec<Value>,
         ret_dst: LocalId,
         fresh: bool,
     ) -> Result<(), Trap> {
@@ -207,12 +234,7 @@ impl Machine {
                 limit: self.env.config.max_activations,
             });
         }
-        let body = self.env.program.func(func);
-        debug_assert_eq!(body.param_count, args.len());
-        let mut locals = vec![Value::Int(0); body.local_count];
-        for (i, a) in args.into_iter().enumerate() {
-            locals[i] = a;
-        }
+        let entry = self.env.program.func(func).entry;
         if fresh {
             self.counter_frames.push(0);
             self.stats.max_counter_depth =
@@ -220,7 +242,7 @@ impl Machine {
         }
         self.activations.push(Activation {
             func,
-            block: body.entry,
+            block: entry,
             idx: 0,
             locals,
             ret_dst,
@@ -398,8 +420,20 @@ impl Machine {
                 self.set_local(*dst, Value::Func(*func));
             }
             Instr::CallLib { dst, lib, args } => {
-                let argv: Vec<Value> = args.iter().map(|a| self.local(*a).clone()).collect();
-                let v = eval_lib(*lib, &argv)?;
+                // In `x = set(x, i, v)` the result overwrites x, so x moves
+                // into the call (after the other arguments are read, so
+                // `x = set(x, 0, x)` stores the old x) and an array nothing
+                // else holds is updated in place.
+                let moves = args.first() == Some(dst);
+                let mut argv: [Value; LibFn::MAX_ARITY] =
+                    std::array::from_fn(|i| match args.get(i) {
+                        Some(a) if i > 0 || !moves => self.local(*a).clone(),
+                        _ => Value::Int(0),
+                    });
+                if moves {
+                    argv[0] = self.take_local(*dst);
+                }
+                let v = eval_lib(*lib, &mut argv[..args.len()])?;
                 self.set_local(*dst, v);
             }
             Instr::Call {
@@ -409,8 +443,8 @@ impl Machine {
                 fresh_frame,
                 ..
             } => {
-                let argv: Vec<Value> = args.iter().map(|a| self.local(*a).clone()).collect();
-                self.push_activation(*callee, argv, *dst, *fresh_frame)?;
+                let locals = self.frame(*callee, self.args(args));
+                self.push_activation(*callee, locals, *dst, *fresh_frame)?;
             }
             Instr::CallIndirect {
                 dst, callee, args, ..
@@ -429,9 +463,9 @@ impl Machine {
                         given: args.len(),
                     });
                 }
-                let argv: Vec<Value> = args.iter().map(|a| self.local(*a).clone()).collect();
+                let locals = self.frame(fid, self.args(args));
                 // Indirect calls always get a fresh counter frame (§6).
-                self.push_activation(fid, argv, *dst, true)?;
+                self.push_activation(fid, locals, *dst, true)?;
             }
             Instr::Syscall {
                 dst,
@@ -498,7 +532,11 @@ impl Machine {
         args: &[LocalId],
         site: SiteId,
     ) -> Result<Flow, Trap> {
-        let argv: Vec<Value> = args.iter().map(|a| self.local(*a).clone()).collect();
+        let argv: [Value; Syscall::MAX_ARITY] = std::array::from_fn(|i| {
+            args.get(i)
+                .map_or(Value::Int(0), |a| self.local(*a).clone())
+        });
+        let argv = &argv[..args.len()];
         self.stats.syscalls += 1;
         // The dynamic half of the paper's scheme: the counter is
         // "incremented by 1 at each syscall" (§3); the static edge deltas
@@ -522,7 +560,7 @@ impl Machine {
         if sys == Syscall::Sleep {
             std::thread::yield_now();
         }
-        match self.env.hooks.syscall(&ctx, &argv)? {
+        match self.env.hooks.syscall(&ctx, argv)? {
             SysOutcome::Value(v) => {
                 self.set_local(dst, v);
                 Ok(Flow::Continue)
@@ -533,7 +571,7 @@ impl Machine {
             }
             SysOutcome::DoLocal => match sys {
                 Syscall::Spawn => {
-                    self.do_spawn(dst, &argv)?;
+                    self.do_spawn(dst, argv)?;
                     Ok(Flow::Continue)
                 }
                 Syscall::Join => {
@@ -601,7 +639,7 @@ impl Machine {
             .name(child_key.to_string())
             .spawn(move || {
                 let mut machine = Machine::new(Arc::clone(&env), ck.clone());
-                let result = machine.run_function(fid, vec![arg]);
+                let result = machine.run_function(fid, std::iter::once(arg));
                 machine.finish();
                 env.hooks.thread_finished(&ck);
                 match result {

@@ -207,18 +207,37 @@ pub fn eval_index(base: &Value, index: &Value) -> Result<Value, Trap> {
                 len: a.len(),
             })
         }
-        Value::Str(s) => {
-            let len = s.chars().count();
-            let idx = usize::try_from(i).map_err(|_| Trap::IndexOutOfBounds { index: i, len })?;
-            s.chars()
-                .nth(idx)
-                .map(|c| Value::str(&*c.encode_utf8(&mut [0u8; 4])))
-                .ok_or(Trap::IndexOutOfBounds { index: i, len })
-        }
+        Value::Str(s) => usize::try_from(i)
+            .ok()
+            .and_then(|idx| char_at(s, idx))
+            .map(|c| Value::str(&*c.encode_utf8(&mut [0u8; 4])))
+            .ok_or_else(|| Trap::IndexOutOfBounds {
+                index: i,
+                len: char_len(s),
+            }),
         other => Err(Trap::TypeError {
             expected: "array or string",
             found: other.type_name(),
         }),
+    }
+}
+
+/// The length of `s` in chars (in bytes when it is ASCII, where the two
+/// agree).
+pub(crate) fn char_len(s: &str) -> usize {
+    if s.is_ascii() {
+        s.len()
+    } else {
+        s.chars().count()
+    }
+}
+
+/// The char at char index `i` of `s` (a byte lookup when it is ASCII).
+pub(crate) fn char_at(s: &str, i: usize) -> Option<char> {
+    if s.is_ascii() {
+        s.as_bytes().get(i).map(|&b| char::from(b))
+    } else {
+        s.chars().nth(i)
     }
 }
 
@@ -369,6 +388,26 @@ mod tests {
             Err(Trap::IndexOutOfBounds { .. })
         ));
         assert_eq!(eval_index(&s("héllo"), &int(1)).unwrap(), s("é"));
+    }
+
+    #[test]
+    fn non_ascii_strings_index_by_char() {
+        assert_eq!(eval_index(&s("héllo"), &int(4)).unwrap(), s("o"));
+        assert_eq!(eval_index(&s("日本語x"), &int(2)).unwrap(), s("語"));
+        assert_eq!(eval_index(&s("日本語x"), &int(3)).unwrap(), s("x"));
+        assert_eq!(eval_index(&s("hello"), &int(4)).unwrap(), s("o"));
+        for (text, i, len) in [
+            ("héllo", 5, 5),
+            ("日本語x", 4, 4),
+            ("日本語x", -1, 4),
+            ("hello", 5, 5),
+        ] {
+            assert_eq!(
+                eval_index(&s(text), &int(i)),
+                Err(Trap::IndexOutOfBounds { index: i, len }),
+                "{text}[{i}]"
+            );
+        }
     }
 
     #[test]

@@ -409,8 +409,8 @@ impl TaintInterp {
                 if self.policy == TaintPolicy::LibDftLike && lib.libdft_unmodeled() {
                     labels = 0;
                 }
-                let plain: Vec<Value> = targs.iter().map(|t| t.to_value()).collect();
-                let v = eval_lib(*lib, &plain)?;
+                let mut plain: Vec<Value> = targs.iter().map(|t| t.to_value()).collect();
+                let v = eval_lib(*lib, &mut plain)?;
                 self.set_local(*dst, TVal::from_value(&v, labels));
             }
             Instr::Call {

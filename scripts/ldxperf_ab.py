@@ -19,6 +19,13 @@ base's by more than the metric's `bound`, and whether the change wins at
 least 9 pairs in 10 with a median gap wider than the base's interquartile
 range (the rule for claiming a gain, which needs at least 10 pairs).
 
+Right before each run the script times a fixed single-threaded CPU loop
+(`calib_ms`), a reading of the host's state at that moment. The listing
+of every run shows it next to the run's metrics and marks with `*` each
+run whose calibration took more than 1.3x the comparison's fastest. The
+mark is for reading the numbers only: every run counts, unweighted, in
+the medians and win counts.
+
 It only reads BENCHMARK.json and the checkouts, and writes nothing into
 either but cargo's build output under `ldxperf/target`: the build and every
 run pass `--locked`, so cargo never rewrites `ldxperf/Cargo.lock`; a lock
@@ -30,6 +37,7 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 
@@ -53,6 +61,19 @@ def build(checkout):
         cwd=checkout,
         check=True,
     )
+
+
+CALIBRATION_ITERATIONS = 2_000_000
+SLOW_HOST = 1.3
+
+
+def calibrate():
+    """Milliseconds a fixed CPU loop takes right now."""
+    start = time.perf_counter()
+    x = 0
+    for i in range(CALIBRATION_ITERATIONS):
+        x ^= i * i
+    return (time.perf_counter() - start) * 1e3
 
 
 def locked(command):
@@ -134,11 +155,29 @@ def report(metrics, base_runs, change_runs):
     widths = [max(len(str(r[i])) for r in rows + [header]) for i in range(len(header))]
     for row in [header] + rows:
         print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
-    print("every run, in pair order:")
-    for m in metrics:
-        for side, side_runs in (("base", base_runs), ("change", change_runs)):
-            values = " ".join(f"{r['metrics'][m['name']]['value']:.4g}" for r in side_runs)
-            print(f"  {m['name']} {side}: {values}")
+    print_runs(metrics, base_runs, change_runs)
+
+
+def print_runs(metrics, base_runs, change_runs):
+    """Every run in the order it ran, its calibration beside its metrics."""
+    fastest = min(r["calib_ms"] for r in base_runs + change_runs)
+    print(
+        f"every run, in run order (calib_ms: the CPU loop timed just before "
+        f"the run; * = over {SLOW_HOST:g}x the fastest, {fastest:.4g} ms):"
+    )
+    header = ["pair", "side", "calib_ms"] + [m["name"] for m in metrics]
+    rows = []
+    for i, (b, c) in enumerate(zip(base_runs, change_runs)):
+        order = (("base", b), ("change", c)) if i % 2 == 0 else (("change", c), ("base", b))
+        for side, run in order:
+            slow = "*" if run["calib_ms"] > SLOW_HOST * fastest else ""
+            rows.append(
+                [str(i + 1), side, f"{run['calib_ms']:.4g}{slow}"]
+                + [f"{run['metrics'][m['name']]['value']:.4g}" for m in metrics]
+            )
+    widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]
+    for row in [header] + rows:
+        print("  " + "  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
 
 
 def main():
@@ -173,7 +212,10 @@ def main():
     for i in range(opts.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            runs[side].append(run_once(sides[side], bench["command"], args))
+            calib_ms = calibrate()
+            run = run_once(sides[side], bench["command"], args)
+            run["calib_ms"] = calib_ms
+            runs[side].append(run)
         print(
             f"pair {i + 1}/{opts.pairs} ({'base' if i % 2 == 0 else 'change'} first) done",
             file=sys.stderr,

@@ -22,7 +22,10 @@
 //! * **shared-master equivalence** — every job of a batch whose jobs share
 //!   masters (live slaves of one master on one worker; a master per job on
 //!   two) reports what a dedicated dual execution of its spec does, trace
-//!   lines included when the flight recorder is on.
+//!   lines included when the flight recorder is on;
+//! * **array value semantics** — straight-line `set`/`push`/copy programs
+//!   over three array variables print what a Rust model of Lx arrays
+//!   prints, however the interpreter shares or updates arrays in place.
 
 use ldx::{BatchEngine, BatchJob};
 use ldx_dualex::{
@@ -202,11 +205,115 @@ fn spec(mutation: Mutation) -> DualSpec {
     }
 }
 
+/// The model of an Lx value that the array programs build.
+#[derive(Clone)]
+enum Model {
+    Int(i64),
+    Arr(Vec<Model>),
+}
+
+impl Model {
+    fn size(&self) -> usize {
+        match self {
+            Model::Int(_) => 1,
+            Model::Arr(elems) => 1 + elems.iter().map(Model::size).sum::<usize>(),
+        }
+    }
+}
+
+/// Lx's `str()` form.
+impl std::fmt::Display for Model {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Model::Int(v) => write!(f, "{v}"),
+            Model::Arr(elems) => {
+                let parts: Vec<String> = elems.iter().map(ToString::to_string).collect();
+                write!(f, "[{}]", parts.join(", "))
+            }
+        }
+    }
+}
+
+/// A straight-line program over `v0`..`v2` that prints the written
+/// variable after every statement and all three at the end, and what the
+/// model says it prints. Each op is `(kind, x, y, k)`; an op whose index
+/// `k` is out of bounds, or that would nest an array larger than 64
+/// values, pushes `k` instead, so the program never traps and its output
+/// stays small.
+fn array_program(ops: &[(u8, usize, usize, i64)]) -> (String, String) {
+    let mut vars = [
+        vec![Model::Int(0)],
+        vec![Model::Int(1), Model::Int(2)],
+        vec![],
+    ];
+    let mut src = String::from(
+        "fn main() {\n    let v0 = [0];\n    let v1 = [1, 2];\n    let v2 = array(0, 0);\n",
+    );
+    let mut expected = String::new();
+    for &(kind, x, y, k) in ops {
+        let i = k as usize;
+        let nested = Model::Arr(vars[y].clone());
+        let small = nested.size() <= 64;
+        let stmt = match kind {
+            0 if i < vars[x].len() => {
+                vars[x][i] = Model::Int(k);
+                format!("v{x} = set(v{x}, {i}, {k});")
+            }
+            1 if i < vars[x].len() && small => {
+                vars[x][i] = nested;
+                format!("v{x} = set(v{x}, {i}, v{y});")
+            }
+            2 if i < vars[y].len() => {
+                vars[x] = vars[y].clone();
+                vars[x][i] = Model::Int(k);
+                format!("v{x} = set(v{y}, {i}, {k});")
+            }
+            3 if small => {
+                vars[x].push(nested);
+                format!("v{x} = push(v{x}, v{y});")
+            }
+            4 => {
+                vars[x] = vars[y].clone();
+                format!("v{x} = v{y};")
+            }
+            _ => {
+                vars[x].push(Model::Int(k));
+                format!("v{x} = push(v{x}, {k});")
+            }
+        };
+        src += &format!("    {stmt} write(1, str(v{x}) + \";\");\n");
+        expected += &format!("{};", Model::Arr(vars[x].clone()));
+    }
+    src += "    write(1, str(v0) + \"|\" + str(v1) + \"|\" + str(v2));\n}\n";
+    let [a, b, c] = vars.map(Model::Arr);
+    expected += &format!("{a}|{b}|{c}");
+    (src, expected)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 48,
         .. ProptestConfig::default()
     })]
+
+    /// Arrays are values however the interpreter stores them: `set`,
+    /// `push` and copies print what the model prints.
+    #[test]
+    fn array_updates_match_a_value_model(
+        ops in proptest::collection::vec((0u8..6, 0usize..3, 0usize..3, 0i64..6), 1..40)
+    ) {
+        use ldx_runtime::{run_program, NativeHooks};
+        use ldx_vos::Vos;
+
+        let (src, expected) = array_program(&ops);
+        let resolved = ldx_lang::compile(&src).expect("array programs compile");
+        let program = ldx_instrument::instrument(&ldx_ir::lower(&resolved)).into_program();
+        let vos = Arc::new(Vos::new(&VosConfig::new()));
+        let hooks = Arc::new(NativeHooks::new(Arc::clone(&vos)));
+        run_program(Arc::new(program), hooks, ExecConfig::default()).expect("runs");
+        let printed = vos.file_contents("/dev/stdout").unwrap_or_default();
+        prop_assert_eq!(printed, expected, "{}", src);
+    }
 
     #[test]
     fn static_counter_consistency(seed in 0u64..5000) {
