@@ -31,7 +31,7 @@ fn apply(config: &mut VosConfig, source: &SourceSpec) {
         SourceMatcher::FileRead(path) => {
             let want = ldx_vos::normalize_path(path);
             for (p, contents) in &mut config.files {
-                if ldx_vos::normalize_path(p) == want {
+                if ldx_vos::normalize_path(p).eq(want.clone()) {
                     *contents = mutate_str(&source.mutation, contents);
                 }
             }

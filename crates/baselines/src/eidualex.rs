@@ -194,10 +194,10 @@ impl SyscallHooks for EiHooks {
         }
     }
 
-    fn syscall(&self, ctx: &SyscallCtx, args: &[Value]) -> Result<SysOutcome, Trap> {
+    fn syscall(&self, ctx: &SyscallCtx<'_>, args: &[Value]) -> Result<SysOutcome, Trap> {
         let outcome = self.native.syscall(ctx, args)?;
-        let cell = self.monitor.cell(&ctx.thread);
-        let digest = self.digest(&ctx.thread);
+        let cell = self.monitor.cell(ctx.thread);
+        let digest = self.digest(ctx.thread);
         let is_sink = match &self.sinks {
             SinkSpec::NetworkOut => ctx.sys == Syscall::Send,
             SinkSpec::FileOut => {

@@ -923,12 +923,12 @@ mod tests {
     #[test]
     fn every_syscalls_arguments_fit_inline() {
         let ctx = SyscallCtx {
-            thread: ThreadKey::root(),
+            thread: &ThreadKey::root(),
             key: key(0),
             func: FuncId(0),
             site: SiteId(0),
             sys: Syscall::Open,
-            stop: ldx_runtime::StopSignal::new(),
+            stop: &ldx_runtime::StopSignal::new(),
         };
         let args = [Value::str("/a"), Value::Int(2)];
         let e = Entry::new(&ctx, &args, Value::Int(0), 0, false);

@@ -109,7 +109,7 @@ impl SlaveFdMap {
         };
         match (master, &own.resource) {
             (Resource::File { path: a, flags: fa }, Resource::File { path: b, flags: fb }) => {
-                fa == fb && ldx_vos::normalize_path(a) == ldx_vos::normalize_path(b)
+                fa == fb && ldx_vos::normalize_path(a).eq(ldx_vos::normalize_path(b))
             }
             (a, b) => a == b,
         }

@@ -60,7 +60,7 @@ impl MasterHooks {
         is_sink: bool,
     ) {
         let entry = Entry::new(ctx, args, outcome, version, is_sink);
-        self.logs.with_log(&ctx.thread, |log| log.append(entry));
+        self.logs.with_log(ctx.thread, |log| log.append(entry));
         if is_sink {
             self.sink_count.fetch_add(1, Ordering::Relaxed);
         }
@@ -85,7 +85,7 @@ impl MasterHooks {
 }
 
 impl SyscallHooks for MasterHooks {
-    fn syscall(&self, ctx: &SyscallCtx, args: &[Value]) -> Result<SysOutcome, Trap> {
+    fn syscall(&self, ctx: &SyscallCtx<'_>, args: &[Value]) -> Result<SysOutcome, Trap> {
         if ctx.stop.should_stop() {
             return Err(Trap::Aborted {
                 reason: "master execution stopping".into(),
@@ -94,7 +94,7 @@ impl SyscallHooks for MasterHooks {
         match ctx.sys {
             Syscall::Lock => {
                 let id = args[0].as_int()?;
-                self.locks.lock(id, &ctx.thread, &ctx.stop);
+                self.locks.lock(id, ctx.thread, ctx.stop);
                 self.append(ctx, args, Value::Int(0), 0, false);
                 Ok(SysOutcome::Value(Value::Int(0)))
             }

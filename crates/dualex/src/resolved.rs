@@ -36,9 +36,9 @@ impl ResolvedSources {
             .iter()
             .filter_map(|s| {
                 let matcher = match &s.matcher {
-                    SourceMatcher::FileRead(path) => {
-                        ResolvedMatcher::FileRead(ldx_vos::normalize_path(path))
-                    }
+                    SourceMatcher::FileRead(path) => ResolvedMatcher::FileRead(
+                        ldx_vos::normalize_path(path).map(str::to_string).collect(),
+                    ),
                     SourceMatcher::NetRecv(host) => ResolvedMatcher::NetRecv(host.clone()),
                     SourceMatcher::ClientRecv(port) => ResolvedMatcher::ClientRecv(*port),
                     SourceMatcher::SyscallKind(sys) => ResolvedMatcher::SyscallKind(*sys),

@@ -110,7 +110,7 @@ impl<'a> At<'a> {
     /// The syscall `ctx` is issuing.
     fn ctx(ctx: &'a SyscallCtx) -> Self {
         At {
-            thread: &ctx.thread,
+            thread: ctx.thread,
             key: &ctx.key,
             site: (ctx.func, ctx.site, ctx.sys),
         }
@@ -308,7 +308,7 @@ impl SlaveHooks {
     /// on each path as a flight event (in the slave lane: only the slave's
     /// decoupled execution taints).
     fn taint_path(&self, path: &str) {
-        let normalized = ldx_vos::normalize_path(path).join("/");
+        let normalized = ldx_vos::normalize_path(path).joined();
         let first = self.tainted_paths.lock().insert(normalized.clone());
         if first {
             self.flight(Role::Slave, || FlightEvent::Taint {
@@ -332,7 +332,7 @@ impl SlaveHooks {
     /// while no path is.
     fn path_tainted(&self, path: &str) -> bool {
         let tainted = self.tainted_paths.lock();
-        !tainted.is_empty() && tainted.contains(&ldx_vos::normalize_path(path).join("/"))
+        !tainted.is_empty() && tainted.contains(&ldx_vos::normalize_path(path).joined())
     }
 
     /// Drains every master entry this slave left unread at the end of the
@@ -381,7 +381,7 @@ impl SlaveHooks {
         self.emit(
             Role::Slave,
             Decision::MasterOnly,
-            At::entry(&ctx.thread, entry),
+            At::entry(ctx.thread, entry),
             entry.is_sink,
             Some(Diff::unmatched(entry, kind)),
         );
@@ -447,7 +447,7 @@ impl SlaveHooks {
     /// stall profiler (keyed by the barrier's static site) together with
     /// the master/slave progress-counter delta observed at release.
     fn align(&self, ctx: &SyscallCtx, args: &[Value], is_sink: bool) -> Align {
-        self.logs.with_log(&ctx.thread, |log| {
+        self.logs.with_log(ctx.thread, |log| {
             let mut waits: u64 = 0;
             if !ldx_obs::enabled() {
                 return self.align_inner(log, ctx, args, is_sink, &mut waits);
@@ -578,7 +578,7 @@ impl SlaveHooks {
                 ResolvedMatcher::FileRead(segs) => {
                     ctx.sys == Syscall::Read
                         && matches!(fd_resource, Some(Resource::File { path, .. })
-                            if &ldx_vos::normalize_path(path) == segs)
+                            if ldx_vos::normalize_path(path).eq(segs.iter().map(String::as_str)))
                 }
                 ResolvedMatcher::NetRecv(host) => {
                     matches!(ctx.sys, Syscall::Recv | Syscall::Read)
@@ -655,12 +655,9 @@ impl SlaveHooks {
         let ofd = match &info.resource {
             Resource::File { path, flags } => {
                 self.taint_path(path);
-                cow_clone(ResourceId::Path(ldx_vos::normalize_path(path).join("/")));
+                cow_clone(ResourceId::Path(ldx_vos::normalize_path(path).joined()));
                 let mode = if *flags == 0 { 0 } else { 2 };
-                let ofd = overlay_fd(
-                    Syscall::Open,
-                    &[SysArg::Str(path.clone()), SysArg::Int(mode)],
-                )?;
+                let ofd = overlay_fd(Syscall::Open, &[SysArg::Str(path), SysArg::Int(mode)])?;
                 if *flags == 0 && info.pos > 0 {
                     let _ = self.overlay.syscall(
                         Syscall::Seek,
@@ -671,7 +668,7 @@ impl SlaveHooks {
             }
             Resource::Peer { host } => {
                 cow_clone(ResourceId::Peer(host.clone()));
-                overlay_fd(Syscall::Connect, &[SysArg::Str(host.clone())])?
+                overlay_fd(Syscall::Connect, &[SysArg::Str(host)])?
             }
             Resource::Client { port, index } => {
                 cow_clone(ResourceId::Client(*port));
@@ -767,7 +764,7 @@ impl SlaveHooks {
                 };
                 let ret = self
                     .overlay
-                    .syscall(sys, &[SysArg::Int(ofd), SysArg::Str(data.to_string())])?;
+                    .syscall(sys, &[SysArg::Int(ofd), SysArg::Str(data)])?;
                 Ok(from_sys_ret(ret))
             }
             Syscall::Seek => {
@@ -815,7 +812,7 @@ impl SlaveHooks {
 }
 
 impl SyscallHooks for SlaveHooks {
-    fn syscall(&self, ctx: &SyscallCtx, args: &[Value]) -> Result<SysOutcome, Trap> {
+    fn syscall(&self, ctx: &SyscallCtx<'_>, args: &[Value]) -> Result<SysOutcome, Trap> {
         if ctx.stop.should_stop() {
             return Err(Trap::Aborted {
                 reason: "slave execution stopping".into(),
@@ -825,21 +822,21 @@ impl SyscallHooks for SlaveHooks {
             Syscall::Lock => {
                 let id = args[0].as_int()?;
                 let tainted = self.tainted_locks.lock().contains(&id);
-                if tainted || self.thread_decoupled(&ctx.thread) {
+                if tainted || self.thread_decoupled(ctx.thread) {
                     self.decide(Decision::Decoupled, ctx, false, None);
                 } else if !self.align_control(ctx, args, false) {
                     // Share the master's grant order: wait for the aligned
                     // lock entry before acquiring our own lock (paper §7).
                     self.taint_lock(id);
                 }
-                self.locks.lock(id, &ctx.thread, &ctx.stop);
+                self.locks.lock(id, ctx.thread, ctx.stop);
                 Ok(SysOutcome::Value(Value::Int(0)))
             }
             Syscall::Unlock => {
                 let id = args[0].as_int()?;
                 let tainted = self.tainted_locks.lock().contains(&id);
                 if !tainted
-                    && !self.thread_decoupled(&ctx.thread)
+                    && !self.thread_decoupled(ctx.thread)
                     && !self.align_control(ctx, args, false)
                 {
                     self.taint_lock(id);
@@ -856,7 +853,7 @@ impl SyscallHooks for SlaveHooks {
                     i
                 };
                 let child = ctx.thread.child(index);
-                if self.thread_decoupled(&ctx.thread) || !self.align_control(ctx, args, false) {
+                if self.thread_decoupled(ctx.thread) || !self.align_control(ctx, args, false) {
                     // The spawned thread is unique to the slave: it runs
                     // fully decoupled (paper §7).
                     self.decoupled_threads.lock().insert(child);
@@ -865,7 +862,7 @@ impl SyscallHooks for SlaveHooks {
             }
             Syscall::Join | Syscall::Exit | Syscall::Setjmp | Syscall::Longjmp => {
                 let is_sink = ctx.sys == Syscall::Longjmp;
-                if !self.thread_decoupled(&ctx.thread) {
+                if !self.thread_decoupled(ctx.thread) {
                     self.align_control(ctx, args, is_sink);
                 } else if is_sink {
                     self.slave_only_sink(ctx);
@@ -874,7 +871,7 @@ impl SyscallHooks for SlaveHooks {
             }
             sys => {
                 let is_sink = self.sinks.is_sink(ctx.func, ctx.site, sys, args);
-                let alignment = if self.thread_decoupled(&ctx.thread) {
+                let alignment = if self.thread_decoupled(ctx.thread) {
                     if is_sink {
                         self.slave_only_sink(ctx);
                     }
@@ -975,7 +972,7 @@ mod tests {
     use ldx_runtime::{FrameKey, LoopUid, StopSignal};
     use ldx_vos::{Vos, VosConfig};
     use std::sync::atomic::AtomicBool;
-    use std::sync::{mpsc, Barrier};
+    use std::sync::{mpsc, Barrier, LazyLock};
 
     /// A live slave (recording if `record`) of fresh logs, for a program
     /// with an empty `main`, and that `main`.
@@ -995,6 +992,7 @@ mod tests {
 
     /// A master entry at site `site` and counter `cnt`.
     fn entry(site: u32, cnt: u64, is_sink: bool) -> Entry {
+        let stop = StopSignal::new();
         let ctx = SyscallCtx {
             site: SiteId(site),
             sys: if is_sink {
@@ -1002,7 +1000,7 @@ mod tests {
             } else {
                 Syscall::Read
             },
-            ..read_at(flat(cnt), FuncId(0), StopSignal::new())
+            ..read_at(flat(cnt), FuncId(0), &stop)
         };
         Entry::new(&ctx, &READ_ARGS, Value::Int(0), 0, is_sink)
     }
@@ -1012,10 +1010,12 @@ mod tests {
         ProgressKey::from_frames(&[FrameKey { loops: vec![], cnt }])
     }
 
+    static ROOT: LazyLock<ThreadKey> = LazyLock::new(ThreadKey::root);
+
     /// A slave `read` at `key` in `main` of the root thread.
-    fn read_at(key: ProgressKey, func: FuncId, stop: StopSignal) -> SyscallCtx {
+    fn read_at(key: ProgressKey, func: FuncId, stop: &StopSignal) -> SyscallCtx<'_> {
         SyscallCtx {
-            thread: ThreadKey::root(),
+            thread: &ROOT,
             key,
             func,
             site: SiteId(0),
@@ -1036,7 +1036,7 @@ mod tests {
         });
         let stop = StopSignal::new();
         stop.request_exit(0);
-        let aligned = hooks.align(&read_at(key, main, stop), &READ_ARGS, false);
+        let aligned = hooks.align(&read_at(key, main, &stop), &READ_ARGS, false);
         let timeouts = hooks.stats.timeouts.load(Ordering::Relaxed);
         let log = hooks.take_flight_log();
         assert_eq!(
@@ -1070,7 +1070,8 @@ mod tests {
         let (mut hooks, main) = hooks(false);
         hooks.master_first = true;
         let start = Instant::now();
-        let ctx = read_at(ProgressKey::start(), main, StopSignal::new());
+        let stop = StopSignal::new();
+        let ctx = read_at(ProgressKey::start(), main, &stop);
         assert!(matches!(
             hooks.align(&ctx, &READ_ARGS, false),
             Align::Decoupled
@@ -1089,14 +1090,15 @@ mod tests {
         let sinks = ResolvedSinks::resolve(&spec, &program);
         let replayed = SlaveHooks::replaying(&logs.heads(), live.overlay, sinks, &spec, &program);
         assert!(replayed.master_first);
-        let ctx = read_at(flat(0), main, StopSignal::new());
+        let stop = StopSignal::new();
+        let ctx = read_at(flat(0), main, &stop);
         assert!(matches!(
             replayed.align(&ctx, &READ_ARGS, false),
             Align::Aligned(Value::Int(0))
         ));
         // Past the recorded entry the master is done: the slave decouples
         // at once, without a timeout.
-        let ctx = read_at(flat(1), main, StopSignal::new());
+        let ctx = read_at(flat(1), main, &stop);
         assert!(matches!(
             replayed.align(&ctx, &READ_ARGS, false),
             Align::Decoupled
@@ -1150,11 +1152,12 @@ mod tests {
                 })
             };
             let stop = StopSignal::new();
-            let ctx = read_at(ProgressKey::start(), main, stop.clone());
             let (tx, rx) = mpsc::channel();
             let slave = {
                 let hooks = Arc::clone(&hooks);
+                let stop = stop.clone();
                 std::thread::spawn(move || {
+                    let ctx = read_at(ProgressKey::start(), main, &stop);
                     start.wait();
                     let aligned = hooks.align(&ctx, &READ_ARGS, false);
                     tx.send(matches!(aligned, Align::Decoupled))

@@ -16,11 +16,12 @@ use ldx_lang::Syscall;
 use ldx_vos::{SysArg, SysRet, Vos};
 use std::sync::Arc;
 
-/// Context describing one syscall event.
+/// Context describing one syscall event. It borrows the issuing thread's
+/// key and stop signal, so issuing a syscall copies neither.
 #[derive(Debug, Clone)]
-pub struct SyscallCtx {
+pub struct SyscallCtx<'a> {
     /// The issuing Lx thread.
-    pub thread: ThreadKey,
+    pub thread: &'a ThreadKey,
     /// The thread's progress key at the syscall.
     pub key: ProgressKey,
     /// The function containing the call site.
@@ -30,7 +31,7 @@ pub struct SyscallCtx {
     /// Which syscall.
     pub sys: Syscall,
     /// The execution's stop signal (so blocking hooks can bail out).
-    pub stop: StopSignal,
+    pub stop: &'a StopSignal,
 }
 
 /// What the hooks decided.
@@ -54,7 +55,7 @@ pub trait SyscallHooks: Send + Sync {
     ///
     /// May return any [`Trap`] (e.g. [`Trap::Aborted`] when the engine
     /// stops this execution).
-    fn syscall(&self, ctx: &SyscallCtx, args: &[Value]) -> Result<SysOutcome, Trap>;
+    fn syscall(&self, ctx: &SyscallCtx<'_>, args: &[Value]) -> Result<SysOutcome, Trap>;
 
     /// Called at each instrumented-loop backedge with the progress key at
     /// the barrier point, *before* the iteration epoch increments. Engines
@@ -86,23 +87,56 @@ pub trait SyscallHooks: Send + Sync {
     fn on_step(&self, _thread: &ThreadKey, _func: FuncId, _block: u32, _idx: usize) {}
 }
 
-/// Converts interpreter values to virtual OS arguments.
+/// A syscall's virtual OS arguments, inline and borrowed from the
+/// interpreter values they convert (see [`to_sys_args`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SysArgs<'a> {
+    args: [SysArg<'a>; Syscall::MAX_ARITY],
+    len: usize,
+}
+
+impl<'a> std::ops::Deref for SysArgs<'a> {
+    type Target = [SysArg<'a>];
+
+    fn deref(&self) -> &[SysArg<'a>] {
+        &self.args[..self.len]
+    }
+}
+
+/// Converts interpreter values to virtual OS arguments, borrowing their
+/// strings.
 ///
 /// # Errors
 ///
 /// Returns [`Trap::TypeError`] for arrays/functions (not valid syscall
 /// arguments).
-pub fn to_sys_args(args: &[Value]) -> Result<Vec<SysArg>, Trap> {
-    args.iter()
-        .map(|v| match v {
-            Value::Int(i) => Ok(SysArg::Int(*i)),
-            Value::Str(s) => Ok(SysArg::Str(s.to_string())),
-            other => Err(Trap::TypeError {
-                expected: "integer or string syscall argument",
-                found: other.type_name(),
-            }),
-        })
-        .collect()
+///
+/// # Panics
+///
+/// Panics on more than [`Syscall::MAX_ARITY`] arguments (the compiler
+/// checks every syscall's arity).
+pub fn to_sys_args(args: &[Value]) -> Result<SysArgs<'_>, Trap> {
+    assert!(
+        args.len() <= Syscall::MAX_ARITY,
+        "more syscall arguments than Syscall::MAX_ARITY"
+    );
+    let mut out = SysArgs {
+        args: [SysArg::Int(0); Syscall::MAX_ARITY],
+        len: args.len(),
+    };
+    for (slot, v) in out.args.iter_mut().zip(args) {
+        *slot = match v {
+            Value::Int(i) => SysArg::Int(*i),
+            Value::Str(s) => SysArg::Str(s),
+            other => {
+                return Err(Trap::TypeError {
+                    expected: "integer or string syscall argument",
+                    found: other.type_name(),
+                })
+            }
+        };
+    }
+    Ok(out)
 }
 
 /// Converts a virtual OS result back to a value.
@@ -136,14 +170,14 @@ impl NativeHooks {
 }
 
 impl SyscallHooks for NativeHooks {
-    fn syscall(&self, ctx: &SyscallCtx, args: &[Value]) -> Result<SysOutcome, Trap> {
+    fn syscall(&self, ctx: &SyscallCtx<'_>, args: &[Value]) -> Result<SysOutcome, Trap> {
         match ctx.sys {
             Syscall::Spawn | Syscall::Join | Syscall::Exit | Syscall::Setjmp | Syscall::Longjmp => {
                 Ok(SysOutcome::DoLocal)
             }
             Syscall::Lock => {
                 let id = args[0].as_int()?;
-                self.locks.lock(id, &ctx.thread, &ctx.stop);
+                self.locks.lock(id, ctx.thread, ctx.stop);
                 Ok(SysOutcome::Value(Value::Int(0)))
             }
             Syscall::Unlock => {
@@ -165,14 +199,14 @@ mod tests {
     use super::*;
     use ldx_vos::VosConfig;
 
-    fn ctx(sys: Syscall) -> SyscallCtx {
+    fn ctx<'a>(sys: Syscall, thread: &'a ThreadKey, stop: &'a StopSignal) -> SyscallCtx<'a> {
         SyscallCtx {
-            thread: ThreadKey::root(),
+            thread,
             key: ProgressKey::start(),
             func: FuncId(0),
             site: SiteId(0),
             sys,
-            stop: StopSignal::new(),
+            stop,
         }
     }
 
@@ -180,9 +214,10 @@ mod tests {
     fn native_hooks_dispatch_to_vos() {
         let vos = Arc::new(Vos::new(&VosConfig::new().file("/f", "abc")));
         let hooks = NativeHooks::new(vos);
+        let (root, stop) = (ThreadKey::root(), StopSignal::new());
         let out = hooks
             .syscall(
-                &ctx(Syscall::Open),
+                &ctx(Syscall::Open, &root, &stop),
                 &[Value::Str("/f".into()), Value::Int(0)],
             )
             .unwrap();
@@ -196,8 +231,10 @@ mod tests {
     fn control_syscalls_are_local() {
         let vos = Arc::new(Vos::new(&VosConfig::new()));
         let hooks = NativeHooks::new(vos);
+        let (root, stop) = (ThreadKey::root(), StopSignal::new());
         for sys in [Syscall::Spawn, Syscall::Join, Syscall::Exit] {
-            assert_eq!(hooks.syscall(&ctx(sys), &[]).unwrap(), SysOutcome::DoLocal);
+            let ctx = ctx(sys, &root, &stop);
+            assert_eq!(hooks.syscall(&ctx, &[]).unwrap(), SysOutcome::DoLocal);
         }
     }
 
@@ -205,15 +242,16 @@ mod tests {
     fn lock_unlock_return_zero() {
         let vos = Arc::new(Vos::new(&VosConfig::new()));
         let hooks = NativeHooks::new(vos);
+        let (root, stop) = (ThreadKey::root(), StopSignal::new());
         assert_eq!(
             hooks
-                .syscall(&ctx(Syscall::Lock), &[Value::Int(1)])
+                .syscall(&ctx(Syscall::Lock, &root, &stop), &[Value::Int(1)])
                 .unwrap(),
             SysOutcome::Value(Value::Int(0))
         );
         assert_eq!(
             hooks
-                .syscall(&ctx(Syscall::Unlock), &[Value::Int(1)])
+                .syscall(&ctx(Syscall::Unlock, &root, &stop), &[Value::Int(1)])
                 .unwrap(),
             SysOutcome::Value(Value::Int(0))
         );
@@ -222,9 +260,11 @@ mod tests {
     #[test]
     fn bad_args_convert_to_traps() {
         assert!(to_sys_args(&[Value::arr(vec![])]).is_err());
+        let args = [Value::Int(1), Value::Str("x".into())];
         assert_eq!(
-            to_sys_args(&[Value::Int(1), Value::Str("x".into())]).unwrap(),
-            vec![SysArg::Int(1), SysArg::Str("x".into())]
+            *to_sys_args(&args).unwrap(),
+            [SysArg::Int(1), SysArg::Str("x")]
         );
+        assert!(to_sys_args(&[]).unwrap().is_empty());
     }
 }

@@ -51,7 +51,9 @@ mod trap;
 mod value;
 
 pub use globals::{const_to_value, Globals};
-pub use hooks::{from_sys_ret, to_sys_args, NativeHooks, SysOutcome, SyscallCtx, SyscallHooks};
+pub use hooks::{
+    from_sys_ret, to_sys_args, NativeHooks, SysArgs, SysOutcome, SyscallCtx, SyscallHooks,
+};
 pub use libfns::eval_lib;
 pub use machine::{run_program, ExecConfig, RunOutcome};
 pub use progress::{FrameKey, FrameRef, LoopUid, ProgressKey, ProgressOrder};

@@ -546,12 +546,12 @@ impl Machine {
         self.stats.sample_counter(cnt, self.counter_frames.len());
 
         let ctx = SyscallCtx {
-            thread: self.thread.clone(),
+            thread: &self.thread,
             key: self.current_key(),
             func,
             site,
             sys,
-            stop: self.env.stop.clone(),
+            stop: &self.env.stop,
         };
         // A virtual `sleep` also yields the OS scheduler: Lx threads
         // genuinely interleave at sleep points (the substrate's stand-in

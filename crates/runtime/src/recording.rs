@@ -56,7 +56,7 @@ impl<H: SyscallHooks> RecordingHooks<H> {
 }
 
 impl<H: SyscallHooks> SyscallHooks for RecordingHooks<H> {
-    fn syscall(&self, ctx: &SyscallCtx, args: &[Value]) -> Result<SysOutcome, Trap> {
+    fn syscall(&self, ctx: &SyscallCtx<'_>, args: &[Value]) -> Result<SysOutcome, Trap> {
         self.events.lock().push(SyscallEvent {
             thread: ctx.thread.clone(),
             key: ctx.key.clone(),

@@ -49,8 +49,7 @@ impl Chan {
     /// A file channel with vOS path normalization applied, so
     /// `/out/../data/x` and `/data/x` land on the same channel.
     pub fn file(path: &str) -> Chan {
-        let segs = ldx_vos::normalize_path(path);
-        Chan::File(format!("/{}", segs.join("/")))
+        Chan::File(format!("/{}", ldx_vos::normalize_path(path).joined()))
     }
 }
 

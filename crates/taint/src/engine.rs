@@ -96,6 +96,11 @@ pub fn taint_execute(
     }
 }
 
+/// The segments of `path`, normalized.
+fn normalized(path: &str) -> Vec<String> {
+    ldx_vos::normalize_path(path).map(str::to_string).collect()
+}
+
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Resource {
     File(Vec<String>),
@@ -157,9 +162,7 @@ impl TaintInterp {
             .enumerate()
             .filter_map(|(i, s)| {
                 let r = match &s.matcher {
-                    SourceMatcher::FileRead(p) => {
-                        ResolvedSource::FileRead(ldx_vos::normalize_path(p))
-                    }
+                    SourceMatcher::FileRead(p) => ResolvedSource::FileRead(normalized(p)),
                     SourceMatcher::NetRecv(h) => ResolvedSource::NetRecv(h.clone()),
                     SourceMatcher::ClientRecv(p) => ResolvedSource::ClientRecv(*p),
                     SourceMatcher::SyscallKind(sys) => ResolvedSource::SyscallKind(*sys),
@@ -579,12 +582,12 @@ impl TaintInterp {
         // Virtual OS syscalls.
         let sys_args: Vec<SysArg> = targs
             .iter()
-            .map(|t| match t.to_value() {
-                Value::Int(i) => Ok(SysArg::Int(i)),
-                Value::Str(s) => Ok(SysArg::Str(s.to_string())),
+            .map(|t| match t {
+                TVal::Int(i, _) => Ok(SysArg::Int(*i)),
+                TVal::Str(s, _) => Ok(SysArg::Str(s)),
                 other => Err(Trap::TypeError {
                     expected: "integer or string syscall argument",
-                    found: other.type_name(),
+                    found: other.to_value().type_name(),
                 }),
             })
             .collect::<Result<_, _>>()?;
@@ -594,13 +597,12 @@ impl TaintInterp {
         match (sys, &ret) {
             (Syscall::Open, SysRet::Int(fd)) if *fd >= 0 => {
                 if let Some(SysArg::Str(p)) = sys_args.first() {
-                    self.fd_resources
-                        .insert(*fd, Resource::File(ldx_vos::normalize_path(p)));
+                    self.fd_resources.insert(*fd, Resource::File(normalized(p)));
                 }
             }
             (Syscall::Connect, SysRet::Int(fd)) if *fd >= 0 => {
                 if let Some(SysArg::Str(h)) = sys_args.first() {
-                    self.fd_resources.insert(*fd, Resource::Peer(h.clone()));
+                    self.fd_resources.insert(*fd, Resource::Peer(h.to_string()));
                 }
             }
             (Syscall::Accept, SysRet::Int(fd)) if *fd >= 0 => {

@@ -18,7 +18,7 @@ impl Node {
     }
 
     /// The node `segs` below this one (this node for no segments).
-    pub fn descendant(&self, segs: &[String]) -> Option<&Node> {
+    pub fn descendant<'s>(&self, segs: impl IntoIterator<Item = &'s str>) -> Option<&Node> {
         let mut cur = self;
         for seg in segs {
             match cur {
@@ -38,20 +38,68 @@ impl Node {
     }
 }
 
-/// Normalizes a path into its segments: leading/trailing/duplicate slashes
-/// are ignored, `.` segments are dropped, and `..` pops (never above root).
-pub fn normalize_path(path: &str) -> Vec<String> {
-    let mut segs: Vec<String> = Vec::new();
-    for seg in path.split('/') {
+/// The segments of a normalized path, borrowed from it: leading/trailing/
+/// duplicate slashes are ignored, `.` segments are dropped, and `..` pops
+/// (never above root). Every filesystem lookup walks these, so a lookup
+/// allocates nothing. A segment survives unless the `..`s after it pop
+/// it, so each one scans the rest of the path: a lookup costs the square
+/// of the path's depth, a few segments for the paths Lx programs use.
+pub fn normalize_path(path: &str) -> Segments<'_> {
+    Segments { rest: path }
+}
+
+/// The iterator [`normalize_path`] returns.
+#[derive(Debug, Clone)]
+pub struct Segments<'a> {
+    /// The part of the path not yet split.
+    rest: &'a str,
+}
+
+impl<'a> Segments<'a> {
+    /// The segments joined by `/`, with no leading slash: one key for
+    /// every spelling of a path.
+    pub fn joined(self) -> String {
+        let mut key = String::new();
+        for seg in self {
+            if !key.is_empty() {
+                key.push('/');
+            }
+            key.push_str(seg);
+        }
+        key
+    }
+}
+
+impl<'a> Iterator for Segments<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        while !self.rest.is_empty() {
+            let (seg, rest) = self.rest.split_once('/').unwrap_or((self.rest, ""));
+            self.rest = rest;
+            if !matches!(seg, "" | "." | "..") && !popped_by(rest) {
+                return Some(seg);
+            }
+        }
+        None
+    }
+}
+
+/// Whether the `..` segments of `rest` pop the segment just before it:
+/// they do once they outnumber the segments pushed after it.
+fn popped_by(rest: &str) -> bool {
+    let mut depth = 0usize;
+    for seg in rest.split('/') {
         match seg {
             "" | "." => {}
-            ".." => {
-                segs.pop();
-            }
-            s => segs.push(s.to_string()),
+            ".." => match depth.checked_sub(1) {
+                Some(d) => depth = d,
+                None => return true,
+            },
+            _ => depth += 1,
         }
     }
-    segs
+    false
 }
 
 /// The filesystem: a root directory.
@@ -76,7 +124,7 @@ impl Fs {
 
     /// Looks up the node at `path`.
     pub fn get(&self, path: &str) -> Option<&Node> {
-        self.root.descendant(&normalize_path(path))
+        self.root.descendant(normalize_path(path))
     }
 
     /// The shallowest prefix of `path` with no node, which inserting at
@@ -86,11 +134,11 @@ impl Fs {
         let mut prefix = String::new();
         for seg in normalize_path(path) {
             prefix.push('/');
-            prefix.push_str(&seg);
+            prefix.push_str(seg);
             let Node::Dir(children) = cur else {
                 return None;
             };
-            match children.get(&seg) {
+            match children.get(seg) {
                 Some(child) => cur = child,
                 None => return Some(prefix),
             }
@@ -100,9 +148,8 @@ impl Fs {
 
     /// Mutable lookup.
     pub fn get_mut(&mut self, path: &str) -> Option<&mut Node> {
-        let segs = normalize_path(path);
         let mut cur = &mut self.root;
-        for seg in &segs {
+        for seg in normalize_path(path) {
             match cur {
                 Node::Dir(children) => cur = children.get_mut(seg)?,
                 Node::File(_) => return None,
@@ -111,45 +158,48 @@ impl Fs {
         Some(cur)
     }
 
+    /// The directory that holds the node at `path`, creating missing
+    /// parents if `create`, and the node's name in it (`None` for the
+    /// root, a parent that is a file, or a missing parent).
+    fn parent_of<'p>(
+        &mut self,
+        path: &'p str,
+        create: bool,
+    ) -> Option<(&mut BTreeMap<String, Node>, &'p str)> {
+        let mut segs = normalize_path(path).peekable();
+        let mut cur = &mut self.root;
+        while let Some(seg) = segs.next() {
+            let Node::Dir(children) = cur else {
+                return None;
+            };
+            if segs.peek().is_none() {
+                return Some((children, seg));
+            }
+            if create && !children.contains_key(seg) {
+                children.insert(seg.to_string(), Node::empty_dir());
+            }
+            cur = children.get_mut(seg)?;
+        }
+        None
+    }
+
     /// Inserts (or replaces) `node` at `path`, creating parent directories.
     /// Fails (returns `false`) if a parent path component is a file, or the
     /// path is the root.
     pub fn insert(&mut self, path: &str, node: Node) -> bool {
-        let segs = normalize_path(path);
-        let Some((last, parents)) = segs.split_last() else {
-            return false;
-        };
-        let mut cur = &mut self.root;
-        for seg in parents {
-            let Node::Dir(children) = cur else {
-                return false;
-            };
-            cur = children.entry(seg.clone()).or_insert_with(Node::empty_dir);
-        }
-        match cur {
-            Node::Dir(children) => {
-                children.insert(last.clone(), node);
+        match self.parent_of(path, true) {
+            Some((children, name)) => {
+                children.insert(name.to_string(), node);
                 true
             }
-            Node::File(_) => false,
+            None => false,
         }
     }
 
     /// Removes and returns the node at `path` (file or whole directory).
     pub fn remove(&mut self, path: &str) -> Option<Node> {
-        let segs = normalize_path(path);
-        let (last, parents) = segs.split_last()?;
-        let mut cur = &mut self.root;
-        for seg in parents {
-            match cur {
-                Node::Dir(children) => cur = children.get_mut(seg)?,
-                Node::File(_) => return None,
-            }
-        }
-        match cur {
-            Node::Dir(children) => children.remove(last),
-            Node::File(_) => None,
-        }
+        let (children, name) = self.parent_of(path, false)?;
+        children.remove(name)
     }
 
     /// Creates an empty directory at `path` if nothing exists there.
@@ -191,10 +241,45 @@ mod tests {
 
     #[test]
     fn normalize_handles_dots_and_slashes() {
-        assert_eq!(normalize_path("/a//b/./c/"), vec!["a", "b", "c"]);
-        assert_eq!(normalize_path("a/../b"), vec!["b"]);
-        assert_eq!(normalize_path("../a"), vec!["a"]);
-        assert!(normalize_path("/").is_empty());
+        let segs = |p| normalize_path(p).collect::<Vec<_>>();
+        assert_eq!(segs("/a//b/./c/"), vec!["a", "b", "c"]);
+        assert_eq!(segs("a/../b"), vec!["b"]);
+        assert_eq!(segs("../a"), vec!["a"]);
+        assert_eq!(segs("a/../../b/c/.."), vec!["b"]);
+        assert_eq!(segs("/a/b/../../c/./d/../e"), vec!["c", "e"]);
+        assert!(segs("/").is_empty());
+        assert!(segs("a/b/../..").is_empty());
+        assert_eq!(normalize_path("//x/./y/../z/").joined(), "x/z");
+    }
+
+    #[test]
+    fn normalize_matches_a_segment_stack() {
+        // Every path of up to five segments over these.
+        const SEGS: [&str; 5] = ["", ".", "..", "a", "b"];
+        let mut paths = vec![String::new()];
+        for len in 1..=5u32 {
+            for mut code in 0..SEGS.len().pow(len) {
+                let mut path = Vec::new();
+                for _ in 0..len {
+                    path.push(SEGS[code % SEGS.len()]);
+                    code /= SEGS.len();
+                }
+                paths.push(path.join("/"));
+            }
+        }
+        for path in paths {
+            let mut stack = Vec::new();
+            for seg in path.split('/') {
+                match seg {
+                    "" | "." => {}
+                    ".." => {
+                        stack.pop();
+                    }
+                    s => stack.push(s),
+                }
+            }
+            assert_eq!(normalize_path(&path).collect::<Vec<_>>(), stack, "{path:?}");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod world;
 
 pub use config::{PeerBehavior, VosConfig};
 pub use error::VosError;
-pub use fs::{normalize_path, Node};
+pub use fs::{normalize_path, Node, Segments};
 pub use overlay::SlaveVos;
 pub use state::{SysArg, SysRet, VosState};
 pub use world::Vos;

@@ -114,23 +114,20 @@ impl SlaveVos {
         match sys {
             Syscall::Open | Syscall::Stat | Syscall::Unlink | Syscall::Readdir | Syscall::Mkdir => {
                 if let Some(SysArg::Str(path)) = args.first() {
-                    let path = path.clone();
-                    self.ensure_path(&mut own, &path);
+                    self.ensure_path(&mut own, path);
                 }
             }
             Syscall::Rename => {
                 if let (Some(SysArg::Str(from)), Some(SysArg::Str(to))) =
                     (args.first(), args.get(1))
                 {
-                    let (from, to) = (from.clone(), to.clone());
-                    self.ensure_path(&mut own, &from);
-                    self.ensure_path(&mut own, &to);
+                    self.ensure_path(&mut own, from);
+                    self.ensure_path(&mut own, to);
                 }
             }
             Syscall::Connect => {
                 if let Some(SysArg::Str(host)) = args.first() {
-                    let host = host.clone();
-                    self.ensure_peer(&mut own, &host);
+                    self.ensure_peer(&mut own, host);
                 }
             }
             // Reads/writes/sends go through descriptors the overlay itself
@@ -152,7 +149,7 @@ impl SlaveVos {
     }
 
     fn ensure_path(&self, own: &mut OverlayState, path: &str) {
-        let key = normalize_path(path).join("/");
+        let key = normalize_path(path).joined();
         if !own.copied_paths.insert(key) {
             return;
         }
@@ -189,10 +186,10 @@ mod tests {
     use super::*;
     use crate::config::PeerBehavior;
 
-    fn sa(v: &str) -> SysArg {
-        SysArg::Str(v.into())
+    fn sa(v: &str) -> SysArg<'_> {
+        SysArg::Str(v)
     }
-    fn ia(v: i64) -> SysArg {
+    fn ia(v: i64) -> SysArg<'static> {
         SysArg::Int(v)
     }
 

@@ -6,17 +6,19 @@ use crate::fs::{normalize_path, Fs, Node};
 use crate::net::{Net, PeerState};
 use ldx_lang::Syscall;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
-/// A syscall argument as seen by the virtual OS.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SysArg {
+/// A syscall argument as seen by the virtual OS, its string borrowed from
+/// the caller: the world copies only what it keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SysArg<'a> {
     /// An integer argument (fd, size, flags, port…).
     Int(i64),
     /// A string argument (path, data, host…).
-    Str(String),
+    Str(&'a str),
 }
 
-impl SysArg {
+impl<'a> SysArg<'a> {
     fn as_int(&self, syscall: &'static str) -> Result<i64, VosError> {
         match self {
             SysArg::Int(v) => Ok(*v),
@@ -27,7 +29,7 @@ impl SysArg {
         }
     }
 
-    fn as_str(&self, syscall: &'static str) -> Result<&str, VosError> {
+    fn as_str(&self, syscall: &'static str) -> Result<&'a str, VosError> {
         match self {
             SysArg::Str(s) => Ok(s),
             SysArg::Int(v) => Err(VosError::BadArgument {
@@ -47,16 +49,18 @@ pub enum SysRet {
     Str(String),
 }
 
-/// The resource a file descriptor names.
+/// The resource a file descriptor names. Its path or host is shared, so
+/// a syscall through the descriptor can hold it while it changes the
+/// world without copying it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum FdEntry {
     File {
-        path: String,
+        path: Arc<str>,
         pos: usize,
         writable: bool,
     },
     Peer {
-        host: String,
+        host: Arc<str>,
     },
     Client {
         index: usize,
@@ -244,138 +248,12 @@ impl VosState {
         self.syscall_count += 1;
         match sys {
             Syscall::Open => {
-                let path = args[0].as_str("open")?.to_string();
+                let path = args[0].as_str("open")?;
                 let flags = args[1].as_int("open")?;
-                match flags {
-                    0 => {
-                        // Read-only: file must exist.
-                        match self.fs.get(&path) {
-                            Some(Node::File(_)) => Ok(SysRet::Int(self.alloc_fd(FdEntry::File {
-                                path,
-                                pos: 0,
-                                writable: false,
-                            }))),
-                            _ => Ok(SysRet::Int(-1)),
-                        }
-                    }
-                    1 | 2 => {
-                        // Write (truncate) or append: create if missing.
-                        if matches!(self.fs.get(&path), Some(Node::Dir(_))) {
-                            return Ok(SysRet::Int(-1));
-                        }
-                        let append = flags == 2;
-                        if !append || self.fs.get(&path).is_none() {
-                            self.log_node(&path);
-                            if !self.fs.insert(&path, Node::File(String::new())) {
-                                return Ok(SysRet::Int(-1));
-                            }
-                        }
-                        let pos = self
-                            .fs
-                            .get(&path)
-                            .and_then(Node::as_file)
-                            .map(|d| d.chars().count())
-                            .unwrap_or(0);
-                        Ok(SysRet::Int(self.alloc_fd(FdEntry::File {
-                            path,
-                            pos,
-                            writable: true,
-                        })))
-                    }
-                    _ => Ok(SysRet::Int(-1)),
-                }
+                Ok(SysRet::Int(self.open(path, flags)))
             }
-            Syscall::Read => {
-                let fd = args[0].as_int("read")?;
-                let n = args[1].as_int("read")?.max(0) as usize;
-                if (0..=2).contains(&fd) {
-                    return Ok(SysRet::Str(String::new()));
-                }
-                let Some(entry) = self.fd_entry(fd) else {
-                    return Ok(SysRet::Str(String::new()));
-                };
-                match entry {
-                    FdEntry::File { path, pos, .. } => {
-                        let path = path.clone();
-                        let start = *pos;
-                        let data = match self.fs.get(&path) {
-                            Some(Node::File(data)) => data.clone(),
-                            _ => String::new(),
-                        };
-                        let chunk = read_chars(&data, start, n);
-                        let advanced = chunk.chars().count();
-                        if let Some(FdEntry::File { pos, .. }) = self.fd_entry(fd) {
-                            *pos = start + advanced;
-                        }
-                        Ok(SysRet::Str(chunk))
-                    }
-                    FdEntry::Peer { host } => {
-                        let host = host.clone();
-                        let Some(peer) = self.net.peers.get_mut(&host) else {
-                            return Ok(SysRet::Str(String::new()));
-                        };
-                        let (out, advanced) = peer.on_recv(n);
-                        if advanced || !out.is_empty() {
-                            self.log(|| {
-                                Undo::Recv(Box::new(RecvUndo {
-                                    fd,
-                                    taken: out.clone(),
-                                    advanced,
-                                }))
-                            });
-                        }
-                        Ok(SysRet::Str(out))
-                    }
-                    FdEntry::Client { index } => {
-                        let index = *index;
-                        let conn = &mut self.net.clients[index];
-                        let chunk = take_chars(&mut conn.pending, n);
-                        Ok(SysRet::Str(chunk))
-                    }
-                }
-            }
-            Syscall::Write => {
-                let fd = args[0].as_int("write")?;
-                let data = args[1].as_str("write")?.to_string();
-                if (0..=2).contains(&fd) {
-                    let path = if fd == 2 {
-                        "/dev/stderr"
-                    } else {
-                        "/dev/stdout"
-                    };
-                    self.append_file(fd, path, &data);
-                    return Ok(SysRet::Int(data.chars().count() as i64));
-                }
-                let Some(entry) = self.fd_entry(fd) else {
-                    return Ok(SysRet::Int(-1));
-                };
-                match entry {
-                    FdEntry::File { path, writable, .. } => {
-                        if !*writable {
-                            return Ok(SysRet::Int(-1));
-                        }
-                        let path = path.clone();
-                        self.append_file(fd, &path, &data);
-                        Ok(SysRet::Int(data.chars().count() as i64))
-                    }
-                    FdEntry::Peer { host } => {
-                        let host = host.clone();
-                        if let Some(p) = self.net.peers.get_mut(&host) {
-                            let pending = p.pending_len();
-                            p.on_send(&data);
-                            self.log(|| Undo::Send { fd, pending });
-                            Ok(SysRet::Int(data.chars().count() as i64))
-                        } else {
-                            Ok(SysRet::Int(-1))
-                        }
-                    }
-                    FdEntry::Client { index } => {
-                        let index = *index;
-                        self.net.clients[index].responses.push(data.clone());
-                        Ok(SysRet::Int(data.chars().count() as i64))
-                    }
-                }
-            }
+            Syscall::Read | Syscall::Recv => self.read(args),
+            Syscall::Write | Syscall::Send => self.write(args),
             Syscall::Close => {
                 let fd = args[0].as_int("close")?;
                 if let Some(slot) = self.open_slot(fd) {
@@ -439,15 +317,14 @@ impl VosState {
                 }
             }
             Syscall::Connect => {
-                let host = args[0].as_str("connect")?.to_string();
-                if self.net.peers.contains_key(&host) {
+                let host = args[0].as_str("connect")?;
+                if self.net.peers.contains_key(host) {
+                    let host = host.into();
                     Ok(SysRet::Int(self.alloc_fd(FdEntry::Peer { host })))
                 } else {
                     Ok(SysRet::Int(-1))
                 }
             }
-            Syscall::Send => self.syscall(Syscall::Write, args),
-            Syscall::Recv => self.syscall(Syscall::Read, args),
             Syscall::Accept => {
                 let port = args[0].as_int("accept")?;
                 match self.net.accept(port) {
@@ -487,6 +364,137 @@ impl VosState {
                 syscall: sys.name(),
             }),
         }
+    }
+
+    /// Opens the file at `path` (`flags`: 0 read, 1 write and truncate, 2
+    /// append; a writer creates a missing file): its descriptor, or -1.
+    fn open(&mut self, path: &str, flags: i64) -> i64 {
+        let (pos, writable) = match flags {
+            0 => {
+                // Read-only: file must exist.
+                if !matches!(self.fs.get(path), Some(Node::File(_))) {
+                    return -1;
+                }
+                (0, false)
+            }
+            1 | 2 => {
+                // Write (truncate) or append: create if missing.
+                let existing = self.fs.get(path);
+                if matches!(existing, Some(Node::Dir(_))) {
+                    return -1;
+                }
+                if flags == 1 || existing.is_none() {
+                    self.log_node(path);
+                    if !self.fs.insert(path, Node::File(String::new())) {
+                        return -1;
+                    }
+                }
+                let pos = self
+                    .fs
+                    .get(path)
+                    .and_then(Node::as_file)
+                    .map_or(0, |d| d.chars().count());
+                (pos, true)
+            }
+            _ => return -1,
+        };
+        self.alloc_fd(FdEntry::File {
+            path: path.into(),
+            pos,
+            writable,
+        })
+    }
+
+    /// `read` and `recv`: up to `n` characters from a file, peer or client.
+    fn read(&mut self, args: &[SysArg]) -> Result<SysRet, VosError> {
+        let fd = args[0].as_int("read")?;
+        let n = args[1].as_int("read")?.max(0) as usize;
+        if (0..=2).contains(&fd) {
+            return Ok(SysRet::Str(String::new()));
+        }
+        let Some(entry) = self.fd_entry(fd) else {
+            return Ok(SysRet::Str(String::new()));
+        };
+        match entry {
+            FdEntry::File { path, pos, .. } => {
+                let path = Arc::clone(path);
+                let start = *pos;
+                let chunk = match self.fs.get(&path) {
+                    Some(Node::File(data)) => read_chars(data, start, n),
+                    _ => String::new(),
+                };
+                let advanced = chunk.chars().count();
+                if let Some(FdEntry::File { pos, .. }) = self.fd_entry(fd) {
+                    *pos = start + advanced;
+                }
+                Ok(SysRet::Str(chunk))
+            }
+            FdEntry::Peer { host } => {
+                let host = Arc::clone(host);
+                let Some(peer) = self.net.peers.get_mut(&*host) else {
+                    return Ok(SysRet::Str(String::new()));
+                };
+                let (out, advanced) = peer.on_recv(n);
+                if advanced || !out.is_empty() {
+                    self.log(|| {
+                        Undo::Recv(Box::new(RecvUndo {
+                            fd,
+                            taken: out.clone(),
+                            advanced,
+                        }))
+                    });
+                }
+                Ok(SysRet::Str(out))
+            }
+            FdEntry::Client { index } => {
+                let index = *index;
+                let conn = &mut self.net.clients[index];
+                let chunk = take_chars(&mut conn.pending, n);
+                Ok(SysRet::Str(chunk))
+            }
+        }
+    }
+
+    /// `write` and `send`: appends `data` to a file, sends it to a peer, or
+    /// answers a client. Descriptors 0–2 write the stdio pseudo-files.
+    fn write(&mut self, args: &[SysArg]) -> Result<SysRet, VosError> {
+        let fd = args[0].as_int("write")?;
+        let data = args[1].as_str("write")?;
+        if (0..=2).contains(&fd) {
+            let path = if fd == 2 {
+                "/dev/stderr"
+            } else {
+                "/dev/stdout"
+            };
+            self.append_file(fd, path, data);
+            return Ok(SysRet::Int(data.chars().count() as i64));
+        }
+        let Some(entry) = self.fd_entry(fd) else {
+            return Ok(SysRet::Int(-1));
+        };
+        match entry {
+            FdEntry::File { path, writable, .. } => {
+                if !*writable {
+                    return Ok(SysRet::Int(-1));
+                }
+                let path = Arc::clone(path);
+                self.append_file(fd, &path, data);
+            }
+            FdEntry::Peer { host } => {
+                let host = Arc::clone(host);
+                let Some(p) = self.net.peers.get_mut(&*host) else {
+                    return Ok(SysRet::Int(-1));
+                };
+                let pending = p.pending_len();
+                p.on_send(data);
+                self.log(|| Undo::Send { fd, pending });
+            }
+            FdEntry::Client { index } => {
+                let index = *index;
+                self.net.clients[index].responses.push(data.to_string());
+            }
+        }
+        Ok(SysRet::Int(data.chars().count() as i64))
     }
 
     /// Appends `data`, written through `fd`, to the file at `path`.
@@ -551,7 +559,7 @@ impl VosState {
         if newer.peek().is_none() {
             return self.fs.get(path).cloned();
         }
-        let target = normalize_path(path);
+        let target: Vec<&str> = normalize_path(path).collect();
         let mut sub = if target.is_empty() {
             self.fs.clone()
         } else {
@@ -571,7 +579,9 @@ impl VosState {
                     };
                     let inside = match last_fd {
                         Some((seen, inside)) if seen == *fd => inside,
-                        _ => normalize_path(file).starts_with(&target),
+                        _ => normalize_path(file)
+                            .take(target.len())
+                            .eq(target.iter().copied()),
                     };
                     last_fd = Some((*fd, inside));
                     if !inside {
@@ -583,7 +593,7 @@ impl VosState {
                 }
                 Undo::Node(record) => {
                     let (at, prev) = record.as_ref();
-                    let at_segs = normalize_path(at);
+                    let at_segs: Vec<&str> = normalize_path(at).collect();
                     if at_segs.starts_with(&target) {
                         match prev {
                             Some(node) => sub.insert(at, node.clone()),
@@ -591,7 +601,7 @@ impl VosState {
                         };
                     } else if target.starts_with(&at_segs) {
                         sub.remove(path);
-                        let below = &target[at_segs.len()..];
+                        let below = target[at_segs.len()..].iter().copied();
                         if let Some(node) = prev.as_ref().and_then(|n| n.descendant(below)) {
                             sub.insert(path, node.clone());
                         }
@@ -693,10 +703,10 @@ mod tests {
         )
     }
 
-    fn s(v: &str) -> SysArg {
-        SysArg::Str(v.into())
+    fn s(v: &str) -> SysArg<'_> {
+        SysArg::Str(v)
     }
-    fn i(v: i64) -> SysArg {
+    fn i(v: i64) -> SysArg<'static> {
         SysArg::Int(v)
     }
 
@@ -1029,6 +1039,49 @@ mod tests {
         };
         w.syscall(Syscall::Write, &[i(fd), s("now")]).unwrap();
         assert_eq!(w.node_as_of("/out/log", 0), Some(Node::File("now".into())));
+    }
+
+    /// The descriptor's position, in chars.
+    fn pos(w: &VosState, fd: i64) -> usize {
+        match &w.fd_slot(fd).unwrap().entry {
+            FdEntry::File { pos, .. } => *pos,
+            _ => panic!("not a file"),
+        }
+    }
+
+    #[test]
+    fn reads_multibyte_text_by_char() {
+        let text = "aé日本€x";
+        let mut w = VosState::build(&VosConfig::new().file("/u", text));
+        let SysRet::Int(fd) = w.syscall(Syscall::Open, &[s("/u"), i(0)]).unwrap() else {
+            panic!()
+        };
+        // Reads 1-char chunks to the end, checking the position after each.
+        let read_rest = |w: &mut VosState, from: usize| {
+            let mut chunks = Vec::new();
+            loop {
+                let SysRet::Str(chunk) = w.syscall(Syscall::Read, &[i(fd), i(1)]).unwrap() else {
+                    panic!()
+                };
+                if chunk.is_empty() {
+                    return chunks;
+                }
+                chunks.push(chunk);
+                assert_eq!(pos(w, fd), from + chunks.len());
+            }
+        };
+        let chars = |skip| {
+            text.chars()
+                .skip(skip)
+                .map(String::from)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(read_rest(&mut w, 0), chars(0));
+        assert_eq!(pos(&w, fd), 6);
+        w.syscall(Syscall::Seek, &[i(fd), i(2)]).unwrap();
+        assert_eq!(read_rest(&mut w, 2), chars(2));
+        assert_eq!(pos(&w, fd), 6);
+        assert_eq!(w.file_contents("/u").unwrap(), text);
     }
 
     #[test]

@@ -100,6 +100,7 @@ impl Vos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PeerBehavior;
     use std::sync::Arc;
 
     #[test]
@@ -112,7 +113,7 @@ mod tests {
                 for k in 0..50 {
                     vos.syscall(
                         Syscall::Write,
-                        &[SysArg::Int(1), SysArg::Str(format!("{t}:{k};"))],
+                        &[SysArg::Int(1), SysArg::Str(&format!("{t}:{k};"))],
                     )
                     .unwrap();
                 }
@@ -125,6 +126,43 @@ mod tests {
         // All 200 writes landed, each atomically.
         assert_eq!(out.matches(';').count(), 200);
         assert_eq!(vos.syscall_count(), 200);
+    }
+
+    #[test]
+    fn send_and_recv_count_once() {
+        let cfg = VosConfig::new().peer("h", PeerBehavior::Echo);
+        let vos = Vos::new(&cfg);
+        vos.syscall(Syscall::Send, &[SysArg::Int(1), SysArg::Str("x")])
+            .unwrap();
+        assert_eq!(vos.syscall_count(), 1);
+        let vos = Vos::new(&cfg);
+        vos.syscall(Syscall::Recv, &[SysArg::Int(0), SysArg::Int(1)])
+            .unwrap();
+        assert_eq!(vos.syscall_count(), 1);
+        // The history is tagged with the same versions the cuts name.
+        let vos = Vos::versioned(&cfg);
+        let (SysRet::Int(fd), connected) = vos
+            .syscall_versioned(Syscall::Connect, &[SysArg::Str("h")])
+            .unwrap()
+        else {
+            panic!()
+        };
+        let (_, sent) = vos
+            .syscall_versioned(Syscall::Send, &[SysArg::Int(fd), SysArg::Str("ping")])
+            .unwrap();
+        let (ret, received) = vos
+            .syscall_versioned(Syscall::Recv, &[SysArg::Int(fd), SysArg::Int(4)])
+            .unwrap();
+        assert_eq!(ret, SysRet::Str("ping".into()));
+        assert_eq!((connected, sent, received), (1, 2, 3));
+        assert_eq!(vos.syscall_count(), 3);
+        let peer = |cut| vos.peer_as_of("h", cut).unwrap();
+        assert!(peer(connected).sent.is_empty());
+        assert_eq!(
+            (peer(sent).sent, peer(sent).pending_len()),
+            (vec!["ping".into()], 4)
+        );
+        assert_eq!(peer(received).pending_len(), 0);
     }
 
     #[test]
